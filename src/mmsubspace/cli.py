@@ -88,15 +88,8 @@ def cmd_solve(args) -> int:
         trace = run_batch(p, None, strategy, opts)
         snapshot_fn = None
     else:
-        stream = build_stream(args.stream, p, args.seed)
-        trace = run_online(stream, None, strategy, opts)
-        verify_stream = build_stream(args.stream, p, args.seed)
-
-        def snapshot_fn(n, _s=verify_stream, _p=p):
-            R, r = _s.next_estimate(n)
-            from .model import QuadraticData
-            return ProblemInstance(QuadraticData(R, r), _p.penalty)
-
+        trace = run_online(build_stream(args.stream, p, args.seed), None, strategy, opts)
+        snapshot_fn = build_stream(args.stream, p, args.seed).instance
     if args.trace_out:
         _write_trace(trace, args.trace_out)
     if args.summary_out:
@@ -117,13 +110,7 @@ def cmd_verify(args) -> int:
     trace = Trace.from_json(args.trace)
     snapshot_fn = None
     if trace.meta.get("mode") == "online":
-        stream = build_stream(args.stream, p, args.seed)
-
-        def snapshot_fn(n, _s=stream, _p=p):
-            from .model import QuadraticData
-            R, r = _s.next_estimate(n)
-            return ProblemInstance(QuadraticData(R, r), _p.penalty)
-
+        snapshot_fn = build_stream(args.stream, p, args.seed).instance
     report = verify_trace(p, trace, snapshot_fn=snapshot_fn, epsilon=args.epsilon, seed=args.seed)
     if len(report.rows) <= 25:
         for n, row in report.rows:

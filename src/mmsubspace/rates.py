@@ -15,9 +15,8 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .linalg import PINV_RCOND, as_vector, check_symmetric, extreme_eigs, min_eig, pd_solve, psd_pinv, sym_sqrt
-from .majorant import build_majorant
-from .model import ProblemInstance, curvature_bound, eval_gradient, eval_hessian
-from .subspace import DirectionMatrix, SubspaceStrategy, build_subspace, column_scaled, FULL
+from .model import ProblemInstance, curvature_bound, eval_hessian
+from .subspace import DirectionMatrix, SubspaceStrategy, build_subspace, column_scaled
 
 
 @dataclass(frozen=True)
@@ -90,14 +89,14 @@ def certify_iteration(
     D: DirectionMatrix,
     A: np.ndarray,
     epsilon: float,
-    inf_Fn: float,
+    inf_Fn: float | None = None,
     R_limit: np.ndarray | None = None,
 ) -> RateCertificate:
     """Assemble the full rate certificate for one iteration.
 
     ``R_limit`` is the data matrix of the limiting instance (equal to
     ``p_n.quad.R`` in the batch case); the Hessian floor is measured
-    against it.
+    against it.  No value depends on ``h_next`` or ``inf_Fn``.
     """
     if R_limit is None:
         R_limit = p_n.quad.R
@@ -196,18 +195,29 @@ def check_subspace_ordering(
     return OrderingReport(t_ref, t_full, by_strategy, ok)
 
 
-def detect_n_eps(trace, inf_F: float) -> int | None:
-    """First iteration from which the floor and gap bound hold to the end."""
-    recs = [rec for rec in trace.records if rec.cert is not None and not rec.cert.converged]
-    tol_scale = 1e-10 * (1.0 + abs(inf_F))
+def certified_regime_start(rows) -> int | None:
+    """First index from which the Hessian floor and the gap bound hold to the end.
+
+    ``rows`` yields ``(n, cert, F_n, inf_Fn)`` for each certified,
+    non-converged iteration in order; the gap ``F_n - inf_Fn`` must stay
+    within ``cert.lemma_bound`` up to ``1e-10 * (1 + |inf_Fn|)``.
+    """
     start = None
-    for rec in recs:
-        ok = rec.cert.hessian_floor_ok and (rec.obj - inf_F <= rec.cert.lemma_bound + tol_scale)
+    for n, cert, F_n, inf_Fn in rows:
+        ok = cert.hessian_floor_ok and (F_n - inf_Fn <= cert.lemma_bound + 1e-10 * (1.0 + abs(inf_Fn)))
         if ok and start is None:
-            start = rec.n
+            start = n
         elif not ok:
             start = None
     return start
+
+
+def detect_n_eps(trace, inf_F: float) -> int | None:
+    """First iteration from which the floor and gap bound hold to the end."""
+    return certified_regime_start(
+        (rec.n, rec.cert, rec.obj, inf_F)
+        for rec in trace.records if rec.cert is not None and not rec.cert.converged
+    )
 
 
 def batch_rate_summary(p: ProblemInstance, trace, epsilon: float) -> BatchRateSummary:

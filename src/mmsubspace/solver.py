@@ -2,8 +2,9 @@
 
 Each step minimizes the quadratic tangent majorant over the span of the
 direction matrix, in closed form via a pseudo-inverse, so the surrogate
-value never increases.  An independent damped-Newton oracle provides the
-reference minimizer used by the rate certificates.
+value never increases.  Batch runs are online runs on a constant stream.
+An independent damped-Newton oracle provides the reference minimizer
+against which the rate certificates are checked.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import numpy as np
 from .errors import InputError, NumericError, OracleError, StreamExhausted
 from .linalg import as_vector, min_eig, pd_solve, psd_pinv
 from .majorant import MajorantAtPoint, build_majorant
-from .model import ProblemInstance, QuadraticData, eval_gradient, eval_hessian, eval_objective
+from .model import ProblemInstance, eval_gradient, eval_hessian, eval_objective
 from .rates import RateCertificate, certify_iteration
+from .stream import ConstantStream, EstimateStream
 from .subspace import DirectionMatrix, SubspaceStrategy, build_subspace, column_scaled, parse_strategy
 
 
@@ -27,7 +29,6 @@ from .subspace import DirectionMatrix, SubspaceStrategy, build_subspace, column_
 class SolveOptions:
     max_iters: int = 500
     grad_tol: float = 1e-10
-    record_trace: bool = True
     epsilon: Optional[float] = None  # None -> 0.1 * min-eig(R) of the limit instance
     certify: bool = False
 
@@ -59,10 +60,21 @@ class TraceRecord:
     cert: Optional[RateCertificate]
 
 
-CSV_COLUMNS = [
-    "n", "obj", "grad_norm", "step_norm", "theta_tilde", "theta",
-    "theta_lo", "theta_hi", "kappa_lo", "kappa_hi", "sigma_lo", "sigma_hi", "chi_n",
+# the trace schema: certificate fields in column and key order, of which the
+# CSV holds the first eight, and the run-level flags stored next to the records
+CERT_FIELDS = [
+    "theta_tilde", "theta", "theta_lo", "theta_hi", "kappa_lo", "kappa_hi",
+    "sigma_lo", "sigma_hi", "hessian_floor_ok", "lemma_bound", "epsilon",
 ]
+CSV_CERT_FIELDS = CERT_FIELDS[:8]
+CSV_COLUMNS = ["n", "obj", "grad_norm", "step_norm", *CSV_CERT_FIELDS, "chi_n"]
+TRACE_FLAGS = ["converged", "stream_exhausted", "fallback_used"]
+
+
+def _stored_cert(rec: TraceRecord) -> Optional[RateCertificate]:
+    """The certificate a trace file keeps; converged ones carry no values."""
+    c = rec.cert
+    return None if c is None or c.converged else c
 
 
 @dataclass
@@ -85,14 +97,9 @@ class Trace:
         def fmt(x):
             return "" if x is None else f"{x:.17g}"
 
-        c = rec.cert
-        cert_vals = (
-            [None] * 8
-            if c is None or c.converged
-            else [c.theta_tilde, c.theta, c.theta_lo, c.theta_hi,
-                  c.kappa_lo, c.kappa_hi, c.sigma_lo, c.sigma_hi]
-        )
-        return [str(rec.n), f"{rec.obj:.17g}", f"{rec.grad_norm:.17g}", fmt(rec.step_norm)] + \
+        c = _stored_cert(rec)
+        cert_vals = [None if c is None else getattr(c, k) for k in CSV_CERT_FIELDS]
+        return [str(rec.n), fmt(rec.obj), fmt(rec.grad_norm), fmt(rec.step_norm)] + \
             [fmt(v) for v in cert_vals] + [fmt(rec.chi)]
 
     def to_csv(self, path) -> None:
@@ -108,14 +115,9 @@ class Trace:
             f.write("\n")
 
     def as_dict(self) -> dict:
-        out = {
-            "meta": self.meta,
-            "converged": self.converged,
-            "stream_exhausted": self.stream_exhausted,
-            "records": [],
-        }
+        out = {"meta": self.meta, **{k: getattr(self, k) for k in TRACE_FLAGS}, "records": []}
         for rec in self.records:
-            c = rec.cert
+            c = _stored_cert(rec)
             d = {
                 "n": rec.n,
                 "h": rec.h.tolist(),
@@ -125,15 +127,8 @@ class Trace:
                 "chi_n": rec.chi,
                 "c_norm": rec.c_norm,
             }
-            if c is not None and not c.converged:
-                d.update(
-                    theta_tilde=c.theta_tilde, theta=c.theta,
-                    theta_lo=c.theta_lo, theta_hi=c.theta_hi,
-                    kappa_lo=c.kappa_lo, kappa_hi=c.kappa_hi,
-                    sigma_lo=c.sigma_lo, sigma_hi=c.sigma_hi,
-                    hessian_floor_ok=c.hessian_floor_ok,
-                    lemma_bound=c.lemma_bound, epsilon=c.epsilon,
-                )
+            if c is not None:
+                d.update((k, getattr(c, k)) for k in CERT_FIELDS)
             out["records"].append(d)
         return out
 
@@ -141,23 +136,11 @@ class Trace:
     def from_json(cls, path) -> "Trace":
         with open(path) as f:
             d = json.load(f)
-        trace = cls(
-            converged=d.get("converged", False),
-            stream_exhausted=d.get("stream_exhausted", False),
-            meta=d.get("meta", {}),
-        )
+        trace = cls(meta=d.get("meta", {}), **{k: d.get(k, False) for k in TRACE_FLAGS})
         for rd in d["records"]:
             cert = None
             if "theta" in rd:
-                cert = RateCertificate(
-                    n=rd["n"], epsilon=rd["epsilon"],
-                    theta_tilde=rd["theta_tilde"], theta=rd["theta"],
-                    theta_lo=rd["theta_lo"], theta_hi=rd["theta_hi"],
-                    kappa_lo=rd["kappa_lo"], kappa_hi=rd["kappa_hi"],
-                    sigma_lo=rd["sigma_lo"], sigma_hi=rd["sigma_hi"],
-                    hessian_floor_ok=rd["hessian_floor_ok"],
-                    lemma_bound=rd["lemma_bound"],
-                )
+                cert = RateCertificate(n=rd["n"], **{k: rd[k] for k in CERT_FIELDS})
             trace.records.append(TraceRecord(
                 n=rd["n"], h=np.asarray(rd["h"], dtype=float), obj=rd["obj"],
                 grad_norm=rd["grad_norm"], step_norm=rd.get("step_norm"),
@@ -224,9 +207,10 @@ def reference_minimizer(p: ProblemInstance, tol: float = 1e-12) -> ReferenceSolu
     raise OracleError("Newton oracle did not reach tolerance in 500 steps")
 
 
-def _resolve_epsilon(opts: SolveOptions, R_limit: np.ndarray) -> float:
+def _resolve_epsilon(epsilon: Optional[float], R_limit: np.ndarray) -> float:
+    """The certificate margin: ``epsilon``, or 0.1 * min-eig(R_limit) for None."""
     lo = min_eig(R_limit)
-    eps = 0.1 * lo if opts.epsilon is None else opts.epsilon
+    eps = 0.1 * lo if epsilon is None else epsilon
     if not (0.0 < eps < lo):
         raise InputError(f"epsilon must lie in (0, {lo:.6g}), got {eps}")
     return eps
@@ -239,59 +223,30 @@ def run_batch(
     opts: SolveOptions = SolveOptions(),
 ) -> Trace:
     """Iterate on a fixed instance until the gradient tolerance or max_iters."""
-    return _run(_ConstantSource(p), p.quad, h1, strategy, opts, mode="batch")
+    return _run(ConstantStream(p.quad, p.penalty), h1, strategy, opts, mode="batch")
 
 
 def run_online(
-    stream,
+    stream: EstimateStream,
     h1=None,
     strategy: SubspaceStrategy | str = "3mg",
     opts: SolveOptions = SolveOptions(),
 ) -> Trace:
     """Iterate against drifting snapshots drawn from an estimate stream."""
-    return _run(_StreamSource(stream), stream.limit, h1, strategy, opts, mode="online")
+    return _run(stream, h1, strategy, opts, mode="online")
 
 
-class _ConstantSource:
-    """Snapshot source for the batch case: the same instance every iteration."""
-
-    def __init__(self, p: ProblemInstance):
-        self.p = p
-
-    def instance(self, n: int) -> ProblemInstance:
-        return self.p
-
-
-class _StreamSource:
-    def __init__(self, stream):
-        self.stream = stream
-        self.penalty = None
-
-    def instance(self, n: int) -> ProblemInstance:
-        R_n, r_n = self.stream.next_estimate(n)
-        return ProblemInstance(QuadraticData(R_n, r_n), self.penalty)
-
-
-def _run(source, limit_quad: QuadraticData, h1, strategy, opts: SolveOptions, mode: str) -> Trace:
+def _run(stream: EstimateStream, h1, strategy, opts: SolveOptions, mode: str) -> Trace:
     if isinstance(strategy, str):
         strategy = parse_strategy(strategy)
-    limit_p = None
-    if isinstance(source, _ConstantSource):
-        limit_p = source.p
-    else:
-        source.penalty = source.stream.penalty
-        limit_p = ProblemInstance(limit_quad, source.stream.penalty)
+    limit = stream.limit
+    epsilon = _resolve_epsilon(opts.epsilon, limit.R) if opts.certify else opts.epsilon
 
-    epsilon = _resolve_epsilon(opts, limit_quad.R) if opts.certify else opts.epsilon
-    inf_F_limit = None
-    if opts.certify and mode == "batch":
-        inf_F_limit = reference_minimizer(limit_p, tol=1e-12).value
-
-    h = np.zeros(limit_quad.dim) if h1 is None else as_vector(h1, limit_quad.dim)
+    h = np.zeros(limit.dim) if h1 is None else as_vector(h1, limit.dim)
     trace = Trace(meta={
         "mode": mode,
         "strategy": strategy.label(),
-        "dim": limit_quad.dim,
+        "dim": limit.dim,
         "max_iters": opts.max_iters,
         "grad_tol": opts.grad_tol,
         "certify": opts.certify,
@@ -301,7 +256,7 @@ def _run(source, limit_quad: QuadraticData, h1, strategy, opts: SolveOptions, mo
     history: list[np.ndarray] = []
     keep = max(8, strategy.memory)
     stream_exhausted = False
-    p_n = source.instance(1)
+    p_n = stream.instance(1)
     n = 1
     while True:
         g = eval_gradient(p_n, h)
@@ -322,35 +277,23 @@ def _run(source, limit_quad: QuadraticData, h1, strategy, opts: SolveOptions, mo
         cert = None
         if opts.certify:
             state = IterateState(n, h, history[0] if history else None, g, f)
-            if mode == "batch":
-                inf_Fn = inf_F_limit
-            else:
-                try:
-                    inf_Fn = reference_minimizer(p_n, tol=1e-12).value
-                except OracleError:
-                    inf_Fn = None
-            if inf_Fn is not None:
-                try:
-                    cert = certify_iteration(
-                        p_n, state, h_next, D, m.curvature, epsilon, inf_Fn,
-                        R_limit=limit_quad.R,
-                    )
-                except NumericError:
-                    cert = None
+            try:
+                cert = certify_iteration(p_n, state, h_next, D, m.curvature, epsilon, R_limit=limit.R)
+            except NumericError:
+                cert = None
 
         chi = None
-        p_next = None
-        if mode == "batch":
-            chi = 0.0
-            p_next = p_n
+        try:
+            p_next = stream.instance(n + 1)
+        except StreamExhausted:
+            stream_exhausted = True
         else:
-            try:
-                p_next = source.instance(n + 1)
+            if p_next is p_n:
+                chi = 0.0
+            else:
                 dr = p_n.quad.r - p_next.quad.r
                 dR = p_n.quad.R - p_next.quad.R
                 chi = -float(dr @ h_next) + 0.5 * float(h_next @ (dR @ h_next))
-            except StreamExhausted:
-                stream_exhausted = True
 
         c_norm = float(np.linalg.norm(m.curvature @ h - g))
         trace.records.append(TraceRecord(

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InputError, StreamExhausted
 from .linalg import as_vector, check_symmetric, min_eig
-from .model import Penalty, QuadraticData, ZeroPenalty
+from .model import Penalty, ProblemInstance, QuadraticData, ZeroPenalty
 
 
 class EstimateStream:
@@ -26,6 +26,10 @@ class EstimateStream:
     def next_estimate(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
+    def instance(self, n: int) -> ProblemInstance:
+        """The problem active at iteration ``n``: the validated snapshot plus the penalty."""
+        return ProblemInstance(QuadraticData(*self.next_estimate(n)), self.penalty)
+
 
 class ConstantStream(EstimateStream):
     """R_n = R and r_n = r for every n: the batch case in online clothing."""
@@ -33,11 +37,18 @@ class ConstantStream(EstimateStream):
     def __init__(self, quad: QuadraticData, penalty: Penalty | None = None):
         self.limit = quad
         self.penalty = penalty if penalty is not None else ZeroPenalty()
+        self._instance = ProblemInstance(quad, self.penalty)
 
     def next_estimate(self, n):
         if n < 1:
             raise InputError("iteration index must be >= 1")
         return self.limit.R, self.limit.r
+
+    def instance(self, n):
+        if n < 1:
+            raise InputError("iteration index must be >= 1")
+        # one object for every n, so a driver can tell that the data did not move
+        return self._instance
 
 
 class GeometricPerturbationStream(EstimateStream):

@@ -20,10 +20,11 @@ from .rates import (
     check_decay_inequality,
     check_linear_iterate_convergence,
     batch_rate_summary,
+    certified_regime_start,
     compute_theta_tilde,
     gradient_reference,
 )
-from .solver import IterateState, Trace, TraceRecord, reference_minimizer
+from .solver import IterateState, Trace, TraceRecord, _resolve_epsilon, reference_minimizer
 from .subspace import DirectionMatrix, build_subspace, parse_strategy
 
 
@@ -110,11 +111,9 @@ def verify_trace(
         raise InputError("online trace needs a snapshot source to verify")
     strategy = parse_strategy(trace.meta.get("strategy", "3mg"))
 
-    eta_lo = min_eig(p.quad.R)
     if epsilon is None:
-        epsilon = trace.meta.get("epsilon") or 0.1 * eta_lo
-    if not (0.0 < epsilon < eta_lo):
-        raise InputError("epsilon out of range for this problem")
+        epsilon = trace.meta.get("epsilon") or None  # a stored 0 also means the default
+    epsilon = _resolve_epsilon(epsilon, p.quad.R)
 
     results = {name: EqResult(name) for name in EQ_NAMES}
     rows = []
@@ -187,8 +186,7 @@ def verify_trace(
             if inf_Fn is not None:
                 try:
                     cert = certify_iteration(
-                        p_n, IterateState(n, h, None, g, f), h_next, D, A,
-                        epsilon, inf_Fn, R_limit=p.quad.R,
+                        p_n, IterateState(n, h, None, g, f), h_next, D, A, epsilon, R_limit=p.quad.R,
                     )
                 except NumericError:
                     cert = None
@@ -219,13 +217,9 @@ def verify_trace(
 
     # the gap bound and the decay inequality are asserted only from the
     # first index where the Hessian floor and the gap bound hold for good
-    n_eps_detect = None
-    for n, cert, f, f_next, inf_Fn, row in gap_checks:
-        ok = cert.hessian_floor_ok and (f - inf_Fn <= cert.lemma_bound + 1e-10 * (1.0 + abs(inf_Fn)))
-        if ok and n_eps_detect is None:
-            n_eps_detect = n
-        elif not ok:
-            n_eps_detect = None
+    n_eps_detect = certified_regime_start(
+        (n, cert, f, inf_Fn) for n, cert, f, _, inf_Fn, _ in gap_checks
+    )
     if n_eps_detect is not None:
         for n, cert, f, f_next, inf_Fn, row in gap_checks:
             if n < n_eps_detect:
