@@ -2,12 +2,14 @@
 
 The surrogate touches the objective at its anchor, shares the gradient
 there, and uses the curvature ``A(h) = R + B(h)`` which dominates the
-objective's Hessian everywhere.
+objective's Hessian everywhere.  The solve loop only multiplies by ``A``;
+the dense matrix is built the first time something reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -15,21 +17,57 @@ from .linalg import as_vector, min_eig
 from .model import ProblemInstance, eval_gradient, eval_hessian, eval_objective, majorant_curvature
 
 
-@dataclass(frozen=True)
 class MajorantAtPoint:
-    anchor: np.ndarray
-    value_at_anchor: float
-    gradient_at_anchor: np.ndarray
-    curvature: np.ndarray
+    """The quadratic tangent majorant at ``anchor``, with curvature ``A``.
+
+    Built from a problem, ``apply(X)`` computes ``R X + B(anchor) X`` without
+    forming ``A``, and ``curvature``, the dense ``A``, is assembled on first
+    read.  Built from an explicit ``curvature`` matrix, both use that matrix.
+    """
+
+    def __init__(
+        self,
+        anchor: np.ndarray,
+        value_at_anchor: float,
+        gradient_at_anchor: np.ndarray,
+        curvature: np.ndarray | None = None,
+        *,
+        problem: ProblemInstance | None = None,
+    ):
+        if (curvature is None) == (problem is None):
+            raise ValueError("a majorant needs exactly one of curvature and problem")
+        self.anchor = anchor
+        self.value_at_anchor = value_at_anchor
+        self.gradient_at_anchor = gradient_at_anchor
+        self.problem = problem
+        if curvature is not None:
+            self.curvature = curvature
+
+    @cached_property
+    def curvature(self) -> np.ndarray:
+        return self.problem.quad.R + majorant_curvature(self.problem, self.anchor)
+
+    @cached_property
+    def anchor_product(self) -> np.ndarray:
+        """``A @ anchor``, which ``subspace_step`` fills from its block product."""
+        return self.apply(self.anchor)
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """``A @ X`` for a vector or a block of columns ``X``."""
+        if self.problem is None:
+            return self.curvature @ X
+        return self.problem.quad.R @ X + self.problem.penalty.apply_curvature(self.anchor, X)
 
 
-def build_majorant(p_n: ProblemInstance, h_n) -> MajorantAtPoint:
+def build_majorant(p_n: ProblemInstance, h_n, value: float | None = None,
+                   gradient: np.ndarray | None = None) -> MajorantAtPoint:
+    """The majorant of ``p_n`` at ``h_n``; pass F and its gradient there if already known."""
     h_n = as_vector(h_n, p_n.dim)
     return MajorantAtPoint(
         anchor=h_n,
-        value_at_anchor=eval_objective(p_n, h_n),
-        gradient_at_anchor=eval_gradient(p_n, h_n),
-        curvature=p_n.quad.R + majorant_curvature(p_n, h_n),
+        value_at_anchor=eval_objective(p_n, h_n) if value is None else value,
+        gradient_at_anchor=eval_gradient(p_n, h_n) if gradient is None else gradient,
+        problem=p_n,
     )
 
 

@@ -9,6 +9,18 @@ Each penalty exposes five evaluations: value, gradient, Hessian, the
 half-quadratic curvature matrix ``B(h)`` (which satisfies
 ``hess Psi(h) <= B(h) <= V`` in the Loewner order and the exactness identity
 ``B(h) h = grad Psi(h)``), and the global curvature cap ``V``.
+
+The solve loop never forms ``B(h)``.  It calls ``apply_curvature(h, X)``,
+which returns ``B(h) @ X`` for a vector or a block of columns ``X``; for a
+separable penalty that is ``lam * L'(omega(Lh) * LX)``, and an identity
+``L`` is never multiplied at all.  A plain 3MG iteration then costs
+O(n^2 m) for the products with ``R`` plus O(nnz(L) m) for the penalty, with
+m the number of subspace columns, instead of the O(n^3) of forming
+``L' Diag(omega) L``.  The dense ``curvature(h)`` remains the reference:
+``MajorantAtPoint.curvature`` builds ``R + B(h)`` from it on first read,
+which only certification, verification and the tests do.  A penalty that
+defines only ``curvature`` still works, because the default
+``apply_curvature`` multiplies by that matrix.
 """
 
 from __future__ import annotations
@@ -26,7 +38,8 @@ class Penalty:
     """Interface for twice continuously differentiable convex penalties.
 
     Subclasses implement ``value``, ``gradient``, ``hessian``, ``curvature``
-    (the matrix ``B(h)``), and ``curvature_bound`` (the matrix ``V``).
+    (the matrix ``B(h)``), and ``curvature_bound`` (the matrix ``V``), and
+    may override ``apply_curvature`` to multiply by ``B(h)`` without forming it.
     """
 
     kind = "abstract"
@@ -42,6 +55,10 @@ class Penalty:
 
     def curvature(self, h: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def apply_curvature(self, h: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """``B(h) @ X`` for a vector or a block of columns ``X``."""
+        return self.curvature(h) @ X
 
     def curvature_bound(self, dim: int) -> np.ndarray:
         raise NotImplementedError
@@ -65,6 +82,9 @@ class ZeroPenalty(Penalty):
 
     def curvature(self, h):
         return self.hessian(h)
+
+    def apply_curvature(self, h, X):
+        return np.zeros_like(np.asarray(X, dtype=float))
 
     def curvature_bound(self, dim):
         # Tiny pad keeps V strictly positive definite.
@@ -97,6 +117,9 @@ class TikhonovPenalty(Penalty):
     def curvature(self, h):
         return self.hessian(h)
 
+    def apply_curvature(self, h, X):
+        return self.lam * np.asarray(X, dtype=float)
+
     def curvature_bound(self, dim):
         tau = max(1e-12, 1e-12 * self.lam)
         return (self.lam + tau) * np.eye(dim)
@@ -113,6 +136,9 @@ class _SeparablePenalty(Penalty):
     ``V = lam * omega(0) * L'L + tau * I``.  For the shipped potentials
     omega is maximal at zero and ``phi'' <= omega`` pointwise, so the
     Loewner sandwich and the exactness identity both hold.
+
+    ``L`` is stored as None when it is the identity, given or omitted, and
+    every product with it is then skipped.
     """
 
     def __init__(self, lam: float, delta: float, L=None, dim: int | None = None):
@@ -125,11 +151,11 @@ class _SeparablePenalty(Penalty):
         if L is None:
             if dim is None:
                 raise InputError("separable penalty needs L or an explicit dim")
-            L = np.eye(dim)
-        self.L = np.atleast_2d(np.asarray(L, dtype=float))
-        self._identity_L = self.L.shape[0] == self.L.shape[1] and np.array_equal(
-            self.L, np.eye(self.L.shape[0])
-        )
+        else:
+            L = np.atleast_2d(np.asarray(L, dtype=float))
+            if L.shape[0] == L.shape[1] and np.array_equal(L, np.eye(L.shape[0])):
+                L = None
+        self.L = L
 
     # scalar potential, defined by subclasses
     def _phi(self, t):
@@ -148,33 +174,48 @@ class _SeparablePenalty(Penalty):
         # omega peaks at zero where it equals phi''(0)
         return float(self._ddphi(np.array([0.0]))[0])
 
+    def _L_times(self, x):
+        x = np.asarray(x, dtype=float)
+        return x if self.L is None else self.L @ x
+
+    def _Lt_times(self, y):
+        return y if self.L is None else self.L.T @ y
+
+    def _weighted_gram(self, w):
+        """The dense matrix ``lam * L' Diag(w) L``."""
+        if self.L is None:
+            return self.lam * np.diag(w)
+        return self.lam * (self.L.T * w) @ self.L
+
     def value(self, h):
-        t = self.L @ np.asarray(h, dtype=float)
-        return self.lam * float(np.sum(self._phi(t)))
+        return self.lam * float(np.sum(self._phi(self._L_times(h))))
 
     def gradient(self, h):
-        t = self.L @ np.asarray(h, dtype=float)
-        return self.lam * (self.L.T @ self._dphi(t))
+        return self.lam * self._Lt_times(self._dphi(self._L_times(h)))
 
     def hessian(self, h):
-        t = self.L @ np.asarray(h, dtype=float)
-        return self.lam * (self.L.T * self._ddphi(t)) @ self.L
+        return self._weighted_gram(self._ddphi(self._L_times(h)))
 
     def curvature(self, h):
-        t = self.L @ np.asarray(h, dtype=float)
-        return self.lam * (self.L.T * self._omega(t)) @ self.L
+        return self._weighted_gram(self._omega(self._L_times(h)))
+
+    def apply_curvature(self, h, X):
+        lw = self.lam * self._omega(self._L_times(h))
+        LX = self._L_times(X)
+        return self._Lt_times(lw[:, None] * LX if LX.ndim == 2 else lw * LX)
 
     def curvature_bound(self, dim):
         wmax = self._omega_max()
         tau = max(1e-12, 1e-12 * self.lam * wmax)
-        return self.lam * wmax * (self.L.T @ self.L) + tau * np.eye(dim)
+        gram = np.eye(dim) if self.L is None else self.L.T @ self.L
+        return self.lam * wmax * gram + tau * np.eye(dim)
 
     def to_dict(self):
         return {
             "kind": self.kind,
             "lambda": self.lam,
             "delta": self.delta,
-            "L": "identity" if self._identity_L else self.L.tolist(),
+            "L": "identity" if self.L is None else self.L.tolist(),
         }
 
 

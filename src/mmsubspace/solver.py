@@ -2,8 +2,10 @@
 
 Each step minimizes the quadratic tangent majorant over the span of the
 direction matrix, in closed form via a pseudo-inverse, so the surrogate
-value never increases.  Batch runs are online runs on a constant stream.
-An independent damped-Newton oracle provides the reference minimizer
+value never increases.  A step needs ``D'AD`` only, which one product of the
+majorant curvature with the columns of ``D`` gives; the dense curvature is
+built only for the certificates.  Batch runs are online runs on a constant
+stream.  An independent damped-Newton oracle provides the reference minimizer
 against which the rate certificates are checked.
 """
 
@@ -152,12 +154,16 @@ class Trace:
 def subspace_step(m: MajorantAtPoint, D: DirectionMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form surrogate minimization over the span of ``D``.
 
-    Returns the minimum-norm coefficient vector and the next iterate.
+    Returns the minimum-norm coefficient vector and the next iterate.  The
+    one product of the curvature with the columns also covers the anchor,
+    and fills ``m.anchor_product``.
     """
     if not (np.all(np.isfinite(m.gradient_at_anchor)) and np.all(np.isfinite(D.cols))):
         raise NumericError("non-finite inputs to subspace_step")
     cols, scales = column_scaled(D.cols)
-    M = cols.T @ m.curvature @ cols
+    AX = m.apply(np.column_stack([cols, m.anchor]))
+    m.anchor_product = AX[:, -1]
+    M = cols.T @ AX[:, :-1]
     u = -(psd_pinv(M) @ (cols.T @ m.gradient_at_anchor))
     h_next = m.anchor + cols @ u
     return u / scales, h_next
@@ -169,7 +175,7 @@ def optimal_gradient_step(m: MajorantAtPoint) -> float:
     gg = float(g @ g)
     if gg == 0.0:
         raise InputError("optimal gradient step undefined at a zero gradient")
-    return gg / float(g @ (m.curvature @ g))
+    return gg / float(g @ m.apply(g))
 
 
 @dataclass(frozen=True)
@@ -269,10 +275,15 @@ def _run(stream: EstimateStream, h1, strategy, opts: SolveOptions, mode: str) ->
             trace.converged = gn <= opts.grad_tol
             break
 
-        m = build_majorant(p_n, h)
+        m = build_majorant(p_n, h, f, g)
         D = build_subspace(strategy, g, h, history)
         trace.fallback_used = trace.fallback_used or D.fallback
         u, h_next = subspace_step(m, D)
+        if np.array_equal(h_next, h):
+            why = ("the step is below the floating-point resolution of the iterate" if np.any(u)
+                   else "the majorant curvature is not positive definite on the subspace")
+            raise NumericError(f"zero step at iteration {n} with gradient norm {gn:.3e} "
+                               f"above grad_tol: {why}")
 
         cert = None
         if opts.certify:
@@ -295,7 +306,7 @@ def _run(stream: EstimateStream, h1, strategy, opts: SolveOptions, mode: str) ->
                 dR = p_n.quad.R - p_next.quad.R
                 chi = -float(dr @ h_next) + 0.5 * float(h_next @ (dR @ h_next))
 
-        c_norm = float(np.linalg.norm(m.curvature @ h - g))
+        c_norm = float(np.linalg.norm(m.anchor_product - g))
         trace.records.append(TraceRecord(
             n, h.copy(), f, gn, float(np.linalg.norm(h_next - h)), chi, c_norm, cert,
         ))
