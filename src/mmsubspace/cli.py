@@ -50,19 +50,19 @@ def _write_trace(trace: Trace, path: str) -> None:
     trace.to_json(str(stem) + ".json")
 
 
-def _summary_dict(p: ProblemInstance, trace: Trace, epsilon, snapshot_fn, seed: int) -> dict:
-    report = verify_trace(p, trace, snapshot_fn=snapshot_fn, epsilon=epsilon, seed=seed)
+def _summary_dict(p: ProblemInstance, trace: Trace, snapshot_fn, seed: int) -> dict:
+    report = verify_trace(p, trace, snapshot_fn=snapshot_fn, seed=seed)
     out = {
         "vartheta": None, "mu": None, "eta_lo": None, "eta_hi": None,
         "kappa_max": None, "n_eps": report.n_eps,
         "all_inequalities_pass": report.passed,
     }
-    if trace.meta.get("mode") == "batch":
-        try:
-            s = batch_rate_summary(p, trace, trace.meta["epsilon"])
-        except InputError:
-            out["message"] = "no certified iterations"
-            return out
+    s = report.summary
+    if trace.meta.get("mode") != "batch":
+        out["message"] = "online run: rate constants certified per iteration only"
+    elif s is None:
+        out["message"] = "no certified iterations"
+    else:
         out.update(
             vartheta=s.vartheta, mu=None if not s.certified else s.mu,
             eta_lo=s.eta_lo, eta_hi=s.eta_hi, kappa_max=s.kappa_max,
@@ -70,8 +70,6 @@ def _summary_dict(p: ProblemInstance, trace: Trace, epsilon, snapshot_fn, seed: 
         )
         if not s.certified:
             out["message"] = s.message
-    else:
-        out["message"] = "online run: rate constants certified per iteration only"
     return out
 
 
@@ -86,16 +84,15 @@ def cmd_solve(args) -> int:
     strategy = parse_strategy(args.subspace)
     if args.stream == "constant":
         trace = run_batch(p, None, strategy, opts)
-        snapshot_fn = None
     else:
         trace = run_online(build_stream(args.stream, p, args.seed), None, strategy, opts)
-        snapshot_fn = build_stream(args.stream, p, args.seed).instance
     if args.trace_out:
         _write_trace(trace, args.trace_out)
     if args.summary_out:
         if not args.certify:
             raise InputError("--summary-out requires --certify")
-        summary = _summary_dict(p, trace, trace.meta.get("epsilon"), snapshot_fn, args.seed)
+        snapshot_fn = None if args.stream == "constant" else build_stream(args.stream, p, args.seed).instance
+        summary = _summary_dict(p, trace, snapshot_fn, args.seed)
         with open(args.summary_out, "w") as f:
             json.dump(summary, f, indent=1)
             f.write("\n")

@@ -4,14 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import (
-    FairPenalty,
-    HyperbolicPenalty,
-    ProblemInstance,
-    QuadraticData,
-    TikhonovPenalty,
-    ZeroPenalty,
-)
+from .model import FairPenalty, ProblemInstance, QuadraticData, ZeroPenalty, penalty_from_dict
 
 
 def random_spd(n: int, cond: float, rng: np.random.Generator) -> np.ndarray:
@@ -24,16 +17,7 @@ def random_spd(n: int, cond: float, rng: np.random.Generator) -> np.ndarray:
 
 
 def make_penalty(kind: str, lam: float, delta: float, dim: int):
-    kind = kind.lower()
-    if kind == "zero":
-        return ZeroPenalty()
-    if kind == "tikhonov":
-        return TikhonovPenalty(lam)
-    if kind == "hyperbolic":
-        return HyperbolicPenalty(lam, delta, dim=dim)
-    if kind == "fair":
-        return FairPenalty(lam, delta, dim=dim)
-    raise ValueError(f"unknown penalty kind {kind!r}")
+    return penalty_from_dict({"kind": kind, "lambda": lam, "delta": delta}, dim)
 
 
 def random_instance(

@@ -85,18 +85,16 @@ def compute_sigma_bounds(hess) -> tuple[float, float]:
 def certify_iteration(
     p_n: ProblemInstance,
     state,
-    h_next,
     D: DirectionMatrix,
     A: np.ndarray,
     epsilon: float,
-    inf_Fn: float | None = None,
     R_limit: np.ndarray | None = None,
 ) -> RateCertificate:
     """Assemble the full rate certificate for one iteration.
 
     ``R_limit`` is the data matrix of the limiting instance (equal to
     ``p_n.quad.R`` in the batch case); the Hessian floor is measured
-    against it.  No value depends on ``h_next`` or ``inf_Fn``.
+    against it.
     """
     if R_limit is None:
         R_limit = p_n.quad.R

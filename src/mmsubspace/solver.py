@@ -45,9 +45,7 @@ class SolveOptions:
 class IterateState:
     n: int
     h: np.ndarray
-    h_prev: Optional[np.ndarray]
     grad: np.ndarray
-    obj: float
 
 
 @dataclass(frozen=True)
@@ -284,12 +282,17 @@ def _run(stream: EstimateStream, h1, strategy, opts: SolveOptions, mode: str) ->
                    else "the majorant curvature is not positive definite on the subspace")
             raise NumericError(f"zero step at iteration {n} with gradient norm {gn:.3e} "
                                f"above grad_tol: {why}")
+        step_norm = float(np.linalg.norm(h_next - h))
+        # a step back to the previous iterate repeats the previous step length exactly
+        if history and step_norm == trace.records[-1].step_norm and np.array_equal(h_next, history[0]):
+            raise NumericError(f"2-cycle at iteration {n} with gradient norm {gn:.3e} above "
+                               "grad_tol: the step returns to the previous iterate")
 
         cert = None
         if opts.certify:
-            state = IterateState(n, h, history[0] if history else None, g, f)
             try:
-                cert = certify_iteration(p_n, state, h_next, D, m.curvature, epsilon, R_limit=limit.R)
+                cert = certify_iteration(p_n, IterateState(n, h, g), D, m.curvature, epsilon,
+                                         R_limit=limit.R)
             except NumericError:
                 cert = None
 
@@ -308,7 +311,7 @@ def _run(stream: EstimateStream, h1, strategy, opts: SolveOptions, mode: str) ->
 
         c_norm = float(np.linalg.norm(m.anchor_product - g))
         trace.records.append(TraceRecord(
-            n, h.copy(), f, gn, float(np.linalg.norm(h_next - h)), chi, c_norm, cert,
+            n, h.copy(), f, gn, step_norm, chi, c_norm, cert,
         ))
 
         if stream_exhausted:

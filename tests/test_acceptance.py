@@ -168,7 +168,7 @@ def test_criterion_06_subspace_ordering():
             if not np.any(g):
                 continue
             A = build_majorant(p, rec.h).curvature
-            st = IterateState(rec.n, rec.h, history[0] if history else None, g, rec.obj)
+            st = IterateState(rec.n, rec.h, g)
             rep = check_subspace_ordering(p, st, A, [strategy], history)
             ok = ok and rep.passed
             history.insert(0, rec.h.copy())

@@ -3,7 +3,7 @@ import pytest
 
 from mmsubspace.errors import InputError
 from mmsubspace.majorant import build_majorant
-from mmsubspace.model import ProblemInstance, QuadraticData, ZeroPenalty, eval_gradient, eval_objective
+from mmsubspace.model import ProblemInstance, QuadraticData, ZeroPenalty, eval_gradient
 from mmsubspace.rates import (
     batch_rate_summary,
     certify_iteration,
@@ -21,9 +21,9 @@ from mmsubspace.subspace import DirectionMatrix, build_subspace, parse_strategy
 from conftest import instance_grid
 
 
-def _state(p, h, n=1, h_prev=None):
+def _state(p, h, n=1):
     h = np.asarray(h, dtype=float)
-    return IterateState(n, h, h_prev, eval_gradient(p, h), eval_objective(p, h))
+    return IterateState(n, h, eval_gradient(p, h))
 
 
 def test_theta_tilde_full_space_is_one():
@@ -87,7 +87,7 @@ def test_certify_iteration_full_space(diag14):
     m = build_majorant(diag14, h)
     D = build_subspace(parse_strategy("full"), st.grad, h)
     eps = 0.1
-    cert = certify_iteration(diag14, st, np.zeros(2), D, m.curvature, eps, 0.0)
+    cert = certify_iteration(diag14, st, D, m.curvature, eps)
     np.testing.assert_allclose(cert.theta_tilde, 1.0, rtol=1e-12)
     np.testing.assert_allclose(cert.theta, eps / (1.0 + eps), rtol=1e-12)
     assert cert.hessian_floor_ok
@@ -206,5 +206,5 @@ def test_batch_summary_and_linear_convergence():
 def test_certificate_at_zero_gradient_is_converged(diag14):
     st = _state(diag14, [0.0, 0.0])
     m = build_majorant(diag14, [0.0, 0.0])
-    cert = certify_iteration(diag14, st, np.zeros(2), DirectionMatrix(np.eye(2)), m.curvature, 0.05, 0.0)
+    cert = certify_iteration(diag14, st, DirectionMatrix(np.eye(2)), m.curvature, 0.05)
     assert cert.converged and cert.theta is None

@@ -1,0 +1,67 @@
+"""verify_trace flags a tampered step and hands back the batch rate summary."""
+
+import dataclasses
+
+import numpy as np
+
+from mmsubspace.model import eval_objective
+from mmsubspace.problems import random_instance
+from mmsubspace.rates import batch_rate_summary
+from mmsubspace.solver import SolveOptions, reference_minimizer, run_batch, run_online
+from mmsubspace.stream import GeometricPerturbationStream
+from mmsubspace.verify import verify_trace
+
+CERTIFIED = SolveOptions(max_iters=300, grad_tol=1e-10, certify=True)
+
+
+def _instance():
+    return random_instance(8, "hyperbolic", np.random.default_rng(41), cond=20.0, lam=0.7, delta=0.5)
+
+
+def _certified_run():
+    p = _instance()
+    trace = run_batch(p, h1=np.ones(p.dim), strategy="3mg", opts=CERTIFIED)
+    assert trace.converged
+    return p, trace
+
+
+def test_shortened_step_fails_gradient_step_domination():
+    p, trace = _certified_run()
+    assert verify_trace(p, trace).passed
+    k = 4
+    rec, rec_next = trace.records[k], trace.records[k + 1]
+    h_short = rec.h + 0.1 * (rec_next.h - rec.h)
+    trace.records[k + 1] = dataclasses.replace(rec_next, h=h_short, obj=eval_objective(p, h_short))
+    report = verify_trace(p, trace)
+    assert report.results["eq41_gradient_step_domination"].failures == [rec.n]
+    assert not report.passed
+
+
+def test_summary_is_the_batch_rate_summary():
+    p, trace = _certified_run()
+    eps = trace.meta["epsilon"]
+    got = verify_trace(p, trace).summary
+    want = batch_rate_summary(p, trace, eps)
+    assert want.certified
+    for f in dataclasses.fields(want):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+def test_summary_is_none_online_and_without_certificates():
+    p = _instance()
+    rng = np.random.default_rng(5)
+    E = rng.standard_normal((p.dim, p.dim))
+    e = 0.05 * rng.standard_normal(p.dim)
+
+    def stream():
+        return GeometricPerturbationStream(p.quad, 0.9, 0.02 * (E + E.T), e, penalty=p.penalty)
+
+    online = run_online(stream(), strategy="3mg", opts=CERTIFIED)
+    report = verify_trace(p, online, snapshot_fn=stream().instance)
+    assert report.passed, report.table()
+    assert report.summary is None
+
+    # started at the minimizer, the run takes no step and nothing is certified
+    at_min = run_batch(p, h1=reference_minimizer(p).h, strategy="3mg", opts=CERTIFIED)
+    assert at_min.n_steps == 0
+    assert verify_trace(p, at_min).summary is None

@@ -1,4 +1,5 @@
-"""A step that leaves the iterate in place above the gradient tolerance is an error."""
+"""A step that leaves the iterate in place, or sends it back to the previous
+iterate, above the gradient tolerance is an error."""
 
 import json
 
@@ -8,7 +9,8 @@ import pytest
 import mmsubspace.solver
 from mmsubspace.cli import main
 from mmsubspace.errors import NumericError
-from mmsubspace.model import ProblemInstance, QuadraticData, ZeroPenalty
+from mmsubspace.model import ProblemInstance, QuadraticData, ZeroPenalty, save_problem
+from mmsubspace.problems import random_spd
 from mmsubspace.solver import SolveOptions, run_batch
 
 
@@ -42,3 +44,24 @@ def test_step_lost_to_rounding_is_named(monkeypatch):
     p = ProblemInstance(QuadraticData(np.diag([1.0, 4.0]), np.ones(2)), ZeroPenalty())
     with pytest.raises(NumericError, match=r"iteration 1 .*below the floating-point resolution"):
         run_batch(p, strategy="3mg")
+
+
+def _far_minimizer():
+    # the minimizer sits at |h*| ~ 1e12, where the 3mg step alternates
+    # between neighbouring floats with |g| ~ 1e-3, far above grad_tol
+    rng = np.random.default_rng(0)
+    R = random_spd(5, 10, rng)
+    u = rng.random(5)
+    return ProblemInstance(QuadraticData(R, R @ (1e12 * (1 + u))), ZeroPenalty())
+
+
+def test_two_cycle_raises_instead_of_spinning():
+    with pytest.raises(NumericError, match=r"2-cycle at iteration 8 .*returns to the previous iterate"):
+        run_batch(_far_minimizer(), strategy="3mg")
+
+
+def test_cli_exits_one_on_two_cycle(tmp_path, capsys):
+    path = tmp_path / "far.json"
+    save_problem(_far_minimizer(), path)
+    assert main(["solve", "--problem", str(path)]) == 1
+    assert "numeric error: 2-cycle at iteration 8" in capsys.readouterr().err
