@@ -114,6 +114,10 @@ def cmd_verify(args) -> int:
             checks = "  ".join(f"{k.split('_')[0]}:{'ok' if v else 'FAIL'}" for k, v in row.items())
             print(f"n={n:4d}  {checks}")
     print(report.table())
+    skipped = report.certificates_skipped
+    if skipped:
+        reasons = ", ".join(f"{name} {count}" for name, count in sorted(skipped.items()))
+        print(f"certificates skipped: {sum(skipped.values())} ({reasons})")
     print(f"overall: {'PASS' if report.passed else 'FAIL'}"
           + (f"  (certified from n = {report.n_eps})" if report.n_eps else ""))
     return 0 if report.passed else 1

@@ -54,6 +54,18 @@ def pd_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     return scipy.linalg.cho_solve(c, b)
 
 
+def cholesky_lower(M: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor ``L`` with ``M = L L'``, read from the lower triangle of ``M``.
+
+    Succeeds exactly when ``M`` is numerically positive definite, so a
+    returned factor is also a proof of that.
+    """
+    try:
+        return scipy.linalg.cholesky(M, lower=True)
+    except (scipy.linalg.LinAlgError, ValueError) as exc:  # ValueError: non-finite entries
+        raise NumericError("matrix not positive definite") from exc
+
+
 def sym_sqrt(M: np.ndarray) -> np.ndarray:
     """Symmetric square root of a symmetric PSD matrix."""
     w, U = np.linalg.eigh(0.5 * (M + M.T))

@@ -50,6 +50,10 @@ class Penalty:
     def gradient(self, h: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def value_and_gradient(self, h: np.ndarray) -> tuple[float, np.ndarray]:
+        """``(value(h), gradient(h))``; a subclass may share work between the two."""
+        return self.value(h), self.gradient(h)
+
     def hessian(self, h: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -193,6 +197,10 @@ class _SeparablePenalty(Penalty):
     def gradient(self, h):
         return self.lam * self._Lt_times(self._dphi(self._L_times(h)))
 
+    def value_and_gradient(self, h):
+        Lh = self._L_times(h)
+        return self.lam * float(np.sum(self._phi(Lh))), self.lam * self._Lt_times(self._dphi(Lh))
+
     def hessian(self, h):
         return self._weighted_gram(self._ddphi(self._L_times(h)))
 
@@ -297,6 +305,18 @@ def eval_gradient(p: ProblemInstance, h) -> np.ndarray:
     h = as_vector(h, p.dim)
     q = p.quad
     return q.R @ h - q.r + p.penalty.gradient(h)
+
+
+def eval_objective_and_gradient(p: ProblemInstance, h) -> tuple[float, np.ndarray]:
+    """``F(h)`` and ``grad F(h)`` from one product with ``R`` (and one with ``L``).
+
+    Bit for bit the values of ``eval_objective`` and ``eval_gradient``.
+    """
+    h = as_vector(h, p.dim)
+    q = p.quad
+    Rh = q.R @ h
+    psi, dpsi = p.penalty.value_and_gradient(h)
+    return 0.5 * float(h @ Rh) - float(q.r @ h) + psi, Rh - q.r + dpsi
 
 
 def eval_hessian(p: ProblemInstance, h) -> np.ndarray:

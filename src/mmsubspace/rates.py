@@ -4,6 +4,21 @@ Certifies, for each recorded iteration, the contraction factor
 ``theta = 1 - theta_tilde / (1 + eps)`` of the optimality gap together with
 its eigenvalue-based lower/upper bounds, and aggregates a whole-run
 worst-case geometric rate with its multiplicative constant.
+
+One certified iteration factors the Hessian ``H = L L'`` once and shares the
+factor.  ``g' H^{-1} g = |L^{-1} g|^2`` is both the denominator of
+``theta_tilde`` and, times ``(1 + eps)/2``, the gap bound.  The kappa bounds
+are the extreme eigenvalues of ``L^{-1} A L^{-T}``, two triangular solves
+away: it is congruent to ``A`` and similar to ``H^{-1} A``, so it has the
+spectrum of ``A^{1/2} H^{-1} A^{1/2}`` (Golub and Van Loan, *Matrix
+Computations*, section 8.7), and by Sylvester's law of inertia its smallest
+eigenvalue is positive exactly when ``A`` is positive definite.  The sigma
+bounds are the extreme eigenvalues of ``H``.  The Hessian floor
+``min_eig(H - R_limit + eps I) >= -1e-10`` is proved by a Cholesky
+factorization of that matrix when one exists; only when it fails is the
+smallest eigenvalue computed.  In batch mode the matrix is the penalty
+Hessian plus ``eps I``, so the factorization succeeds.  Per iteration that
+is two Cholesky factorizations and two ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -12,9 +27,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .errors import InputError, NumericError
-from .linalg import PINV_RCOND, as_vector, check_symmetric, extreme_eigs, min_eig, pd_solve, psd_pinv, sym_sqrt
+from .linalg import PINV_RCOND, as_vector, check_symmetric, cholesky_lower, extreme_eigs, min_eig, psd_pinv
 from .model import ProblemInstance, curvature_bound, eval_hessian
 from .subspace import DirectionMatrix, SubspaceStrategy, build_subspace, column_scaled
 
@@ -55,26 +71,51 @@ def gradient_reference(grad) -> DirectionMatrix:
     return DirectionMatrix(np.reshape(-grad, (-1, 1)))
 
 
+def _subspace_form(grad, A, D: DirectionMatrix) -> float:
+    """``(D'g)' (D'AD)^+ (D'g)``, the numerator of theta_tilde."""
+    cols, _ = column_scaled(D.cols)
+    M = cols.T @ A @ cols
+    Dg = cols.T @ grad
+    return float(Dg @ (psd_pinv(M, PINV_RCOND) @ Dg))
+
+
+def _gradient_form(L: np.ndarray, grad: np.ndarray) -> float:
+    """``g' H^{-1} g`` from the lower Cholesky factor ``L`` of ``H``."""
+    y = scipy.linalg.solve_triangular(L, grad, lower=True)
+    den = float(y @ y)
+    if den <= 0:
+        raise NumericError("Hessian quadratic form not positive")
+    return den
+
+
+def _kappa_from_factor(A, L: np.ndarray) -> tuple[float, float]:
+    """Extreme eigenvalues of ``L^{-1} A L^{-T}``, the spectrum of ``H^{-1} A`` for ``H = L L'``."""
+    X = scipy.linalg.solve_triangular(L, A, lower=True)
+    lo, hi = extreme_eigs(scipy.linalg.solve_triangular(L, X.T, lower=True))
+    if lo <= 0:
+        raise NumericError("kappa bounds need positive definite matrices")
+    return lo, hi
+
+
+def _floor_holds(M: np.ndarray) -> bool:
+    """``min_eig(M) >= -1e-10``; a Cholesky factor of ``M`` proves it without an eigensolve."""
+    try:
+        cholesky_lower(M)
+    except NumericError:
+        return min_eig(M) >= -1e-10
+    return True
+
+
 def compute_theta_tilde(grad, A, hess, D: DirectionMatrix) -> float:
     grad = as_vector(grad)
     if not np.any(grad):
         raise InputError("theta_tilde undefined at a zero gradient")
-    cols, _ = column_scaled(D.cols)
-    M = cols.T @ A @ cols
-    Dg = cols.T @ grad
-    num = float(Dg @ (psd_pinv(M, PINV_RCOND) @ Dg))
-    den = float(grad @ pd_solve(hess, grad))
-    if den <= 0:
-        raise NumericError("Hessian quadratic form not positive")
-    return num / den
+    return _subspace_form(grad, A, D) / _gradient_form(cholesky_lower(hess), grad)
 
 
 def compute_kappa_bounds(A, hess) -> tuple[float, float]:
     """Extreme eigenvalues of A^{1/2} hess^{-1} A^{1/2} (both inputs PD)."""
-    if min_eig(A) <= 0 or min_eig(hess) <= 0:
-        raise NumericError("kappa bounds need positive definite matrices")
-    S = sym_sqrt(A)
-    return extreme_eigs(S @ pd_solve(hess, S))
+    return _kappa_from_factor(A, cholesky_lower(hess))
 
 
 def compute_sigma_bounds(hess) -> tuple[float, float]:
@@ -99,7 +140,7 @@ def certify_iteration(
     if R_limit is None:
         R_limit = p_n.quad.R
     hess = eval_hessian(p_n, state.h)
-    floor_ok = min_eig(hess - R_limit + epsilon * np.eye(p_n.dim)) >= -1e-10
+    floor_ok = _floor_holds(hess - R_limit + epsilon * np.eye(p_n.dim))
     grad = state.grad
     if not np.any(grad):
         return RateCertificate(
@@ -108,14 +149,16 @@ def certify_iteration(
             sigma_lo=None, sigma_hi=None, hessian_floor_ok=floor_ok,
             lemma_bound=None, converged=True,
         )
-    theta_tilde = compute_theta_tilde(grad, A, hess, D)
+    L = cholesky_lower(hess)
+    g_form = _gradient_form(L, grad)
+    theta_tilde = _subspace_form(grad, A, D) / g_form
     theta = 1.0 - theta_tilde / (1.0 + epsilon)
-    kappa_lo, kappa_hi = compute_kappa_bounds(A, hess)
+    kappa_lo, kappa_hi = _kappa_from_factor(A, L)
     sigma_lo, sigma_hi = compute_sigma_bounds(hess)
     theta_lo = 1.0 - 1.0 / ((1.0 + epsilon) * kappa_lo)
     spread = (sigma_hi - sigma_lo) / (sigma_hi + sigma_lo)
     theta_hi = 1.0 - (1.0 - spread**2) / ((1.0 + epsilon) * kappa_hi)
-    lemma_bound = 0.5 * (1.0 + epsilon) * float(grad @ pd_solve(hess, grad))
+    lemma_bound = 0.5 * (1.0 + epsilon) * g_form
     return RateCertificate(
         n=state.n, epsilon=epsilon, theta_tilde=theta_tilde, theta=theta,
         theta_lo=theta_lo, theta_hi=theta_hi, kappa_lo=kappa_lo, kappa_hi=kappa_hi,
@@ -179,14 +222,14 @@ def check_subspace_ordering(
     grad = state.grad
     if not np.any(grad):
         raise InputError("ordering check undefined at a zero gradient")
-    hess = eval_hessian(p_n, state.h)
-    t_ref = compute_theta_tilde(grad, A, hess, gradient_reference(grad))
-    t_full = compute_theta_tilde(grad, A, hess, DirectionMatrix(np.eye(p_n.dim)))
+    g_form = _gradient_form(cholesky_lower(eval_hessian(p_n, state.h)), grad)
+    t_ref = _subspace_form(grad, A, gradient_reference(grad)) / g_form
+    t_full = _subspace_form(grad, A, DirectionMatrix(np.eye(p_n.dim))) / g_form
     by_strategy = {}
     ok = True
     for s in strategies:
         D = build_subspace(s, grad, state.h, history)
-        t = compute_theta_tilde(grad, A, hess, D)
+        t = _subspace_form(grad, A, D) / g_form
         by_strategy[s.label()] = t
         tol = 1e-10 * max(1.0, abs(t))
         ok = ok and (t_ref <= t + tol) and (t <= t_full + tol)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import InputError, NumericError, OracleError, StreamExhausted
 from .linalg import as_vector, min_eig, pd_solve, psd_pinv
 from .majorant import MajorantAtPoint, build_majorant
-from .model import ProblemInstance, eval_gradient, eval_hessian, eval_objective
+from .model import ProblemInstance, eval_gradient, eval_hessian, eval_objective, eval_objective_and_gradient
 from .rates import RateCertificate, certify_iteration
 from .stream import ConstantStream, EstimateStream
 from .subspace import DirectionMatrix, SubspaceStrategy, build_subspace, column_scaled, parse_strategy
@@ -69,6 +70,9 @@ CERT_FIELDS = [
 CSV_CERT_FIELDS = CERT_FIELDS[:8]
 CSV_COLUMNS = ["n", "obj", "grad_norm", "step_norm", *CSV_CERT_FIELDS, "chi_n"]
 TRACE_FLAGS = ["converged", "stream_exhausted", "fallback_used"]
+# certificates not recorded because computing them raised, counted by the
+# error's class name; a certified run stores the counts under this key
+TRACE_SKIPS = "certificates_skipped"
 
 
 def _stored_cert(rec: TraceRecord) -> Optional[RateCertificate]:
@@ -83,6 +87,7 @@ class Trace:
     converged: bool = False
     stream_exhausted: bool = False
     fallback_used: bool = False
+    certificates_skipped: Counter = field(default_factory=Counter)
     meta: dict = field(default_factory=dict)
 
     @property
@@ -115,7 +120,10 @@ class Trace:
             f.write("\n")
 
     def as_dict(self) -> dict:
-        out = {"meta": self.meta, **{k: getattr(self, k) for k in TRACE_FLAGS}, "records": []}
+        out = {"meta": self.meta, **{k: getattr(self, k) for k in TRACE_FLAGS}}
+        if self.meta.get("certify"):
+            out[TRACE_SKIPS] = dict(self.certificates_skipped)
+        out["records"] = []
         for rec in self.records:
             c = _stored_cert(rec)
             d = {
@@ -136,7 +144,8 @@ class Trace:
     def from_json(cls, path) -> "Trace":
         with open(path) as f:
             d = json.load(f)
-        trace = cls(meta=d.get("meta", {}), **{k: d.get(k, False) for k in TRACE_FLAGS})
+        trace = cls(meta=d.get("meta", {}), certificates_skipped=Counter(d.get(TRACE_SKIPS, {})),
+                    **{k: d.get(k, False) for k in TRACE_FLAGS})
         for rd in d["records"]:
             cert = None
             if "theta" in rd:
@@ -263,8 +272,7 @@ def _run(stream: EstimateStream, h1, strategy, opts: SolveOptions, mode: str) ->
     p_n = stream.instance(1)
     n = 1
     while True:
-        g = eval_gradient(p_n, h)
-        f = eval_objective(p_n, h)
+        f, g = eval_objective_and_gradient(p_n, h)
         if not (np.isfinite(f) and np.all(np.isfinite(g))):
             raise NumericError(f"non-finite objective or gradient at iteration {n}")
         gn = float(np.linalg.norm(g))
@@ -293,8 +301,8 @@ def _run(stream: EstimateStream, h1, strategy, opts: SolveOptions, mode: str) ->
             try:
                 cert = certify_iteration(p_n, IterateState(n, h, g), D, m.curvature, epsilon,
                                          R_limit=limit.R)
-            except NumericError:
-                cert = None
+            except NumericError as exc:
+                trace.certificates_skipped[type(exc).__name__] += 1
 
         chi = None
         try:

@@ -7,13 +7,14 @@ corrupted objective value in the file is caught there.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError, NumericError, OracleError
 from .majorant import build_majorant, check_majorization
-from .model import ProblemInstance, eval_gradient, eval_objective
+from .model import ProblemInstance, eval_objective, eval_objective_and_gradient
 from .rates import (
     BatchRateSummary,
     batch_rate_summary,
@@ -71,6 +72,9 @@ class VerificationReport:
     certified: bool
     rows: list  # (n, {eq: bool or None}) for per-iteration reporting
     summary: BatchRateSummary | None = None  # batch runs with certified iterations
+    # certificates not re-checked because the oracle or the certificate raised,
+    # by the error's class name
+    certificates_skipped: Counter = field(default_factory=Counter)
 
     @property
     def passed(self) -> bool:
@@ -126,14 +130,14 @@ def verify_trace(
 
     certified_recs = []
     gap_checks = []
+    skipped = Counter()
     history: list[np.ndarray] = []
     for k in range(len(recs) - 1):
         rec, rec_next = recs[k], recs[k + 1]
         n = rec.n
         p_n = p if snapshot_fn is None else snapshot_fn(n)
         h, h_next = rec.h, rec_next.h
-        g = eval_gradient(p_n, h)
-        f = eval_objective(p_n, h)
+        f, g = eval_objective_and_gradient(p_n, h)
         scale = 1.0 + abs(f)
         tol = 1e-10 * scale
         row = {}
@@ -179,15 +183,15 @@ def verify_trace(
             if inf_Fn is None:
                 try:
                     inf_Fn = reference_minimizer(p_n, tol=1e-12).value
-                except OracleError:
-                    inf_Fn = None
+                except OracleError as exc:
+                    skipped[type(exc).__name__] += 1
             cert = None
             if inf_Fn is not None:
                 D = build_subspace(strategy, g, h, history)
                 try:
                     cert = certify_iteration(p_n, state, D, A, epsilon, R_limit=p.quad.R)
-                except NumericError:
-                    cert = None
+                except NumericError as exc:
+                    skipped[type(exc).__name__] += 1
             if cert is not None and not cert.converged:
                 rt = 1e-10
                 ok_sand = cert.theta_lo <= cert.theta + rt and cert.theta <= cert.theta_hi + rt
@@ -248,4 +252,4 @@ def verify_trace(
             results["eq12_geometric_decay"].record(summary.n_eps, lin.geometric_ok)
             results["eq17_iterate_bound"].record(summary.n_eps, lin.strong_convexity_ok)
     return VerificationReport(results=results, n_eps=n_eps, certified=certified, rows=rows,
-                              summary=summary)
+                              summary=summary, certificates_skipped=skipped)
