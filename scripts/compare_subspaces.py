@@ -14,7 +14,7 @@ import numpy as np
 
 from mmsubspace.problems import random_instance
 from mmsubspace.rates import batch_rate_summary
-from mmsubspace.solver import SolveOptions, run_batch
+from mmsubspace.solver import SolveOptions, reference_minimizer, run_batch
 from mmsubspace.subspace import parse_strategy
 
 
@@ -37,11 +37,12 @@ def main():
         for kind in args.kinds:
             p = random_instance(dim, kind, rng, cond=args.cond)
             h1 = rng.standard_normal(dim)
+            ref = reference_minimizer(p, tol=1e-12)
             for name in args.strategies:
                 opts = SolveOptions(max_iters=args.max_iters,
                                     grad_tol=args.grad_tol, certify=True)
                 trace = run_batch(p, h1=h1, strategy=parse_strategy(name), opts=opts)
-                s = batch_rate_summary(p, trace, trace.meta["epsilon"])
+                s = batch_rate_summary(p, trace, trace.meta["epsilon"], ref)
                 vt = f"{s.vartheta:.6f}"
                 ne = str(s.n_eps) if s.certified else "-"
                 print(f"{dim:5d} {kind:10s} {name:10s} {trace.n_steps:6d} "

@@ -27,9 +27,7 @@ from .rates import (
     check_decay_inequality,
     check_linear_iterate_convergence,
     check_subspace_ordering,
-    compute_kappa_bounds,
     compute_sigma_bounds,
-    compute_theta_tilde,
     gradient_reference,
 )
 from .solver import (
@@ -48,9 +46,8 @@ from .stream import (
     GeometricPerturbationStream,
     RunningAverageStream,
     summability_report,
-    write_replay_file,
 )
-from .subspace import DirectionMatrix, SubspaceStrategy, build_subspace, parse_strategy, verify_span
+from .subspace import DirectionMatrix, SubspaceStrategy, build_subspace, parse_strategy
 from .verify import verify_trace
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ from .errors import InputError, NumericError, OracleError
 from .model import ProblemInstance, load_problem, save_problem
 from .problems import demo_instances
 from .rates import batch_rate_summary
-from .solver import SolveOptions, Trace, run_batch, run_online
+from .solver import SolveOptions, Trace, reference_minimizer, run_batch, run_online
 from .stream import ConstantStream, FileReplayStream, GeometricPerturbationStream
 from .subspace import parse_strategy
 from .verify import verify_trace
@@ -131,12 +131,13 @@ def cmd_demo(args) -> int:
              f"{'vartheta':>10s} {'n_eps':>6s}"]
     for name, p in demo_instances(args.seed).items():
         save_problem(p, out / f"{name}.json")
+        ref = reference_minimizer(p, tol=1e-12)
         for sname in strategies:
             opts = SolveOptions(max_iters=400, grad_tol=1e-9, certify=True)
             trace = run_batch(p, None, parse_strategy(sname), opts)
             _write_trace(trace, str(out / f"{name}-{sname}"))
             try:
-                s = batch_rate_summary(p, trace, trace.meta["epsilon"])
+                s = batch_rate_summary(p, trace, trace.meta["epsilon"], ref)
                 vt, ne = f"{s.vartheta:.6f}", (str(s.n_eps) if s.certified else "-")
             except InputError:
                 vt, ne = "-", "-"

@@ -45,15 +45,6 @@ def psd_pinv(M: np.ndarray, rcond: float = PINV_RCOND) -> np.ndarray:
     return (U * inv) @ U.T
 
 
-def pd_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``M x = b`` for symmetric positive definite ``M``."""
-    try:
-        c = scipy.linalg.cho_factor(M, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericError("matrix not positive definite") from exc
-    return scipy.linalg.cho_solve(c, b)
-
-
 def cholesky_lower(M: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor ``L`` with ``M = L L'``, read from the lower triangle of ``M``.
 
@@ -64,6 +55,11 @@ def cholesky_lower(M: np.ndarray) -> np.ndarray:
         return scipy.linalg.cholesky(M, lower=True)
     except (scipy.linalg.LinAlgError, ValueError) as exc:  # ValueError: non-finite entries
         raise NumericError("matrix not positive definite") from exc
+
+
+def pd_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``M x = b`` for symmetric positive definite ``M``."""
+    return scipy.linalg.cho_solve((cholesky_lower(M), True), b)
 
 
 def sym_sqrt(M: np.ndarray) -> np.ndarray:

@@ -18,11 +18,10 @@ from .model import ProblemInstance, eval_gradient, eval_hessian, eval_objective,
 
 
 class MajorantAtPoint:
-    """The quadratic tangent majorant at ``anchor``, with curvature ``A``.
+    """The quadratic tangent majorant of ``problem`` at ``anchor``, with curvature ``A``.
 
-    Built from a problem, ``apply(X)`` computes ``R X + B(anchor) X`` without
-    forming ``A``, and ``curvature``, the dense ``A``, is assembled on first
-    read.  Built from an explicit ``curvature`` matrix, both use that matrix.
+    ``apply(X)`` computes ``R X + B(anchor) X`` without forming ``A``, and
+    ``curvature``, the dense ``A``, is assembled on first read.
     """
 
     def __init__(
@@ -30,18 +29,12 @@ class MajorantAtPoint:
         anchor: np.ndarray,
         value_at_anchor: float,
         gradient_at_anchor: np.ndarray,
-        curvature: np.ndarray | None = None,
-        *,
-        problem: ProblemInstance | None = None,
+        problem: ProblemInstance,
     ):
-        if (curvature is None) == (problem is None):
-            raise ValueError("a majorant needs exactly one of curvature and problem")
         self.anchor = anchor
         self.value_at_anchor = value_at_anchor
         self.gradient_at_anchor = gradient_at_anchor
         self.problem = problem
-        if curvature is not None:
-            self.curvature = curvature
 
     @cached_property
     def curvature(self) -> np.ndarray:
@@ -54,8 +47,6 @@ class MajorantAtPoint:
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """``A @ X`` for a vector or a block of columns ``X``."""
-        if self.problem is None:
-            return self.curvature @ X
         return self.problem.quad.R @ X + self.problem.penalty.apply_curvature(self.anchor, X)
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .linalg import as_vector, check_symmetric, min_eig
+from .linalg import as_vector, check_symmetric
 
 
 class Penalty:
@@ -278,9 +278,6 @@ class QuadraticData:
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "dim", R.shape[0])
-
-    def min_eig(self) -> float:
-        return min_eig(self.R)
 
 
 @dataclass(frozen=True)

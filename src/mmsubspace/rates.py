@@ -19,6 +19,9 @@ factorization of that matrix when one exists; only when it fails is the
 smallest eigenvalue computed.  In batch mode the matrix is the penalty
 Hessian plus ``eps I``, so the factorization succeeds.  Per iteration that
 is two Cholesky factorizations and two ``eigvalsh``.
+
+The batch summaries are stated against ``F* = inf F``; the caller solves
+for the reference solution once and passes it in.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ class BatchRateSummary:
     eta_hi: float
     kappa_max: float
     n_eps: int
+    spread_cap: float  # (eta_hi - eta_lo + 2 eps) / (eta_hi + eta_lo), the eq11 bound
     spread_bound_ok: bool
     certified: bool
     message: str = ""
@@ -80,11 +84,11 @@ def _subspace_form(grad, A, D: DirectionMatrix) -> float:
 
 
 def _gradient_form(L: np.ndarray, grad: np.ndarray) -> float:
-    """``g' H^{-1} g`` from the lower Cholesky factor ``L`` of ``H``."""
+    """``g' M^{-1} g`` from the lower Cholesky factor ``L`` of ``M``."""
     y = scipy.linalg.solve_triangular(L, grad, lower=True)
     den = float(y @ y)
     if den <= 0:
-        raise NumericError("Hessian quadratic form not positive")
+        raise NumericError("quadratic form not positive")
     return den
 
 
@@ -217,14 +221,16 @@ def check_subspace_ordering(
     """Gradient-only direction is slowest, the full space is fastest.
 
     Computes theta_tilde for the one-column gradient reference, for each
-    listed strategy, and for the full space, and checks the ordering.
+    listed strategy, and for the full space, and checks the ordering.  The
+    full space gives ``g' A^{-1} g / g' H^{-1} g``; ``A`` dominates ``H``, so
+    its Cholesky factor exists whenever the Hessian's does.
     """
     grad = state.grad
     if not np.any(grad):
         raise InputError("ordering check undefined at a zero gradient")
     g_form = _gradient_form(cholesky_lower(eval_hessian(p_n, state.h)), grad)
     t_ref = _subspace_form(grad, A, gradient_reference(grad)) / g_form
-    t_full = _subspace_form(grad, A, DirectionMatrix(np.eye(p_n.dim))) / g_form
+    t_full = _gradient_form(cholesky_lower(A), grad) / g_form
     by_strategy = {}
     ok = True
     for s in strategies:
@@ -261,14 +267,11 @@ def detect_n_eps(trace, inf_F: float) -> int | None:
     )
 
 
-def batch_rate_summary(p: ProblemInstance, trace, epsilon: float) -> BatchRateSummary:
-    """Worst-case geometric rate and constant for a certified batch run."""
-    from .solver import reference_minimizer  # local import avoids a cycle
-
+def batch_rate_summary(p: ProblemInstance, trace, epsilon: float, ref) -> BatchRateSummary:
+    """Worst-case geometric rate and constant for a certified batch run; ``ref.value`` is ``F*``."""
     certs = [rec.cert for rec in trace.records if rec.cert is not None and not rec.cert.converged]
     if not certs:
         raise InputError("trace carries no certified iterations")
-    ref = reference_minimizer(p, tol=1e-12)
     inf_F = ref.value
     n_eps = detect_n_eps(trace, inf_F)
 
@@ -284,16 +287,14 @@ def batch_rate_summary(p: ProblemInstance, trace, epsilon: float) -> BatchRateSu
     )
 
     if n_eps is None:
-        return BatchRateSummary(
-            vartheta=vartheta, mu=float("nan"), eta_lo=eta_lo, eta_hi=eta_hi,
-            kappa_max=kappa_max, n_eps=-1, spread_bound_ok=spread_ok,
-            certified=False, message="not certified within horizon",
-        )
-    F_at = {rec.n: rec.obj for rec in trace.records}
-    mu = (F_at[n_eps] - inf_F) / vartheta**n_eps
+        mu, message = float("nan"), "not certified within horizon"
+    else:
+        F_at = {rec.n: rec.obj for rec in trace.records}
+        mu, message = (F_at[n_eps] - inf_F) / vartheta**n_eps, ""
     return BatchRateSummary(
-        vartheta=vartheta, mu=mu, eta_lo=eta_lo, eta_hi=eta_hi,
-        kappa_max=kappa_max, n_eps=n_eps, spread_bound_ok=spread_ok, certified=True,
+        vartheta=vartheta, mu=mu, eta_lo=eta_lo, eta_hi=eta_hi, kappa_max=kappa_max,
+        n_eps=-1 if n_eps is None else n_eps, spread_cap=spread_cap, spread_bound_ok=spread_ok,
+        certified=n_eps is not None, message=message,
     )
 
 
@@ -306,13 +307,10 @@ class LinearConvergenceReport:
     worst_margin: float
 
 
-def check_linear_iterate_convergence(p: ProblemInstance, trace, summary: BatchRateSummary) -> LinearConvergenceReport:
-    """Strong-convexity lower bound and geometric upper bound on the gap."""
-    from .solver import reference_minimizer
-
+def check_linear_iterate_convergence(trace, summary: BatchRateSummary, ref) -> LinearConvergenceReport:
+    """Strong-convexity lower bound and geometric upper bound on the gap to ``ref.value``."""
     if not summary.certified:
         return LinearConvergenceReport(False, False, False, float("nan"), float("nan"))
-    ref = reference_minimizer(p, tol=1e-12)
     h_hat, inf_F = ref.h, ref.value
     sc_ok = True
     geo_ok = True

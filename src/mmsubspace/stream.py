@@ -139,13 +139,6 @@ class FileReplayStream(EstimateStream):
         return self.snapshots[n - 1]
 
 
-def write_replay_file(path, snapshots) -> None:
-    with open(path, "w") as f:
-        for k, (R, r) in enumerate(snapshots, start=1):
-            f.write(json.dumps({"n": k, "R": np.asarray(R).tolist(), "r": np.asarray(r).tolist()}))
-            f.write("\n")
-
-
 @dataclass(frozen=True)
 class SummabilityReport:
     horizon: int

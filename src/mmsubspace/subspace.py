@@ -109,10 +109,3 @@ def column_scaled(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s = np.linalg.norm(cols, axis=0)
     s = np.where(s > 0.0, s, 1.0)
     return cols / s, s
-
-
-def verify_span(D: DirectionMatrix, v) -> bool:
-    """True iff ``v`` lies in the column span of ``D`` up to a small residual."""
-    v = as_vector(v, D.cols.shape[0])
-    u, *_ = np.linalg.lstsq(D.cols, v, rcond=None)
-    return float(np.linalg.norm(D.cols @ u - v)) <= 1e-8 * (1.0 + float(np.linalg.norm(v)))

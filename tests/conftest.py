@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from mmsubspace.linalg import as_vector
 from mmsubspace.model import ProblemInstance, QuadraticData, ZeroPenalty
 from mmsubspace.problems import random_instance
 
@@ -22,3 +25,18 @@ def instance_grid(seed=0, dims=(1, 2, 5, 20), kinds=PENALTY_KINDS, per_combo=Non
         for kind in kinds:
             out.append(random_instance(n, kind, rng, cond=10.0, lam=0.7, delta=0.6))
     return out
+
+
+def verify_span(D, v) -> bool:
+    """True iff ``v`` lies in the column span of the direction matrix ``D`` up to a small residual."""
+    v = as_vector(v, D.cols.shape[0])
+    u, *_ = np.linalg.lstsq(D.cols, v, rcond=None)
+    return float(np.linalg.norm(D.cols @ u - v)) <= 1e-8 * (1.0 + float(np.linalg.norm(v)))
+
+
+def write_replay_file(path, snapshots) -> None:
+    """Write ``(R, r)`` snapshots in the replay format: one JSON object ``{"n", "R", "r"}`` per line."""
+    with open(path, "w") as f:
+        for k, (R, r) in enumerate(snapshots, start=1):
+            f.write(json.dumps({"n": k, "R": np.asarray(R).tolist(), "r": np.asarray(r).tolist()}))
+            f.write("\n")

@@ -132,7 +132,7 @@ def test_criterion_05_per_iteration_certification():
         if n_eps is None:
             violations += 1
             continue
-        summary = batch_rate_summary(p, trace, eps)
+        summary = batch_rate_summary(p, trace, eps, reference_minimizer(p, tol=1e-12))
         cap = (summary.eta_hi - summary.eta_lo + 2 * eps) / (summary.eta_hi + summary.eta_lo)
         recs = trace.records
         for a, b in zip(recs, recs[1:]):
@@ -184,9 +184,9 @@ def test_criterion_07_batch_linear_convergence():
     eps = 0.1 * min_eig(p.quad.R)
     trace = run_batch(p, h1=np.ones(20), strategy="3mg",
                       opts=SolveOptions(max_iters=400, grad_tol=1e-10, certify=True, epsilon=eps))
-    s = batch_rate_summary(p, trace, eps)
-    ok = s.certified
     ref = reference_minimizer(p, tol=1e-12)
+    s = batch_rate_summary(p, trace, eps, ref)
+    ok = s.certified
     scale = 1.0 + abs(ref.value)
     for rec in trace.records:
         if rec.n < s.n_eps:

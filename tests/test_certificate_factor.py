@@ -163,6 +163,12 @@ def test_non_pd_hessian_raises():
         reference_certificate(p, state, DirectionMatrix(np.eye(2)), np.eye(2), 0.1, np.eye(2))
 
 
+def test_pd_solve_rejects_non_finite_matrix():
+    M = np.array([[2.0, np.nan], [np.nan, 2.0]])
+    with pytest.raises(NumericError):
+        linalg.pd_solve(M, np.ones(2))
+
+
 @pytest.mark.parametrize("A", [np.diag([1.0, -2.0]), np.array([[1.0, 2.0], [2.0, 1.0]]), -np.eye(2)])
 def test_non_pd_majorant_raises(A, diag14):
     h = np.array([1.0, 1.0])

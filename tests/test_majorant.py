@@ -1,6 +1,6 @@
 import numpy as np
 
-from mmsubspace.majorant import MajorantAtPoint, build_majorant, check_majorization, eval_surrogate
+from mmsubspace.majorant import build_majorant, check_majorization, eval_surrogate
 from mmsubspace.model import (
     HyperbolicPenalty,
     ProblemInstance,
@@ -40,12 +40,9 @@ def test_tangency_value_and_gradient():
 
 
 def test_surrogate_hand_value():
-    m = MajorantAtPoint(
-        anchor=np.zeros(1),
-        value_at_anchor=0.0,
-        gradient_at_anchor=np.array([-1.0]),
-        curvature=np.array([[3.0]]),
-    )
+    # F(h) = 1.5 h^2 - h: F(0) = 0, F'(0) = -1, curvature 3
+    p = ProblemInstance(QuadraticData(np.array([[3.0]]), np.array([1.0])), ZeroPenalty())
+    m = build_majorant(p, [0.0])
     assert eval_surrogate(m, [1.0]) == 0.5
 
 

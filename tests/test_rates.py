@@ -182,7 +182,7 @@ def test_batch_summary_identity_R():
     eps = 0.1
     trace = run_batch(p, h1=np.ones(3) * 5.0, strategy="gradient",
                       opts=SolveOptions(max_iters=50, grad_tol=1e-10, certify=True, epsilon=eps))
-    s = batch_rate_summary(p, trace, eps)
+    s = batch_rate_summary(p, trace, eps, reference_minimizer(p, tol=1e-12))
     assert s.certified
     np.testing.assert_allclose(s.eta_lo, 1.0, rtol=1e-12)
     np.testing.assert_allclose(s.eta_hi, 1.0 + 1e-12, rtol=1e-6)
@@ -197,9 +197,10 @@ def test_batch_summary_and_linear_convergence():
         trace = run_batch(p, h1=np.ones(5), strategy="3mg",
                           opts=SolveOptions(max_iters=300, grad_tol=1e-10, certify=True))
         eps = trace.meta["epsilon"]
-        s = batch_rate_summary(p, trace, eps)
+        ref = reference_minimizer(p, tol=1e-12)
+        s = batch_rate_summary(p, trace, eps, ref)
         assert s.certified and 0 < s.vartheta < 1 and s.mu > 0
-        rep = check_linear_iterate_convergence(p, trace, s)
+        rep = check_linear_iterate_convergence(trace, s, ref)
         assert rep.passed, (p.penalty.kind, rep)
 
 

@@ -7,7 +7,8 @@ import numpy as np
 from mmsubspace import cli
 from mmsubspace.model import HyperbolicPenalty, ProblemInstance, QuadraticData, ZeroPenalty, save_problem
 from mmsubspace.solver import SolveOptions, Trace, run_batch, run_online
-from mmsubspace.stream import FileReplayStream, write_replay_file
+from mmsubspace.stream import FileReplayStream
+from conftest import write_replay_file
 
 
 def replay(tmp_path, first_R, limit, count=30):
@@ -60,3 +61,20 @@ def test_verify_prints_skipped_certificates_only_when_there_are_some(tmp_path, c
     assert "certificates skipped: 1 (OracleError 1)" in capsys.readouterr().out
     cli.main(["verify", "--problem", problem, "--trace", str(tmp_path / "batch.json")])
     assert "certificates skipped" not in capsys.readouterr().out
+
+
+def test_verify_counts_a_non_pd_snapshot_hessian_as_skipped(tmp_path, capsys):
+    # no penalty, so the first snapshot's Hessian is its indefinite R
+    limit = QuadraticData(np.eye(2), np.array([1.0, 0.1]))
+    path = replay(tmp_path, np.diag([1.0, -0.5]), limit)
+    problem = str(tmp_path / "p.json")
+    save_problem(ProblemInstance(limit, ZeroPenalty()), problem)
+    stream = ["--stream", f"replay:{path}"]
+    cli.main(["solve", "--problem", problem, "--certify", "--trace-out", str(tmp_path / "online"), *stream])
+    capsys.readouterr()
+
+    code = cli.main(["verify", "--problem", problem, "--trace", str(tmp_path / "online.json"), *stream])
+    out = capsys.readouterr().out
+    assert "certificates skipped: 1 (NumericError 1)" in out
+    assert "overall: PASS" in out
+    assert code == 0

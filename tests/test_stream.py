@@ -11,8 +11,8 @@ from mmsubspace.stream import (
     GeometricPerturbationStream,
     RunningAverageStream,
     summability_report,
-    write_replay_file,
 )
+from conftest import write_replay_file
 
 
 def test_constant_stream_repeats_limit():

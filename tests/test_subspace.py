@@ -10,8 +10,8 @@ from mmsubspace.subspace import (
     SubspaceStrategy,
     build_subspace,
     parse_strategy,
-    verify_span,
 )
+from conftest import verify_span
 
 
 def test_full_space_is_identity():

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 
+from mmsubspace import solver, verify
 from mmsubspace.model import eval_objective
 from mmsubspace.problems import random_instance
 from mmsubspace.rates import batch_rate_summary
@@ -41,7 +42,7 @@ def test_summary_is_the_batch_rate_summary():
     p, trace = _certified_run()
     eps = trace.meta["epsilon"]
     got = verify_trace(p, trace).summary
-    want = batch_rate_summary(p, trace, eps)
+    want = batch_rate_summary(p, trace, eps, reference_minimizer(p, tol=1e-12))
     assert want.certified
     for f in dataclasses.fields(want):
         assert getattr(got, f.name) == getattr(want, f.name), f.name
@@ -65,3 +66,18 @@ def test_summary_is_none_online_and_without_certificates():
     at_min = run_batch(p, h1=reference_minimizer(p).h, strategy="3mg", opts=CERTIFIED)
     assert at_min.n_steps == 0
     assert verify_trace(p, at_min).summary is None
+
+
+def test_batch_verify_solves_for_the_reference_once(monkeypatch):
+    p, trace = _certified_run()
+    calls = []
+
+    def counting(q, tol=1e-12):
+        calls.append(q)
+        return reference_minimizer(q, tol)
+
+    monkeypatch.setattr(solver, "reference_minimizer", counting)
+    monkeypatch.setattr(verify, "reference_minimizer", counting)
+    report = verify_trace(p, trace)
+    assert report.passed and report.summary.certified
+    assert len(calls) == 1
