@@ -21,6 +21,14 @@ m the number of subspace columns, instead of the O(n^3) of forming
 which only certification, verification and the tests do.  A penalty that
 defines only ``curvature`` still works, because the default
 ``apply_curvature`` multiplies by that matrix.
+
+``curvature_gap_bound(h)`` proves the domination ``B(h) >= hess Psi(h)``
+without an eigensolve.  For a separable penalty
+``B(h) - hess Psi(h) = lam * L' Diag(omega - phi'')(Lh) L``, so the scalars
+``omega - phi''`` at ``Lh`` decide it: the half-quadratic domination
+condition of Allain, Idier and Goussard (IEEE TIP 2006).  A penalty without
+the hook returns None, and the majorization check then takes the smallest
+eigenvalue of the dense difference.
 """
 
 from __future__ import annotations
@@ -39,7 +47,9 @@ class Penalty:
 
     Subclasses implement ``value``, ``gradient``, ``hessian``, ``curvature``
     (the matrix ``B(h)``), and ``curvature_bound`` (the matrix ``V``), and
-    may override ``apply_curvature`` to multiply by ``B(h)`` without forming it.
+    may override ``apply_curvature`` to multiply by ``B(h)`` without forming
+    it and ``curvature_gap_bound`` to prove ``B(h) >= hessian(h)`` without
+    an eigensolve.
     """
 
     kind = "abstract"
@@ -63,6 +73,14 @@ class Penalty:
     def apply_curvature(self, h: np.ndarray, X: np.ndarray) -> np.ndarray:
         """``B(h) @ X`` for a vector or a block of columns ``X``."""
         return self.curvature(h) @ X
+
+    def curvature_gap_bound(self, h: np.ndarray) -> float | None:
+        """A lower bound on ``min_eig(B(h) - hessian(h))`` in exact arithmetic.
+
+        None means the penalty gives no bound, and callers compute the
+        smallest eigenvalue of the dense difference instead.
+        """
+        return None
 
     def curvature_bound(self, dim: int) -> np.ndarray:
         raise NotImplementedError
@@ -89,6 +107,9 @@ class ZeroPenalty(Penalty):
 
     def apply_curvature(self, h, X):
         return np.zeros_like(np.asarray(X, dtype=float))
+
+    def curvature_gap_bound(self, h):
+        return 0.0
 
     def curvature_bound(self, dim):
         # Tiny pad keeps V strictly positive definite.
@@ -123,6 +144,9 @@ class TikhonovPenalty(Penalty):
 
     def apply_curvature(self, h, X):
         return self.lam * np.asarray(X, dtype=float)
+
+    def curvature_gap_bound(self, h):
+        return 0.0
 
     def curvature_bound(self, dim):
         tau = max(1e-12, 1e-12 * self.lam)
@@ -211,6 +235,19 @@ class _SeparablePenalty(Penalty):
         lw = self.lam * self._omega(self._L_times(h))
         LX = self._L_times(X)
         return self._Lt_times(lw[:, None] * LX if LX.ndim == 2 else lw * LX)
+
+    def curvature_gap_bound(self, h):
+        """``min(d)`` for ``d = lam * (omega - phi'')(Lh)``, the exact gap when L is the identity.
+
+        Otherwise ``L' Diag(d) L >= min(d) * L'L``, and for a negative
+        ``min(d)`` the bound ``||L||_2^2 <= ||L||_F^2`` keeps it rigorous.
+        """
+        Lh = self._L_times(h)
+        d = self.lam * (self._omega(Lh) - self._ddphi(Lh))
+        if self.L is None:
+            return float(np.min(d))
+        d_min = float(np.min(d, initial=0.0))
+        return 0.0 if d_min == 0.0 else d_min * float(np.sum(self.L * self.L))
 
     def curvature_bound(self, dim):
         wmax = self._omega_max()

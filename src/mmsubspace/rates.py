@@ -18,7 +18,10 @@ bounds are the extreme eigenvalues of ``H``.  The Hessian floor
 factorization of that matrix when one exists; only when it fails is the
 smallest eigenvalue computed.  In batch mode the matrix is the penalty
 Hessian plus ``eps I``, so the factorization succeeds.  Per iteration that
-is two Cholesky factorizations and two ``eigvalsh``.
+is two Cholesky factorizations and two ``eigvalsh``.  ``factor_hessian``
+gives the pair ``(H, L)``; a caller that also runs
+``check_subspace_ordering`` on the iterate, as verification does, passes
+that pair to both.
 
 The batch summaries are stated against ``F* = inf F``; the caller solves
 for the reference solution once and passes it in.
@@ -110,6 +113,12 @@ def _floor_holds(M: np.ndarray) -> bool:
     return True
 
 
+def factor_hessian(p_n: ProblemInstance, h) -> tuple[np.ndarray, np.ndarray]:
+    """The Hessian ``H`` at ``h`` and its lower Cholesky factor; NumericError unless H is PD."""
+    hess = eval_hessian(p_n, h)
+    return hess, cholesky_lower(hess)
+
+
 def compute_theta_tilde(grad, A, hess, D: DirectionMatrix) -> float:
     grad = as_vector(grad)
     if not np.any(grad):
@@ -134,16 +143,18 @@ def certify_iteration(
     A: np.ndarray,
     epsilon: float,
     R_limit: np.ndarray | None = None,
+    hessian: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> RateCertificate:
     """Assemble the full rate certificate for one iteration.
 
     ``R_limit`` is the data matrix of the limiting instance (equal to
     ``p_n.quad.R`` in the batch case); the Hessian floor is measured
-    against it.
+    against it.  ``hessian`` is ``factor_hessian(p_n, state.h)`` when the
+    caller already has it.
     """
     if R_limit is None:
         R_limit = p_n.quad.R
-    hess = eval_hessian(p_n, state.h)
+    hess, L = (eval_hessian(p_n, state.h), None) if hessian is None else hessian
     floor_ok = _floor_holds(hess - R_limit + epsilon * np.eye(p_n.dim))
     grad = state.grad
     if not np.any(grad):
@@ -153,7 +164,8 @@ def certify_iteration(
             sigma_lo=None, sigma_hi=None, hessian_floor_ok=floor_ok,
             lemma_bound=None, converged=True,
         )
-    L = cholesky_lower(hess)
+    if L is None:
+        L = cholesky_lower(hess)
     g_form = _gradient_form(L, grad)
     theta_tilde = _subspace_form(grad, A, D) / g_form
     theta = 1.0 - theta_tilde / (1.0 + epsilon)
@@ -217,18 +229,21 @@ def check_subspace_ordering(
     A: np.ndarray,
     strategies: Sequence[SubspaceStrategy],
     history: Sequence[np.ndarray] = (),
+    hessian: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> OrderingReport:
     """Gradient-only direction is slowest, the full space is fastest.
 
     Computes theta_tilde for the one-column gradient reference, for each
     listed strategy, and for the full space, and checks the ordering.  The
     full space gives ``g' A^{-1} g / g' H^{-1} g``; ``A`` dominates ``H``, so
-    its Cholesky factor exists whenever the Hessian's does.
+    its Cholesky factor exists whenever the Hessian's does.  ``hessian`` is
+    ``factor_hessian(p_n, state.h)`` when the caller already has it.
     """
     grad = state.grad
     if not np.any(grad):
         raise InputError("ordering check undefined at a zero gradient")
-    g_form = _gradient_form(cholesky_lower(eval_hessian(p_n, state.h)), grad)
+    _, L = factor_hessian(p_n, state.h) if hessian is None else hessian
+    g_form = _gradient_form(L, grad)
     t_ref = _subspace_form(grad, A, gradient_reference(grad)) / g_form
     t_full = _gradient_form(cholesky_lower(A), grad) / g_form
     by_strategy = {}

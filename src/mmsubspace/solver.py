@@ -193,11 +193,15 @@ class ReferenceSolution:
     iterations: int
 
 
-def reference_minimizer(p: ProblemInstance, tol: float = 1e-12) -> ReferenceSolution:
-    """High-precision minimizer via damped Newton, independent of the MM path."""
+def reference_minimizer(p: ProblemInstance, tol: float = 1e-12, h0=None) -> ReferenceSolution:
+    """High-precision minimizer via damped Newton, independent of the MM path.
+
+    Newton starts from ``h0``, zero by default; pass the minimizer of a
+    nearby instance, never an MM iterate.
+    """
     if min_eig(p.quad.R) <= 0:
         raise OracleError("reference minimizer needs a positive definite R")
-    h = np.zeros(p.dim)
+    h = np.zeros(p.dim) if h0 is None else as_vector(h0, p.dim)
     f = eval_objective(p, h)
     for k in range(500):
         g = eval_gradient(p, h)

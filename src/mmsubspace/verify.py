@@ -4,8 +4,11 @@ Everything is recomputed from the stored iterates; only the surrogate
 decrease check reuses the recorded objective column in batch mode, so a
 corrupted objective value in the file is caught there.  A batch trace is
 checked against one reference solution, computed once and passed to the
-whole-run rate checks; an online trace gets one per snapshot.  An iteration
-whose oracle or certificate raises is counted as skipped, by error class.
+whole-run rate checks; an online trace gets one per snapshot, whose Newton
+oracle starts from the previous snapshot's minimizer and never from an MM
+iterate.  Each verified iteration factors its Hessian once, for both the
+subspace ordering and the certificate.  An iteration whose oracle or
+certificate raises is counted as skipped, by error class.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .rates import (
     check_decay_inequality,
     check_linear_iterate_convergence,
     check_subspace_ordering,
+    factor_hessian,
 )
 from .solver import (
     IterateState, Trace, TraceRecord, _resolve_epsilon, optimal_gradient_step, reference_minimizer,
@@ -132,6 +136,7 @@ def verify_trace(
     ref = None
     if mode == "batch":
         ref = reference_minimizer(p, tol=1e-12)
+    snapshot_ref = None  # the last online snapshot's oracle solution, to warm-start the next
 
     certified_recs = []
     gap_checks = []
@@ -176,7 +181,8 @@ def verify_trace(
 
             state = IterateState(n, h, g)
             try:
-                order = check_subspace_ordering(p_n, state, A, [strategy], history)
+                hessian = factor_hessian(p_n, h)
+                order = check_subspace_ordering(p_n, state, A, [strategy], history, hessian)
             except NumericError as exc:  # the snapshot's Hessian is not positive definite
                 skipped[type(exc).__name__] += 1
         if order is not None:
@@ -192,14 +198,17 @@ def verify_trace(
             inf_Fn = None if ref is None else ref.value
             if inf_Fn is None:
                 try:
-                    inf_Fn = reference_minimizer(p_n, tol=1e-12).value
+                    snapshot_ref = reference_minimizer(
+                        p_n, tol=1e-12, h0=None if snapshot_ref is None else snapshot_ref.h)
+                    inf_Fn = snapshot_ref.value
                 except OracleError as exc:
                     skipped[type(exc).__name__] += 1
             cert = None
             if inf_Fn is not None:
                 D = build_subspace(strategy, g, h, history)
                 try:
-                    cert = certify_iteration(p_n, state, D, A, epsilon, R_limit=p.quad.R)
+                    cert = certify_iteration(p_n, state, D, A, epsilon, R_limit=p.quad.R,
+                                             hessian=hessian)
                 except NumericError as exc:
                     skipped[type(exc).__name__] += 1
             if cert is not None and not cert.converged:

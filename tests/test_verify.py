@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 
-from mmsubspace import solver, verify
+from mmsubspace import rates, solver, verify
 from mmsubspace.model import eval_objective
 from mmsubspace.problems import random_instance
 from mmsubspace.rates import batch_rate_summary
@@ -81,3 +81,54 @@ def test_batch_verify_solves_for_the_reference_once(monkeypatch):
     report = verify_trace(p, trace)
     assert report.passed and report.summary.certified
     assert len(calls) == 1
+
+
+def test_online_oracle_warm_start_keeps_the_verdicts(monkeypatch):
+    p = _instance()
+    rng = np.random.default_rng(9)
+    E = rng.standard_normal((p.dim, p.dim))
+    e = 0.05 * rng.standard_normal(p.dim)
+
+    def stream():
+        return GeometricPerturbationStream(p.quad, 0.9, 0.02 * (E + E.T), e, penalty=p.penalty)
+
+    trace = run_online(stream(), strategy="3mg", opts=CERTIFIED)
+
+    def run(cold):
+        calls = []
+
+        def oracle(q, tol=1e-12, h0=None):
+            out = reference_minimizer(q, tol, h0=None if cold else h0)
+            calls.append((h0 is not None, out))
+            return out
+
+        monkeypatch.setattr(verify, "reference_minimizer", oracle)
+        return verify_trace(p, trace, snapshot_fn=stream().instance), calls
+
+    warm, warm_calls = run(cold=False)
+    cold, cold_calls = run(cold=True)
+    assert warm.passed, warm.table()
+    assert warm.rows == cold.rows
+    assert warm.n_eps == cold.n_eps
+    assert warm.certificates_skipped == cold.certificates_skipped
+    assert len(warm_calls) == len(cold_calls) > 1
+    assert all(started for started, _ in warm_calls[1:]) and not warm_calls[0][0]
+    for (_, w), (_, c) in zip(warm_calls, cold_calls):
+        assert abs(w.value - c.value) <= 1e-12 * (1.0 + abs(c.value))
+    assert sum(w.iterations for _, w in warm_calls) < sum(c.iterations for _, c in cold_calls)
+
+
+def test_verify_builds_each_hessian_once(monkeypatch):
+    p, trace = _certified_run()
+    calls = []
+    eval_hessian = rates.eval_hessian
+
+    def counting(q, h):
+        calls.append(h)
+        return eval_hessian(q, h)
+
+    monkeypatch.setattr(rates, "eval_hessian", counting)
+    report = verify_trace(p, trace)
+    assert report.passed
+    # the ordering check and the certificate share one Hessian per iterate with a nonzero gradient
+    assert len(calls) == sum("eq41_gradient_step_domination" in row for _, row in report.rows) > 0
