@@ -50,8 +50,8 @@ def _write_trace(trace: Trace, path: str) -> None:
     trace.to_json(str(stem) + ".json")
 
 
-def _summary_dict(p: ProblemInstance, trace: Trace, snapshot_fn, seed: int) -> dict:
-    report = verify_trace(p, trace, snapshot_fn=snapshot_fn, seed=seed)
+def _summary_dict(p: ProblemInstance, trace: Trace, stream, seed: int) -> dict:
+    report = verify_trace(p, trace, stream=stream, seed=seed)
     out = {
         "vartheta": None, "mu": None, "eta_lo": None, "eta_hi": None,
         "kappa_max": None, "n_eps": report.n_eps,
@@ -91,8 +91,7 @@ def cmd_solve(args) -> int:
     if args.summary_out:
         if not args.certify:
             raise InputError("--summary-out requires --certify")
-        snapshot_fn = None if args.stream == "constant" else build_stream(args.stream, p, args.seed).instance
-        summary = _summary_dict(p, trace, snapshot_fn, args.seed)
+        summary = _summary_dict(p, trace, build_stream(args.stream, p, args.seed), args.seed)
         with open(args.summary_out, "w") as f:
             json.dump(summary, f, indent=1)
             f.write("\n")
@@ -105,10 +104,12 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     p = load_problem(args.problem)
     trace = Trace.from_json(args.trace)
-    snapshot_fn = None
-    if trace.meta.get("mode") == "online":
-        snapshot_fn = build_stream(args.stream, p, args.seed).instance
-    report = verify_trace(p, trace, snapshot_fn=snapshot_fn, epsilon=args.epsilon, seed=args.seed)
+    stream = build_stream(args.stream, p, args.seed)
+    mode = trace.meta.get("mode", "batch")
+    if isinstance(stream, ConstantStream) != (mode == "batch"):
+        raise InputError(f"--stream {args.stream!r} does not match this {mode} trace: "
+                         "pass the --stream and --seed it was solved with")
+    report = verify_trace(p, trace, stream=stream, epsilon=args.epsilon, seed=args.seed)
     if len(report.rows) <= 25:
         for n, row in report.rows:
             checks = "  ".join(f"{k.split('_')[0]}:{'ok' if v else 'FAIL'}" for k, v in row.items())

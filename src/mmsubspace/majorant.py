@@ -83,6 +83,8 @@ class MajorizationReport:
     bound on ``min_eig(A(h) - hess F(h))``.  Where the penalty's
     ``curvature_gap_bound`` passed, that is the scalar bound, which can lie
     below the exact gap; elsewhere it is the computed dense eigenvalue.
+    The verdicts are ``margin_ok``, margin >= -tolerance (eq3), and
+    ``curvature_ok``, gap >= -1e-10 * max(|A|_F, 1) (eq75).
     """
 
     samples: int
@@ -90,7 +92,12 @@ class MajorizationReport:
     min_margin: float
     min_curvature_gap: float
     tolerance: float
-    passed: bool
+    margin_ok: bool
+    curvature_ok: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.margin_ok and self.curvature_ok
 
 
 def _curvature_gap(p_n: ProblemInstance, h: np.ndarray, gap_tol: float) -> float:
@@ -138,6 +145,6 @@ def check_majorization(
         h = m.anchor + (radius * rng.random() ** (1.0 / n) / nu) * u
         min_margin = min(min_margin, eval_surrogate(m, h) - eval_objective(p_n, h))
         min_gap = min(min_gap, _curvature_gap(p_n, h, gap_tol))
-    tol = 1e-9 * scale
-    passed = min_margin >= -tol and min_gap >= -gap_tol
-    return MajorizationReport(samples, radius, float(min_margin), float(min_gap), tol, passed)
+    min_margin, min_gap, tol = float(min_margin), float(min_gap), 1e-9 * scale
+    return MajorizationReport(samples, radius, min_margin, min_gap, tol,
+                              margin_ok=min_margin >= -tol, curvature_ok=min_gap >= -gap_tol)

@@ -131,6 +131,11 @@ def compute_kappa_bounds(A, hess) -> tuple[float, float]:
     return _kappa_from_factor(A, cholesky_lower(hess))
 
 
+def sigma_spread(sigma_lo: float, sigma_hi: float) -> float:
+    """``(sigma_hi - sigma_lo) / (sigma_hi + sigma_lo)``, the Hessian's spread in eq11 and eq72."""
+    return (sigma_hi - sigma_lo) / (sigma_hi + sigma_lo)
+
+
 def compute_sigma_bounds(hess) -> tuple[float, float]:
     hess = check_symmetric(hess, rtol=1e-10, name="hessian")
     return extreme_eigs(hess)
@@ -172,8 +177,7 @@ def certify_iteration(
     kappa_lo, kappa_hi = _kappa_from_factor(A, L)
     sigma_lo, sigma_hi = compute_sigma_bounds(hess)
     theta_lo = 1.0 - 1.0 / ((1.0 + epsilon) * kappa_lo)
-    spread = (sigma_hi - sigma_lo) / (sigma_hi + sigma_lo)
-    theta_hi = 1.0 - (1.0 - spread**2) / ((1.0 + epsilon) * kappa_hi)
+    theta_hi = 1.0 - (1.0 - sigma_spread(sigma_lo, sigma_hi)**2) / ((1.0 + epsilon) * kappa_hi)
     lemma_bound = 0.5 * (1.0 + epsilon) * g_form
     return RateCertificate(
         n=state.n, epsilon=epsilon, theta_tilde=theta_tilde, theta=theta,
@@ -296,10 +300,7 @@ def batch_rate_summary(p: ProblemInstance, trace, epsilon: float, ref) -> BatchR
     spread_cap = (eta_hi - eta_lo + 2.0 * epsilon) / (eta_hi + eta_lo)
     vartheta = 1.0 - (1.0 - spread_cap**2) / ((1.0 + epsilon) * kappa_max)
 
-    spread_ok = all(
-        (c.sigma_hi - c.sigma_lo) / (c.sigma_hi + c.sigma_lo) <= spread_cap + 1e-10
-        for c in certs
-    )
+    spread_ok = all(sigma_spread(c.sigma_lo, c.sigma_hi) <= spread_cap + 1e-10 for c in certs)
 
     if n_eps is None:
         mu, message = float("nan"), "not certified within horizon"

@@ -25,7 +25,9 @@ from .majorant import MajorantAtPoint, build_majorant
 from .model import ProblemInstance, eval_gradient, eval_hessian, eval_objective, eval_objective_and_gradient
 from .rates import RateCertificate, certify_iteration
 from .stream import ConstantStream, EstimateStream
-from .subspace import DirectionMatrix, SubspaceStrategy, build_subspace, column_scaled, parse_strategy
+from .subspace import (
+    DirectionMatrix, SubspaceStrategy, build_subspace, column_scaled, history_window, parse_strategy,
+)
 
 
 @dataclass(frozen=True)
@@ -271,7 +273,7 @@ def _run(stream: EstimateStream, h1, strategy, opts: SolveOptions, mode: str) ->
     })
 
     history: list[np.ndarray] = []
-    keep = max(8, strategy.memory)
+    keep = history_window(strategy)
     stream_exhausted = False
     p_n = stream.instance(1)
     n = 1

@@ -55,6 +55,12 @@ class DirectionMatrix:
         return self.cols.shape[1]
 
 
+def history_window(strategy: SubspaceStrategy) -> int:
+    """Past iterates the solve and verify loops keep: the last one, or the
+    ``memory - 2`` that ``build_subspace`` reads for the memory strategy."""
+    return max(1, strategy.memory - 2)
+
+
 def build_subspace(
     strategy: SubspaceStrategy,
     grad,

@@ -145,3 +145,22 @@ def test_trace_roundtrip_preserves_verification(problem_file, tmp_path):
     assert trace.meta["mode"] == "batch"
     csv_lines = (tmp_path / "t.csv").read_text().splitlines()
     assert len(csv_lines) == len(trace.records) + 1
+
+
+def test_verify_refuses_an_online_trace_without_its_stream(problem_file, tmp_path, capsys):
+    main(["solve", "--problem", str(problem_file), "--certify",
+          "--stream", "geometric:0.8", "--seed", "7", "--trace-out", str(tmp_path / "t")])
+    capsys.readouterr()
+    code = main(["verify", "--problem", str(problem_file), "--trace", str(tmp_path / "t.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--stream" in err and "--seed" in err
+
+
+def test_verify_refuses_a_stream_for_a_batch_trace(problem_file, tmp_path, capsys):
+    main(["solve", "--problem", str(problem_file), "--certify", "--trace-out", str(tmp_path / "t")])
+    capsys.readouterr()
+    code = main(["verify", "--problem", str(problem_file), "--trace", str(tmp_path / "t.json"),
+                 "--stream", "geometric:0.5"])
+    assert code == 1
+    assert "--stream" in capsys.readouterr().err

@@ -132,6 +132,8 @@ def test_non_dominating_penalty_fails_through_the_dense_fallback(monkeypatch):
     m = build_majorant(p, np.zeros(n))
     calls = _count_dense_gaps(monkeypatch)
     rep = check_majorization(p, m, samples=10, seed=1)
+    assert not rep.curvature_ok
+    assert rep.passed == (rep.margin_ok and rep.curvature_ok)
     assert not rep.passed
     assert calls, "the failing scalar bound must hand over to the dense eigenvalue"
     a_scale = max(float(np.linalg.norm(m.curvature)), 1.0)

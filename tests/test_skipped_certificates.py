@@ -8,6 +8,7 @@ from mmsubspace import cli
 from mmsubspace.model import HyperbolicPenalty, ProblemInstance, QuadraticData, ZeroPenalty, save_problem
 from mmsubspace.solver import SolveOptions, Trace, run_batch, run_online
 from mmsubspace.stream import FileReplayStream
+from mmsubspace.verify import verify_trace
 from conftest import write_replay_file
 
 
@@ -78,3 +79,23 @@ def test_verify_counts_a_non_pd_snapshot_hessian_as_skipped(tmp_path, capsys):
     assert "certificates skipped: 1 (NumericError 1)" in out
     assert "overall: PASS" in out
     assert code == 0
+
+
+def test_a_refused_oracle_skips_only_the_checks_that_need_f_star(tmp_path):
+    # as above: the first snapshot's Hessian is positive definite but its R is singular
+    limit = QuadraticData(np.diag([1.0, 2.0]), np.array([1.0, -1.0]))
+    path = replay(tmp_path, np.diag([1.0, 0.0]), limit)
+    p = ProblemInstance(limit, HyperbolicPenalty(0.5, 0.3, dim=2))
+
+    def stream():
+        return FileReplayStream(path, quad=limit, penalty=p.penalty)
+
+    trace = run_online(stream(), strategy="3mg", opts=SolveOptions(certify=True))
+    report = verify_trace(p, trace, stream=stream())
+    assert report.certificates_skipped == {"OracleError": 1}
+    n, row = report.rows[0]
+    assert n == 1
+    for name in ["eq9_eq10_sandwich", "eq72_kantorovich_floor", "eq74_cap", "kappa_lo_ge_1"]:
+        assert row[name], name
+        assert report.results[name].checked == len(trace.records) - 1
+    assert "eq6_gap_bound" not in row and "eq7_decay" not in row

@@ -58,7 +58,7 @@ def test_summary_is_none_online_and_without_certificates():
         return GeometricPerturbationStream(p.quad, 0.9, 0.02 * (E + E.T), e, penalty=p.penalty)
 
     online = run_online(stream(), strategy="3mg", opts=CERTIFIED)
-    report = verify_trace(p, online, snapshot_fn=stream().instance)
+    report = verify_trace(p, online, stream=stream())
     assert report.passed, report.table()
     assert report.summary is None
 
@@ -103,7 +103,7 @@ def test_online_oracle_warm_start_keeps_the_verdicts(monkeypatch):
             return out
 
         monkeypatch.setattr(verify, "reference_minimizer", oracle)
-        return verify_trace(p, trace, snapshot_fn=stream().instance), calls
+        return verify_trace(p, trace, stream=stream()), calls
 
     warm, warm_calls = run(cold=False)
     cold, cold_calls = run(cold=True)
@@ -131,4 +131,21 @@ def test_verify_builds_each_hessian_once(monkeypatch):
     report = verify_trace(p, trace)
     assert report.passed
     # the ordering check and the certificate share one Hessian per iterate with a nonzero gradient
+    assert len(calls) == sum("eq41_gradient_step_domination" in row for _, row in report.rows) > 0
+
+
+def test_verify_builds_each_direction_matrix_once(monkeypatch):
+    p, trace = _certified_run()
+    calls = []
+    build_subspace = verify.build_subspace
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build_subspace(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "build_subspace", counting)
+    monkeypatch.setattr(rates, "build_subspace", counting)
+    report = verify_trace(p, trace)
+    assert report.passed
+    # the ordering check and the certificate share one direction matrix per iterate
     assert len(calls) == sum("eq41_gradient_step_domination" in row for _, row in report.rows) > 0
