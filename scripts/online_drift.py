@@ -31,7 +31,7 @@ def main():
     n = args.dim
     M = rng.standard_normal((n, n))
     quad = QuadraticData(M @ M.T + n * np.eye(n), rng.standard_normal(n) * n)
-    pen = HyperbolicPenalty(0.5, 0.3, dim=n)
+    pen = HyperbolicPenalty(0.5, 0.3)
     E = rng.standard_normal((n, n))
     E = 0.5 * (E + E.T)
     E *= args.scale * np.linalg.norm(quad.R) / np.linalg.norm(E)

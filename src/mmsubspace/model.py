@@ -10,6 +10,13 @@ half-quadratic curvature matrix ``B(h)`` (which satisfies
 ``hess Psi(h) <= B(h) <= V`` in the Loewner order and the exactness identity
 ``B(h) h = grad Psi(h)``), and the global curvature cap ``V``.
 
+Every shipped penalty is separable, ``Psi(h) = lam * sum_i phi((Lh)_i)``,
+and differs from the others only in its scalar potential ``phi``: the
+hyperbolic and Fair smoothed-l1 potentials, and the quadratic
+``phi(t) = t^2/2`` with ``L = I`` of the Tikhonov ridge, whose weight-0 case
+is the zero penalty.  The five evaluations are written once, in
+``_SeparablePenalty``.
+
 The solve loop never forms ``B(h)``.  It calls ``apply_curvature(h, X)``,
 which returns ``B(h) @ X`` for a vector or a block of columns ``X``; for a
 separable penalty that is ``lam * L'(omega(Lh) * LX)``, and an identity
@@ -49,7 +56,8 @@ class Penalty:
     (the matrix ``B(h)``), and ``curvature_bound`` (the matrix ``V``), and
     may override ``apply_curvature`` to multiply by ``B(h)`` without forming
     it and ``curvature_gap_bound`` to prove ``B(h) >= hessian(h)`` without
-    an eigensolve.
+    an eigensolve.  The shipped penalties get all of them from
+    ``_SeparablePenalty``; the interface stays open to other penalties.
     """
 
     kind = "abstract"
@@ -89,73 +97,6 @@ class Penalty:
         raise NotImplementedError
 
 
-class ZeroPenalty(Penalty):
-    kind = "zero"
-
-    def value(self, h):
-        return 0.0
-
-    def gradient(self, h):
-        return np.zeros_like(np.asarray(h, dtype=float))
-
-    def hessian(self, h):
-        n = len(h)
-        return np.zeros((n, n))
-
-    def curvature(self, h):
-        return self.hessian(h)
-
-    def apply_curvature(self, h, X):
-        return np.zeros_like(np.asarray(X, dtype=float))
-
-    def curvature_gap_bound(self, h):
-        return 0.0
-
-    def curvature_bound(self, dim):
-        # Tiny pad keeps V strictly positive definite.
-        return 1e-12 * np.eye(dim)
-
-    def to_dict(self):
-        return {"kind": "zero"}
-
-
-class TikhonovPenalty(Penalty):
-    """Quadratic ridge penalty ``0.5 * lam * ||h||^2``."""
-
-    kind = "tikhonov"
-
-    def __init__(self, lam: float):
-        if lam < 0:
-            raise InputError("tikhonov weight must be nonnegative")
-        self.lam = float(lam)
-
-    def value(self, h):
-        h = np.asarray(h, dtype=float)
-        return 0.5 * self.lam * float(h @ h)
-
-    def gradient(self, h):
-        return self.lam * np.asarray(h, dtype=float)
-
-    def hessian(self, h):
-        return self.lam * np.eye(len(h))
-
-    def curvature(self, h):
-        return self.hessian(h)
-
-    def apply_curvature(self, h, X):
-        return self.lam * np.asarray(X, dtype=float)
-
-    def curvature_gap_bound(self, h):
-        return 0.0
-
-    def curvature_bound(self, dim):
-        tau = max(1e-12, 1e-12 * self.lam)
-        return (self.lam + tau) * np.eye(dim)
-
-    def to_dict(self):
-        return {"kind": "tikhonov", "lambda": self.lam}
-
-
 class _SeparablePenalty(Penalty):
     """``Psi(h) = lam * sum_i phi((L h)_i)`` for an even scalar potential phi.
 
@@ -163,23 +104,22 @@ class _SeparablePenalty(Penalty):
     ``omega(t) = phi'(t)/t`` extended by continuity at zero, and
     ``V = lam * omega(0) * L'L + tau * I``.  For the shipped potentials
     omega is maximal at zero and ``phi'' <= omega`` pointwise, so the
-    Loewner sandwich and the exactness identity both hold.
+    Loewner sandwich and the exactness identity both hold.  A subclass
+    defines only its potential (``_phi``, ``_dphi``, ``_ddphi``, ``_omega``),
+    its constructor and, where its file form differs, ``to_dict``.
 
     ``L`` is stored as None when it is the identity, given or omitted, and
     every product with it is then skipped.
     """
 
-    def __init__(self, lam: float, delta: float, L=None, dim: int | None = None):
+    def __init__(self, lam: float, delta: float, L=None):
         if lam < 0:
             raise InputError("penalty weight must be nonnegative")
         if delta <= 0:
             raise InputError("smoothing scale delta must be positive")
         self.lam = float(lam)
         self.delta = float(delta)
-        if L is None:
-            if dim is None:
-                raise InputError("separable penalty needs L or an explicit dim")
-        else:
+        if L is not None:
             L = np.atleast_2d(np.asarray(L, dtype=float))
             if L.shape[0] == L.shape[1] and np.array_equal(L, np.eye(L.shape[0])):
                 L = None
@@ -262,6 +202,49 @@ class _SeparablePenalty(Penalty):
             "delta": self.delta,
             "L": "identity" if self.L is None else self.L.tolist(),
         }
+
+
+class TikhonovPenalty(_SeparablePenalty):
+    """Ridge ``0.5 * lam * ||h||^2``: the quadratic potential ``phi(t) = t^2/2`` with ``L = I``.
+
+    Here ``omega = phi'' = 1``, so ``B(h)`` is the Hessian ``lam * I``.  The
+    potential has no smoothing scale, so the constructor sets ``lam`` and
+    ``L`` itself.
+    """
+
+    kind = "tikhonov"
+
+    def __init__(self, lam: float):
+        if lam < 0:
+            raise InputError("tikhonov weight must be nonnegative")
+        self.lam = float(lam)
+        self.L = None
+
+    def _phi(self, t):
+        return 0.5 * t * t
+
+    def _dphi(self, t):
+        return t
+
+    def _ddphi(self, t):
+        return np.ones_like(t)
+
+    _omega = _ddphi
+
+    def to_dict(self):
+        return {"kind": "tikhonov", "lambda": self.lam}
+
+
+class ZeroPenalty(TikhonovPenalty):
+    """No penalty: the ridge at weight 0."""
+
+    kind = "zero"
+
+    def __init__(self):
+        super().__init__(0.0)
+
+    def to_dict(self):
+        return {"kind": "zero"}
 
 
 class HyperbolicPenalty(_SeparablePenalty):
@@ -378,11 +361,16 @@ def penalty_from_dict(spec: dict, dim: int) -> Penalty:
         return TikhonovPenalty(lam)
     delta = float(spec.get("delta", 1.0))
     L = spec.get("L", "identity")
-    L = None if (isinstance(L, str) and L == "identity") else np.asarray(L, dtype=float)
+    if isinstance(L, str) and L == "identity":
+        L = None
+    else:
+        L = np.atleast_2d(np.asarray(L, dtype=float))
+        if L.shape[1] != dim:
+            raise InputError(f"L has {L.shape[1]} columns, expected {dim}")
     if kind == "hyperbolic":
-        return HyperbolicPenalty(lam, delta, L=L, dim=dim)
+        return HyperbolicPenalty(lam, delta, L=L)
     if kind == "fair":
-        return FairPenalty(lam, delta, L=L, dim=dim)
+        return FairPenalty(lam, delta, L=L)
     raise InputError(f"unknown penalty kind {kind!r}")
 
 

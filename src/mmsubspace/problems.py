@@ -42,6 +42,6 @@ def demo_instances(seed: int = 0) -> dict[str, ProblemInstance]:
     hyper4 = random_instance(4, "hyperbolic", rng, cond=30.0, lam=0.5, delta=0.2)
     one_d = ProblemInstance(
         QuadraticData(np.array([[2.0]]), np.array([1.0])),
-        FairPenalty(0.3, 0.5, dim=1),
+        FairPenalty(0.3, 0.5),
     )
     return {"quadratic-2d": quad2, "hyperbolic-4d": hyper4, "fair-1d": one_d}

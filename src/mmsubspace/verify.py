@@ -2,10 +2,12 @@
 
 Everything is recomputed from the stored iterates, on the snapshots of the
 solver's own stream type; only the surrogate decrease check reuses the
-recorded objective column in batch mode, so a corrupted objective value in
-the file is caught there.  Each verified iteration builds its direction
-matrix and factors its Hessian once, for the subspace ordering and one
-certificate.  The Newton oracle for ``F* = inf F`` gates only the gap bound
+recorded objective column, so a corrupted objective value in the file is
+caught there.  A batch trace reads both sides of the decrease from the
+column; an online trace reads the current one, since the next record's
+value belongs to the next snapshot.  Each verified iteration builds its
+direction matrix and factors its Hessian once, for the subspace ordering and
+one certificate.  The Newton oracle for ``F* = inf F`` gates only the gap bound
 and decay (eq6/eq7) and the batch summary.  It runs once for a batch trace
 and once per online snapshot, from the previous snapshot's minimizer, never
 from an MM iterate.  An iteration whose certificate or oracle raises counts
@@ -115,7 +117,9 @@ def verify_trace(
 
     ``stream`` gives the instance active at each iteration, as in
     ``run_online``; ``None`` means the batch case, a ``ConstantStream`` on
-    ``p``.  Raises InputError when the trace does not match the problem.
+    ``p``.  Raises InputError when the trace does not match the problem,
+    or when a batch trace gets a drifting stream or an online trace a
+    constant one.
     """
     recs = trace.records
     if not recs:
@@ -124,9 +128,10 @@ def verify_trace(
         raise InputError("trace/problem dimension mismatch")
     mode = trace.meta.get("mode", "batch")
     if stream is None:
-        if mode != "batch":
-            raise InputError("online trace needs a snapshot source to verify")
         stream = ConstantStream(p.quad, p.penalty)
+    if isinstance(stream, ConstantStream) != (mode == "batch"):
+        raise InputError(f"a {type(stream).__name__} does not match this {mode} trace: "
+                         "pass the --stream and --seed it was solved with")
     strategy = parse_strategy(trace.meta.get("strategy", "3mg"))
 
     if epsilon is None:
@@ -164,9 +169,8 @@ def verify_trace(
 
         rep = check_majorization(p_n, m, samples=MAJORIZATION_SAMPLES, seed=seed + n)
         check("eq3_majorization", rep.margin_ok)
-        f_now = rec.obj if mode == "batch" else f
         f_next_same = rec_next.obj if mode == "batch" else eval_objective(p_n, h_next)
-        check("eq30_surrogate_decrease", f_next_same + 0.5 * dAd <= f_now + tol)
+        check("eq30_surrogate_decrease", f_next_same + 0.5 * dAd <= rec.obj + tol)
         check("eq75_curvature_domination", rep.curvature_ok)
 
         cert = None

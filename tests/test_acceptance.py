@@ -203,7 +203,7 @@ def test_criterion_08_online_convergence():
     M = rng.standard_normal((n, n))
     R = M @ M.T + n * np.eye(n)
     quad = QuadraticData(R, R @ (3.0 * rng.standard_normal(n)))
-    pen = HyperbolicPenalty(0.5, 0.3, dim=n)
+    pen = HyperbolicPenalty(0.5, 0.3)
     p_limit = ProblemInstance(quad, pen)
     ref = reference_minimizer(p_limit, tol=1e-12)
     # drift aligned with the limit minimizer keeps the per-iteration drift

@@ -164,3 +164,11 @@ def test_verify_refuses_a_stream_for_a_batch_trace(problem_file, tmp_path, capsy
                  "--stream", "geometric:0.5"])
     assert code == 1
     assert "--stream" in capsys.readouterr().err
+
+
+def test_solve_reports_an_L_of_the_wrong_width(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"dim": 3, "R": {"diag": [1.0, 2.0, 3.0]}, "r": [1.0, 0.0, -1.0],
+                                "penalty": {"kind": "hyperbolic", "L": [[1.0, -1.0], [0.0, 1.0]]}}))
+    assert main(["solve", "--problem", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: L has 2 columns, expected 3")

@@ -19,7 +19,7 @@ def test_curvature_zero_penalty_equals_R():
 
 
 def test_curvature_hyperbolic_at_origin():
-    p = ProblemInstance(QuadraticData(np.array([[2.0]]), np.zeros(1)), HyperbolicPenalty(1.0, 1.0, dim=1))
+    p = ProblemInstance(QuadraticData(np.array([[2.0]]), np.zeros(1)), HyperbolicPenalty(1.0, 1.0))
     m = build_majorant(p, [0.0])
     np.testing.assert_allclose(m.curvature, [[3.0]])
 

@@ -32,7 +32,7 @@ def make_penalty(kind, l_kind, n, lam, delta):
         return TikhonovPenalty(lam)
     L = {"identity": None, "eye": np.eye(n), "diff": first_difference(n)}[l_kind]
     cls = HyperbolicPenalty if kind == "hyperbolic" else FairPenalty
-    return cls(lam, delta, L=L, dim=n)
+    return cls(lam, delta, L=L)
 
 
 def assert_product_matches(fast, dense, X):

@@ -36,7 +36,7 @@ def test_objective_with_linear_term():
 
 
 def test_objective_hyperbolic_at_zero():
-    p = ProblemInstance(QuadraticData(np.eye(1), np.zeros(1)), HyperbolicPenalty(1.0, 1.0, dim=1))
+    p = ProblemInstance(QuadraticData(np.eye(1), np.zeros(1)), HyperbolicPenalty(1.0, 1.0))
     assert eval_objective(p, [0.0]) == 0.0
 
 
@@ -70,12 +70,12 @@ def test_hessian_tikhonov():
 
 def test_hessian_hyperbolic_origin():
     # phi''(t) = delta^2 / (delta^2 + t^2)^{3/2}, so phi''(0) = 1/delta = 1
-    p = ProblemInstance(QuadraticData(np.array([[2.0]]), np.zeros(1)), HyperbolicPenalty(1.0, 1.0, dim=1))
+    p = ProblemInstance(QuadraticData(np.array([[2.0]]), np.zeros(1)), HyperbolicPenalty(1.0, 1.0))
     np.testing.assert_allclose(eval_hessian(p, [0.0]), [[3.0]], atol=1e-14)
 
 
 def test_curvature_hyperbolic_values():
-    p = ProblemInstance(QuadraticData(np.eye(1), np.zeros(1)), HyperbolicPenalty(1.0, 1.0, dim=1))
+    p = ProblemInstance(QuadraticData(np.eye(1), np.zeros(1)), HyperbolicPenalty(1.0, 1.0))
     np.testing.assert_allclose(majorant_curvature(p, [0.0]), [[1.0]])
     # omega(sqrt(3)) = 1/sqrt(1 + 3) = 0.5
     np.testing.assert_allclose(majorant_curvature(p, [np.sqrt(3.0)]), [[0.5]], rtol=1e-14)
@@ -87,7 +87,7 @@ def test_curvature_zero_penalty():
 
 
 def test_curvature_bound_values():
-    p = ProblemInstance(QuadraticData(np.eye(2), np.zeros(2)), HyperbolicPenalty(2.0, 0.5, dim=2))
+    p = ProblemInstance(QuadraticData(np.eye(2), np.zeros(2)), HyperbolicPenalty(2.0, 0.5))
     V = curvature_bound(p)
     tau = max(1e-12, 1e-12 * 2.0 / 0.5)
     np.testing.assert_allclose(V, (4.0 + tau) * np.eye(2), rtol=1e-12)
@@ -158,7 +158,7 @@ def test_strong_convexity_floor():
 def test_scalar_potentials_are_majorized_property(t, lam, delta):
     # omega(t) >= phi''(t) pointwise for both smooth potentials
     for cls in (HyperbolicPenalty, FairPenalty):
-        pen = cls(lam, delta, dim=1)
+        pen = cls(lam, delta)
         tt = np.array([t])
         assert pen._omega(tt)[0] >= pen._ddphi(tt)[0] - 1e-12
         assert pen._omega_max() >= pen._omega(tt)[0] - 1e-12
@@ -193,3 +193,10 @@ def test_problem_file_roundtrip(tmp_path):
 def test_problem_from_dict_bad_shape():
     with pytest.raises(InputError):
         problem_from_dict({"dim": 2, "R": [[1.0]], "r": [0.0, 0.0]})
+
+
+def test_an_L_of_the_wrong_width_is_an_input_error():
+    spec = {"dim": 3, "R": {"diag": [1.0, 1.0, 1.0]},
+            "penalty": {"kind": "hyperbolic", "L": [[1.0, -1.0], [0.0, 1.0]]}}
+    with pytest.raises(InputError, match="L has 2 columns, expected 3"):
+        problem_from_dict(spec)

@@ -43,7 +43,7 @@ def make_penalty(kind, l_kind, n, lam, delta):
         return TikhonovPenalty(lam)
     L = None if l_kind == "identity" else first_difference(n)
     cls = {"hyperbolic": HyperbolicPenalty, "fair": FairPenalty, "half-omega": HalfOmegaPenalty}[kind]
-    return cls(lam, delta, L=L, dim=n)
+    return cls(lam, delta, L=L)
 
 
 @st.composite
@@ -128,7 +128,7 @@ def _count_dense_gaps(monkeypatch):
 
 def test_non_dominating_penalty_fails_through_the_dense_fallback(monkeypatch):
     n = 6
-    p = _instance(HalfOmegaPenalty(1.0, 0.5, dim=n), n)
+    p = _instance(HalfOmegaPenalty(1.0, 0.5), n)
     m = build_majorant(p, np.zeros(n))
     calls = _count_dense_gaps(monkeypatch)
     rep = check_majorization(p, m, samples=10, seed=1)
@@ -147,7 +147,7 @@ def test_non_dominating_penalty_fails_through_the_dense_fallback(monkeypatch):
 
 def test_penalty_without_the_hook_takes_the_dense_path(monkeypatch):
     n, samples = 5, 7
-    inner = HyperbolicPenalty(0.8, 0.6, L=first_difference(n), dim=n)
+    inner = HyperbolicPenalty(0.8, 0.6, L=first_difference(n))
     dense = _instance(DenseOnlyPenalty(inner), n)
     scalar = _instance(inner, n)
     h = np.linspace(-1.0, 2.0, n)

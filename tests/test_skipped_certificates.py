@@ -49,7 +49,7 @@ def test_verify_prints_skipped_certificates_only_when_there_are_some(tmp_path, c
     # so the solve certifies it, but verify's Newton oracle refuses that snapshot
     limit = QuadraticData(np.diag([1.0, 2.0]), np.array([1.0, -1.0]))
     path = replay(tmp_path, np.diag([1.0, 0.0]), limit)
-    p = ProblemInstance(limit, HyperbolicPenalty(0.5, 0.3, dim=2))
+    p = ProblemInstance(limit, HyperbolicPenalty(0.5, 0.3))
     problem = str(tmp_path / "p.json")
     save_problem(p, problem)
     stream = ["--stream", f"replay:{path}"]
@@ -85,7 +85,7 @@ def test_a_refused_oracle_skips_only_the_checks_that_need_f_star(tmp_path):
     # as above: the first snapshot's Hessian is positive definite but its R is singular
     limit = QuadraticData(np.diag([1.0, 2.0]), np.array([1.0, -1.0]))
     path = replay(tmp_path, np.diag([1.0, 0.0]), limit)
-    p = ProblemInstance(limit, HyperbolicPenalty(0.5, 0.3, dim=2))
+    p = ProblemInstance(limit, HyperbolicPenalty(0.5, 0.3))
 
     def stream():
         return FileReplayStream(path, quad=limit, penalty=p.penalty)

@@ -134,7 +134,7 @@ def test_reference_minimizer_examples():
     # 1-d with penalty: minimizer of 0.5*2h^2 - h + sqrt(0.04 + h^2) - 0.2
     p2 = ProblemInstance(
         QuadraticData(np.array([[2.0]]), np.array([1.0])),
-        HyperbolicPenalty(1.0, 0.2, dim=1),
+        HyperbolicPenalty(1.0, 0.2),
     )
     ref2 = reference_minimizer(p2)
     g = eval_gradient(p2, ref2.h)

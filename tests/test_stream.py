@@ -97,7 +97,7 @@ def test_online_run_reaches_limit_minimizer():
     M = rng.standard_normal((n, n))
     R = M @ M.T + n * np.eye(n)
     q = QuadraticData(R, rng.standard_normal(n))
-    pen = HyperbolicPenalty(0.5, 0.3, dim=n)
+    pen = HyperbolicPenalty(0.5, 0.3)
     E = 0.05 * np.eye(n)
     e = 0.05 * rng.standard_normal(n)
     s = GeometricPerturbationStream(q, rho=0.7, E_R=E, e_r=e, penalty=pen)

@@ -3,13 +3,15 @@
 import dataclasses
 
 import numpy as np
+import pytest
 
 from mmsubspace import rates, solver, verify
+from mmsubspace.errors import InputError
 from mmsubspace.model import eval_objective
 from mmsubspace.problems import random_instance
 from mmsubspace.rates import batch_rate_summary
 from mmsubspace.solver import SolveOptions, reference_minimizer, run_batch, run_online
-from mmsubspace.stream import GeometricPerturbationStream
+from mmsubspace.stream import ConstantStream, GeometricPerturbationStream
 from mmsubspace.verify import verify_trace
 
 CERTIFIED = SolveOptions(max_iters=300, grad_tol=1e-10, certify=True)
@@ -149,3 +151,35 @@ def test_verify_builds_each_direction_matrix_once(monkeypatch):
     assert report.passed
     # the ordering check and the certificate share one direction matrix per iterate
     assert len(calls) == sum("eq41_gradient_step_domination" in row for _, row in report.rows) > 0
+
+
+def _drifting_stream(p, rho=0.9, seed=5):
+    rng = np.random.default_rng(seed)
+    E = rng.standard_normal((p.dim, p.dim))
+    e = 0.05 * rng.standard_normal(p.dim)
+    return GeometricPerturbationStream(p.quad, rho, 0.02 * (E + E.T), e, penalty=p.penalty)
+
+
+def test_a_stream_that_contradicts_the_trace_mode_is_refused():
+    p, batch = _certified_run()
+    with pytest.raises(InputError, match="--stream and --seed"):
+        verify_trace(p, batch, stream=_drifting_stream(p, rho=0.5))
+    online = run_online(_drifting_stream(p), strategy="3mg", opts=CERTIFIED)
+    for stream in (None, ConstantStream(p.quad, p.penalty)):
+        with pytest.raises(InputError, match="--stream and --seed"):
+            verify_trace(p, online, stream=stream)
+
+
+@pytest.mark.parametrize("mode", ["batch", "online"])
+def test_a_lowered_objective_fails_the_surrogate_decrease(mode):
+    p = _instance()
+    if mode == "batch":
+        trace, stream = run_batch(p, h1=np.ones(p.dim), strategy="3mg", opts=CERTIFIED), None
+    else:
+        trace = run_online(_drifting_stream(p), strategy="3mg", opts=CERTIFIED)
+        stream = _drifting_stream(p)
+    assert verify_trace(p, trace, stream=stream).passed
+    k = next(i for i, rec in enumerate(trace.records) if rec.n == 4)
+    trace.records[k] = dataclasses.replace(trace.records[k], obj=trace.records[k].obj - 10.0)
+    report = verify_trace(p, trace, stream=_drifting_stream(p) if mode == "online" else None)
+    assert report.results["eq30_surrogate_decrease"].failures == [4]
