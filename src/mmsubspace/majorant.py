@@ -5,12 +5,15 @@ there, and uses the curvature ``A(h) = R + B(h)`` which dominates the
 objective's Hessian everywhere.  The solve loop only multiplies by ``A``;
 the dense matrix is built the first time something reads it.
 
-``check_majorization`` proves that domination, ``A(h) - hess F(h) =
-B(h) - hess Psi(h) >= 0``, at each sampled point from the penalty's
-``curvature_gap_bound``, which costs O(nnz(L)) for a separable penalty.
-Only where a penalty gives no bound, or the bound falls below the
-tolerance, does it build both dense matrices and take the smallest
-eigenvalue of their difference.
+``check_majorization`` draws its sample points one at a time, in a fixed
+order from its seed, then evaluates them as one block of columns: the
+surrogate from one product with the dense ``A``, the objective from one
+product with ``R``, and the penalty's value and ``curvature_gap_bound`` at
+every column in O(nnz(L)) each.  The bound proves the domination
+``A(h) - hess F(h) = B(h) - hess Psi(h) >= 0`` pointwise.  Only where a
+penalty gives no bound, or the bound falls below the tolerance, does it
+build both dense matrices at that point and take the smallest eigenvalue of
+their difference.
 """
 
 from __future__ import annotations
@@ -69,7 +72,12 @@ def build_majorant(p_n: ProblemInstance, h_n, value: float | None = None,
     )
 
 
-def eval_surrogate(m: MajorantAtPoint, h) -> float:
+def eval_surrogate(m: MajorantAtPoint, h) -> float | np.ndarray:
+    """The surrogate at ``h``, or for a block of columns ``h`` the array of its value at each column."""
+    h = np.asarray(h, dtype=float)
+    if h.ndim == 2 and h.shape[0] == len(m.anchor):
+        D = h - m.anchor[:, None]
+        return m.value_at_anchor + m.gradient_at_anchor @ D + 0.5 * np.sum(D * (m.curvature @ D), axis=0)
     h = as_vector(h, len(m.anchor))
     d = h - m.anchor
     return m.value_at_anchor + float(m.gradient_at_anchor @ d) + 0.5 * float(d @ (m.curvature @ d))
@@ -100,14 +108,16 @@ class MajorizationReport:
         return self.margin_ok and self.curvature_ok
 
 
-def _curvature_gap(p_n: ProblemInstance, h: np.ndarray, gap_tol: float) -> float:
-    """The penalty's bound on ``min_eig(A(h) - hess F(h))`` if it is at least ``-gap_tol``,
-    else the dense eigenvalue."""
-    bound = p_n.penalty.curvature_gap_bound(h)
-    if bound is not None and bound >= -gap_tol:
-        return bound
-    A_h = p_n.quad.R + majorant_curvature(p_n, h)
-    return min_eig(A_h - eval_hessian(p_n, h))
+def _curvature_gaps(p_n: ProblemInstance, X: np.ndarray, gap_tol: float) -> np.ndarray:
+    """At each column h of ``X``: the penalty's bound on ``min_eig(A(h) - hess F(h))`` if it
+    is at least ``-gap_tol``, else the dense eigenvalue."""
+    bound = p_n.penalty.curvature_gap_bound(X)
+    gaps = np.full(X.shape[1], -np.inf) if bound is None else np.array(bound, dtype=float)
+    for j in np.flatnonzero(~(gaps >= -gap_tol)):
+        h = X[:, j]
+        A_h = p_n.quad.R + majorant_curvature(p_n, h)
+        gaps[j] = min_eig(A_h - eval_hessian(p_n, h))
+    return gaps
 
 
 def check_majorization(
@@ -119,8 +129,9 @@ def check_majorization(
 ) -> MajorizationReport:
     """Sampled check that the surrogate sits above the objective.
 
-    Draws points uniformly in a ball around the anchor and reports the worst
-    surrogate-minus-objective margin, along with the worst Loewner gap
+    Draws points uniformly in a ball around the anchor, one at a time in a
+    fixed order from ``seed``, and evaluates them as one block.  Reports the
+    worst surrogate-minus-objective margin, along with the worst Loewner gap
     between the surrogate curvature and the objective Hessian at the anchor
     and the samples (see ``MajorizationReport``).
     """
@@ -134,17 +145,20 @@ def check_majorization(
     a_scale = max(float(np.linalg.norm(m.curvature)), 1.0)
     gap_tol = 1e-10 * a_scale
 
-    # curvature domination is pointwise: A(h) >= hess F(h) at the same h
-    min_margin = np.inf
-    min_gap = _curvature_gap(p_n, m.anchor, gap_tol)
+    # row 0 is the anchor; each sample row is built as it was when drawn alone
+    points = [m.anchor]
     for _ in range(samples):
         u = rng.standard_normal(n)
         nu = np.linalg.norm(u)
         if nu == 0.0:
             continue
-        h = m.anchor + (radius * rng.random() ** (1.0 / n) / nu) * u
-        min_margin = min(min_margin, eval_surrogate(m, h) - eval_objective(p_n, h))
-        min_gap = min(min_gap, _curvature_gap(p_n, h, gap_tol))
-    min_margin, min_gap, tol = float(min_margin), float(min_gap), 1e-9 * scale
+        points.append(m.anchor + (radius * rng.random() ** (1.0 / n) / nu) * u)
+    X = np.array(points).T  # columns, each contiguous in memory
+    H = X[:, 1:]
+    margins = eval_surrogate(m, H) - eval_objective(p_n, H)
+    # curvature domination is pointwise: A(h) >= hess F(h) at the same h
+    min_margin = float(np.min(margins, initial=np.inf))
+    min_gap = float(np.min(_curvature_gaps(p_n, X, gap_tol)))
+    tol = 1e-9 * scale
     return MajorizationReport(samples, radius, min_margin, min_gap, tol,
                               margin_ok=min_margin >= -tol, curvature_ok=min_gap >= -gap_tol)

@@ -53,17 +53,24 @@ class Penalty:
     """Interface for twice continuously differentiable convex penalties.
 
     Subclasses implement ``value``, ``gradient``, ``hessian``, ``curvature``
-    (the matrix ``B(h)``), and ``curvature_bound`` (the matrix ``V``), and
-    may override ``apply_curvature`` to multiply by ``B(h)`` without forming
-    it and ``curvature_gap_bound`` to prove ``B(h) >= hessian(h)`` without
-    an eigensolve.  The shipped penalties get all of them from
-    ``_SeparablePenalty``; the interface stays open to other penalties.
+    (the matrix ``B(h)``), and ``curvature_bound`` (the matrix ``V``).  They
+    may override three block hooks, each taking a vector or a block of
+    columns ``X``: ``apply_curvature`` to multiply by ``B(h)`` without
+    forming it, ``column_values`` for the value at each column (by default
+    a loop over ``value``), and ``curvature_gap_bound`` to prove
+    ``B(h) >= hessian(h)`` at each column without an eigensolve.  The
+    shipped penalties get all of them from ``_SeparablePenalty``; the
+    interface stays open to other penalties.
     """
 
     kind = "abstract"
 
     def value(self, h: np.ndarray) -> float:
         raise NotImplementedError
+
+    def column_values(self, X: np.ndarray) -> np.ndarray:
+        """``value`` at each column of the block ``X``, one entry per column."""
+        return np.array([self.value(x) for x in X.T], dtype=float)
 
     def gradient(self, h: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -82,11 +89,12 @@ class Penalty:
         """``B(h) @ X`` for a vector or a block of columns ``X``."""
         return self.curvature(h) @ X
 
-    def curvature_gap_bound(self, h: np.ndarray) -> float | None:
+    def curvature_gap_bound(self, h: np.ndarray) -> float | np.ndarray | None:
         """A lower bound on ``min_eig(B(h) - hessian(h))`` in exact arithmetic.
 
-        None means the penalty gives no bound, and callers compute the
-        smallest eigenvalue of the dense difference instead.
+        For a block of columns ``h`` it is an array with one bound per
+        column.  None means the penalty gives no bound, and callers compute
+        the smallest eigenvalue of the dense difference instead.
         """
         return None
 
@@ -158,6 +166,10 @@ class _SeparablePenalty(Penalty):
     def value(self, h):
         return self.lam * float(np.sum(self._phi(self._L_times(h))))
 
+    def column_values(self, X):
+        # a sum along contiguous rows is the pairwise sum of ``value``, bit for bit
+        return self.lam * np.sum(np.ascontiguousarray(self._phi(self._L_times(X)).T), axis=1)
+
     def gradient(self, h):
         return self.lam * self._Lt_times(self._dphi(self._L_times(h)))
 
@@ -181,13 +193,16 @@ class _SeparablePenalty(Penalty):
 
         Otherwise ``L' Diag(d) L >= min(d) * L'L``, and for a negative
         ``min(d)`` the bound ``||L||_2^2 <= ||L||_F^2`` keeps it rigorous.
+        A block ``h`` gets the same bound for each column.
         """
         Lh = self._L_times(h)
         d = self.lam * (self._omega(Lh) - self._ddphi(Lh))
         if self.L is None:
-            return float(np.min(d))
-        d_min = float(np.min(d, initial=0.0))
-        return 0.0 if d_min == 0.0 else d_min * float(np.sum(self.L * self.L))
+            bound = np.min(d, axis=0)
+        else:
+            d_min = np.min(d, axis=0, initial=0.0)
+            bound = np.where(d_min == 0.0, 0.0, d_min * float(np.sum(self.L * self.L)))
+        return float(bound) if d.ndim == 1 else bound
 
     def curvature_bound(self, dim):
         wmax = self._omega_max()
@@ -312,9 +327,13 @@ class ProblemInstance:
         return self.quad.dim
 
 
-def eval_objective(p: ProblemInstance, h) -> float:
-    h = as_vector(h, p.dim)
+def eval_objective(p: ProblemInstance, h) -> float | np.ndarray:
+    """``F(h)``, or for a block of columns ``h`` the array of ``F`` at each column."""
     q = p.quad
+    h = np.asarray(h, dtype=float)
+    if h.ndim == 2 and h.shape[0] == p.dim:
+        return 0.5 * np.sum(h * (q.R @ h), axis=0) - q.r @ h + p.penalty.column_values(h)
+    h = as_vector(h, p.dim)
     return 0.5 * float(h @ (q.R @ h)) - float(q.r @ h) + p.penalty.value(h)
 
 
@@ -352,19 +371,33 @@ def curvature_bound(p: ProblemInstance) -> np.ndarray:
     return p.penalty.curvature_bound(p.dim)
 
 
+def _field(name: str, convert, value):
+    """``convert(value)``, with a malformed value reported as an ``InputError`` naming the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed {name!r} in the problem file: {exc}") from exc
+
+
+def _array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
 def penalty_from_dict(spec: dict, dim: int) -> Penalty:
-    kind = spec.get("kind", "zero").lower()
+    if not isinstance(spec, dict):
+        raise InputError(f"'penalty' must be an object, got {type(spec).__name__}")
+    kind = str(spec.get("kind", "zero")).lower()
     if kind == "zero":
         return ZeroPenalty()
-    lam = float(spec.get("lambda", 1.0))
+    lam = _field("penalty.lambda", float, spec.get("lambda", 1.0))
     if kind == "tikhonov":
         return TikhonovPenalty(lam)
-    delta = float(spec.get("delta", 1.0))
+    delta = _field("penalty.delta", float, spec.get("delta", 1.0))
     L = spec.get("L", "identity")
     if isinstance(L, str) and L == "identity":
         L = None
     else:
-        L = np.atleast_2d(np.asarray(L, dtype=float))
+        L = np.atleast_2d(_field("penalty.L", _array, L))
         if L.shape[1] != dim:
             raise InputError(f"L has {L.shape[1]} columns, expected {dim}")
     if kind == "hyperbolic":
@@ -381,13 +414,12 @@ def problem_from_dict(d: dict) -> ProblemInstance:
         raise InputError("problem file needs an integer 'dim'") from exc
     R = d.get("R")
     if isinstance(R, dict) and "diag" in R:
-        diag = as_vector(R["diag"], dim)
-        R = np.diag(diag)
+        R = np.diag(as_vector(_field("R.diag", _array, R["diag"]), dim))
     else:
-        R = np.asarray(R, dtype=float)
+        R = _field("R", _array, R)
         if R.shape != (dim, dim):
             raise InputError(f"R has shape {R.shape}, expected ({dim}, {dim})")
-    r = as_vector(d.get("r", np.zeros(dim)), dim)
+    r = as_vector(_field("r", _array, d.get("r", np.zeros(dim))), dim)
     penalty = penalty_from_dict(d.get("penalty", {"kind": "zero"}), dim)
     return ProblemInstance(QuadraticData(R, r), penalty)
 

@@ -172,3 +172,21 @@ def test_solve_reports_an_L_of_the_wrong_width(tmp_path, capsys):
                                 "penalty": {"kind": "hyperbolic", "L": [[1.0, -1.0], [0.0, 1.0]]}}))
     assert main(["solve", "--problem", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: L has 2 columns, expected 3")
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({"dim": 2, "R": {"diag": [1.0, 2.0]}, "penalty": {"kind": "hyperbolic", "L": [[1.0, -1.0], [0.0]]}},
+     "'penalty.L'"),
+    ({"dim": 2, "R": [[1.0, 0.0], [0.0]]}, "'R'"),
+    ({"dim": 2, "R": {"diag": [1.0, 2.0]}, "penalty": {"kind": "hyperbolic", "lambda": "x"}},
+     "'penalty.lambda'"),
+    ({"dim": 2, "R": {"diag": [1.0, 2.0]}, "r": [1.0, "a"]}, "'r'"),
+    ({"dim": 2, "R": {"diag": [1.0, 2.0]}, "penalty": "hyperbolic"}, "'penalty'"),
+], ids=["ragged-L", "ragged-R", "string-lambda", "string-in-r", "penalty-not-an-object"])
+def test_solve_reports_a_malformed_number_in_the_problem_file(tmp_path, capsys, spec, field):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(spec))
+    assert main(["solve", "--problem", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert field in err.splitlines()[0]
