@@ -1,14 +1,26 @@
-"""Small symmetric linear-algebra helpers used throughout the package."""
+"""Small symmetric linear-algebra helpers used throughout the package.
+
+Every LAPACK call of the package goes through this module.  The Cholesky
+kernels call ``potrf``, ``potrs`` and ``trtrs`` directly, looked up once at
+import: the ``scipy.linalg`` front ends validate and dispatch on every call,
+which at the sizes of a certificate costs as much as the factorization.  The
+checks they made are kept here explicitly, so a non-square, non-finite or
+non-positive-definite input still raises ``NumericError``.  The routines and
+their arguments are the ones ``scipy.linalg.cholesky``, ``cho_solve`` and
+``solve_triangular`` pass, so the results are bitwise theirs.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import InputError, NumericError
 
 # Relative eigenvalue cutoff shared by every pseudo-inverse in the package.
 PINV_RCOND = 1e-12
+
+_potrf, _potrs, _trtrs = lapack.get_lapack_funcs(("potrf", "potrs", "trtrs"), (np.empty((1, 1)),))
 
 
 def as_vector(v, dim: int | None = None) -> np.ndarray:
@@ -24,8 +36,14 @@ def check_symmetric(M: np.ndarray, rtol: float = 1e-12, name: str = "matrix") ->
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InputError(f"{name} must be square, got shape {M.shape}")
-    scale = np.linalg.norm(M)
-    if np.linalg.norm(M - M.T) > rtol * max(scale, 1e-300):
+    # Frobenius norms as np.linalg.norm takes them, but vdot lets the sum of
+    # squares overflow to inf without a RuntimeWarning; a finite sum also keeps
+    # M - M.T from overflowing
+    scale = np.sqrt(np.vdot(M, M))
+    if not np.isfinite(scale):
+        raise InputError(f"{name} has a non-finite entry or a sum of squares beyond the float range")
+    D = M - M.T
+    if np.sqrt(np.vdot(D, D)) > rtol * max(scale, 1e-300):
         raise InputError(f"{name} not symmetric")
     return M
 
@@ -45,21 +63,57 @@ def psd_pinv(M: np.ndarray, rcond: float = PINV_RCOND) -> np.ndarray:
     return (U * inv) @ U.T
 
 
+def _finite_square(M) -> np.ndarray:
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise NumericError(f"expected a square matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise NumericError("non-finite entries in matrix")
+    return M
+
+
+def _finite_rhs(b, dim: int) -> np.ndarray:
+    b = np.asarray(b, dtype=float)
+    if b.ndim not in (1, 2) or b.shape[0] != dim:
+        raise NumericError(f"right-hand side of shape {b.shape} does not fit a {dim}x{dim} matrix")
+    if not np.isfinite(b).all():
+        raise NumericError("non-finite entries in right-hand side")
+    return b
+
+
 def cholesky_lower(M: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor ``L`` with ``M = L L'``, read from the lower triangle of ``M``.
 
     Succeeds exactly when ``M`` is numerically positive definite, so a
-    returned factor is also a proof of that.
+    returned factor is also a proof of that.  The factor is Fortran-ordered,
+    with zeros above the diagonal.
     """
-    try:
-        return scipy.linalg.cholesky(M, lower=True)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:  # ValueError: non-finite entries
-        raise NumericError("matrix not positive definite") from exc
+    c, info = _potrf(_finite_square(M), lower=True)
+    if info != 0:
+        raise NumericError("matrix not positive definite")
+    return c
+
+
+def solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``L x = b`` for lower triangular ``L``; ``b`` is a vector or a block of columns."""
+    L = _finite_square(L)
+    b = _finite_rhs(b, L.shape[0])
+    if L.flags.f_contiguous:
+        x, info = _trtrs(L, b, lower=True)
+    else:  # trtrs reads Fortran order, so a C-ordered L is solved as the upper factor L'
+        x, info = _trtrs(L.T, b, lower=False, trans=1)
+    if info != 0:
+        raise NumericError("triangular matrix is singular")
+    return x
 
 
 def pd_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``M x = b`` for symmetric positive definite ``M``."""
-    return scipy.linalg.cho_solve((cholesky_lower(M), True), b)
+    c = cholesky_lower(M)
+    x, info = _potrs(c, _finite_rhs(b, c.shape[0]), lower=True)
+    if info != 0:
+        raise NumericError("Cholesky solve failed")
+    return x
 
 
 def sym_sqrt(M: np.ndarray) -> np.ndarray:
@@ -77,3 +131,9 @@ def extreme_eigs(M: np.ndarray) -> tuple[float, float]:
 
 def min_eig(M: np.ndarray) -> float:
     return extreme_eigs(M)[0]
+
+
+def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
+    """The orthogonal factor of the QR decomposition of an n x n standard normal draw."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return Q

@@ -105,6 +105,12 @@ class Penalty:
         raise NotImplementedError
 
 
+def _penalty_weight(lam) -> float:
+    if not (np.isfinite(lam) and lam >= 0):
+        raise InputError(f"penalty weight lambda must be finite and nonnegative, got {lam}")
+    return float(lam)
+
+
 class _SeparablePenalty(Penalty):
     """``Psi(h) = lam * sum_i phi((L h)_i)`` for an even scalar potential phi.
 
@@ -121,11 +127,9 @@ class _SeparablePenalty(Penalty):
     """
 
     def __init__(self, lam: float, delta: float, L=None):
-        if lam < 0:
-            raise InputError("penalty weight must be nonnegative")
-        if delta <= 0:
-            raise InputError("smoothing scale delta must be positive")
-        self.lam = float(lam)
+        self.lam = _penalty_weight(lam)
+        if not (np.isfinite(delta) and delta > 0):
+            raise InputError(f"smoothing scale delta must be finite and positive, got {delta}")
         self.delta = float(delta)
         if L is not None:
             L = np.atleast_2d(np.asarray(L, dtype=float))
@@ -230,9 +234,7 @@ class TikhonovPenalty(_SeparablePenalty):
     kind = "tikhonov"
 
     def __init__(self, lam: float):
-        if lam < 0:
-            raise InputError("tikhonov weight must be nonnegative")
-        self.lam = float(lam)
+        self.lam = _penalty_weight(lam)
         self.L = None
 
     def _phi(self, t):
@@ -398,6 +400,8 @@ def penalty_from_dict(spec: dict, dim: int) -> Penalty:
         L = None
     else:
         L = np.atleast_2d(_field("penalty.L", _array, L))
+        if L.ndim != 2:
+            raise InputError(f"L must be a matrix, got an array of shape {L.shape}")
         if L.shape[1] != dim:
             raise InputError(f"L has {L.shape[1]} columns, expected {dim}")
     if kind == "hyperbolic":

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import random_orthogonal
 from .model import FairPenalty, ProblemInstance, QuadraticData, ZeroPenalty, penalty_from_dict
 
 
@@ -11,7 +12,7 @@ def random_spd(n: int, cond: float, rng: np.random.Generator) -> np.ndarray:
     """Random SPD matrix with the given condition number."""
     if n == 1:
         return np.array([[1.0]])
-    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    Q = random_orthogonal(n, rng)
     eigs = np.geomspace(1.0, cond, n)
     return (Q * eigs) @ Q.T
 

@@ -33,10 +33,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError, NumericError
-from .linalg import PINV_RCOND, as_vector, check_symmetric, cholesky_lower, extreme_eigs, min_eig, psd_pinv
+from .linalg import (
+    PINV_RCOND, as_vector, check_symmetric, cholesky_lower, extreme_eigs, min_eig, psd_pinv, solve_lower,
+)
 from .model import ProblemInstance, curvature_bound, eval_hessian
 from .subspace import DirectionMatrix, SubspaceStrategy, build_subspace, column_scaled
 
@@ -88,7 +89,7 @@ def _subspace_form(grad, A, D: DirectionMatrix) -> float:
 
 def _gradient_form(L: np.ndarray, grad: np.ndarray) -> float:
     """``g' M^{-1} g`` from the lower Cholesky factor ``L`` of ``M``."""
-    y = scipy.linalg.solve_triangular(L, grad, lower=True)
+    y = solve_lower(L, grad)
     den = float(y @ y)
     if den <= 0:
         raise NumericError("quadratic form not positive")
@@ -97,8 +98,8 @@ def _gradient_form(L: np.ndarray, grad: np.ndarray) -> float:
 
 def _kappa_from_factor(A, L: np.ndarray) -> tuple[float, float]:
     """Extreme eigenvalues of ``L^{-1} A L^{-T}``, the spectrum of ``H^{-1} A`` for ``H = L L'``."""
-    X = scipy.linalg.solve_triangular(L, A, lower=True)
-    lo, hi = extreme_eigs(scipy.linalg.solve_triangular(L, X.T, lower=True))
+    X = solve_lower(L, A)
+    lo, hi = extreme_eigs(solve_lower(L, X.T))
     if lo <= 0:
         raise NumericError("kappa bounds need positive definite matrices")
     return lo, hi

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, NumericError, OracleError, StreamExhausted
-from .linalg import as_vector, min_eig, pd_solve, psd_pinv
+from .linalg import as_vector, cholesky_lower, min_eig, pd_solve, psd_pinv
 from .majorant import MajorantAtPoint, build_majorant
 from .model import ProblemInstance, eval_gradient, eval_hessian, eval_objective, eval_objective_and_gradient
 from .rates import RateCertificate, certify_iteration
@@ -199,10 +199,13 @@ def reference_minimizer(p: ProblemInstance, tol: float = 1e-12, h0=None) -> Refe
     """High-precision minimizer via damped Newton, independent of the MM path.
 
     Newton starts from ``h0``, zero by default; pass the minimizer of a
-    nearby instance, never an MM iterate.
+    nearby instance, never an MM iterate.  A Cholesky factor of ``R``
+    proves it positive definite; without one the oracle raises OracleError.
     """
-    if min_eig(p.quad.R) <= 0:
-        raise OracleError("reference minimizer needs a positive definite R")
+    try:
+        cholesky_lower(p.quad.R)
+    except NumericError as exc:
+        raise OracleError("reference minimizer needs a positive definite R") from exc
     h = np.zeros(p.dim) if h0 is None else as_vector(h0, p.dim)
     f = eval_objective(p, h)
     for k in range(500):
@@ -222,7 +225,10 @@ def reference_minimizer(p: ProblemInstance, tol: float = 1e-12, h0=None) -> Refe
             if f_try <= f + 1e-4 * t * slope + f_noise:
                 break
             t *= 0.5
-        h, f = h + t * d, eval_objective(p, h + t * d)
+        else:  # no trial passed: take the step below the last one tried
+            h_try = h + t * d
+            f_try = eval_objective(p, h_try)
+        h, f = h_try, f_try
     raise OracleError("Newton oracle did not reach tolerance in 500 steps")
 
 

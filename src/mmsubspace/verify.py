@@ -118,14 +118,17 @@ def verify_trace(
     ``stream`` gives the instance active at each iteration, as in
     ``run_online``; ``None`` means the batch case, a ``ConstantStream`` on
     ``p``.  Raises InputError when the trace does not match the problem,
-    or when a batch trace gets a drifting stream or an online trace a
-    constant one.
+    when a record's iterate, objective or gradient is not finite, or when a
+    batch trace gets a drifting stream or an online trace a constant one.
     """
     recs = trace.records
     if not recs:
         raise InputError("empty trace")
     if any(len(rec.h) != p.dim for rec in recs):
         raise InputError("trace/problem dimension mismatch")
+    for rec in recs:
+        if not (np.isfinite(rec.obj) and np.isfinite(rec.grad_norm) and np.isfinite(rec.h).all()):
+            raise InputError(f"trace record n={rec.n} has a non-finite iterate, objective or gradient norm")
     mode = trace.meta.get("mode", "batch")
     if stream is None:
         stream = ConstantStream(p.quad, p.penalty)
@@ -159,6 +162,9 @@ def verify_trace(
         p_n = stream.instance(n)
         h, h_next = rec.h, rec_next.h
         f, g = eval_objective_and_gradient(p_n, h)
+        if not (np.isfinite(f) and np.isfinite(g).all()):
+            raise InputError(f"the objective or its gradient at the iterate of trace record n={n} "
+                             "is not finite")
         tol = 1e-10 * (1.0 + abs(f))
         row = {}
 
