@@ -31,7 +31,6 @@ from .rates import (
     gradient_reference,
 )
 from .solver import (
-    IterateState,
     SolveOptions,
     Trace,
     optimal_gradient_step,

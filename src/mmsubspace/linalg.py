@@ -48,17 +48,17 @@ def check_symmetric(M: np.ndarray, rtol: float = 1e-12, name: str = "matrix") ->
     return M
 
 
-def psd_pinv(M: np.ndarray, rcond: float = PINV_RCOND) -> np.ndarray:
+def psd_pinv(M: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudo-inverse of a symmetric PSD matrix.
 
-    Eigenvalues at or below ``rcond * max_eig`` are treated as exact zeros,
-    which yields the minimum-norm solution when the matrix is singular.
+    Eigenvalues at or below ``PINV_RCOND * max_eig`` are treated as exact
+    zeros, which yields the minimum-norm solution when the matrix is singular.
     """
     if not np.all(np.isfinite(M)):
         raise NumericError("non-finite entries in matrix passed to psd_pinv")
     w, U = np.linalg.eigh(0.5 * (M + M.T))
     wmax = max(float(w[-1]), 0.0)
-    cutoff = rcond * wmax
+    cutoff = PINV_RCOND * wmax
     inv = np.where(w > cutoff, 1.0 / np.where(w > cutoff, w, 1.0), 0.0)
     return (U * inv) @ U.T
 

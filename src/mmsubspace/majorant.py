@@ -10,10 +10,10 @@ order from its seed, then evaluates them as one block of columns: the
 surrogate from one product with the dense ``A``, the objective from one
 product with ``R``, and the penalty's value and ``curvature_gap_bound`` at
 every column in O(nnz(L)) each.  The bound proves the domination
-``A(h) - hess F(h) = B(h) - hess Psi(h) >= 0`` pointwise.  Only where a
-penalty gives no bound, or the bound falls below the tolerance, does it
-build both dense matrices at that point and take the smallest eigenvalue of
-their difference.
+``A(h) - hess F(h) = B(h) - hess Psi(h) >= 0`` pointwise.  Only where the
+bound falls below the tolerance, for a potential that does not dominate or a
+non-identity ``L`` whose scalar bound is too weak, does it build both dense
+matrices at that point and take the smallest eigenvalue of their difference.
 """
 
 from __future__ import annotations
@@ -49,11 +49,6 @@ class MajorantAtPoint:
     @cached_property
     def curvature(self) -> np.ndarray:
         return self.problem.quad.R + majorant_curvature(self.problem, self.anchor)
-
-    @cached_property
-    def anchor_product(self) -> np.ndarray:
-        """``A @ anchor``, which ``subspace_step`` fills from its block product."""
-        return self.apply(self.anchor)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """``A @ X`` for a vector or a block of columns ``X``."""
@@ -111,8 +106,7 @@ class MajorizationReport:
 def _curvature_gaps(p_n: ProblemInstance, X: np.ndarray, gap_tol: float) -> np.ndarray:
     """At each column h of ``X``: the penalty's bound on ``min_eig(A(h) - hess F(h))`` if it
     is at least ``-gap_tol``, else the dense eigenvalue."""
-    bound = p_n.penalty.curvature_gap_bound(X)
-    gaps = np.full(X.shape[1], -np.inf) if bound is None else np.array(bound, dtype=float)
+    gaps = np.array(p_n.penalty.curvature_gap_bound(X), dtype=float)
     for j in np.flatnonzero(~(gaps >= -gap_tol)):
         h = X[:, j]
         A_h = p_n.quad.R + majorant_curvature(p_n, h)

@@ -5,37 +5,34 @@ define a strongly convex objective when ``R`` is positive definite.  Online
 snapshots use the same type with ``R`` only required to be symmetric
 nonnegative definite.
 
-Each penalty exposes five evaluations: value, gradient, Hessian, the
-half-quadratic curvature matrix ``B(h)`` (which satisfies
-``hess Psi(h) <= B(h) <= V`` in the Loewner order and the exactness identity
-``B(h) h = grad Psi(h)``), and the global curvature cap ``V``.
-
-Every shipped penalty is separable, ``Psi(h) = lam * sum_i phi((Lh)_i)``,
-and differs from the others only in its scalar potential ``phi``: the
+Every penalty is separable, ``Psi(h) = lam * sum_i phi((Lh)_i)``: the
+half-quadratic form of Allain, Idier and Goussard (IEEE TIP 2006).  A
+``Penalty`` subclass gives only its scalar potential ``phi``: the
 hyperbolic and Fair smoothed-l1 potentials, and the quadratic
 ``phi(t) = t^2/2`` with ``L = I`` of the Tikhonov ridge, whose weight-0 case
-is the zero penalty.  The five evaluations are written once, in
-``_SeparablePenalty``.
+is the zero penalty.  ``Penalty`` writes each evaluation once from the
+potential and ``L``: value, gradient, Hessian, the half-quadratic curvature
+matrix ``B(h)`` (which satisfies ``hess Psi(h) <= B(h) <= V`` in the Loewner
+order and the exactness identity ``B(h) h = grad Psi(h)``), and the global
+curvature cap ``V``.
 
 The solve loop never forms ``B(h)``.  It calls ``apply_curvature(h, X)``,
-which returns ``B(h) @ X`` for a vector or a block of columns ``X``; for a
-separable penalty that is ``lam * L'(omega(Lh) * LX)``, and an identity
-``L`` is never multiplied at all.  A plain 3MG iteration then costs
-O(n^2 m) for the products with ``R`` plus O(nnz(L) m) for the penalty, with
-m the number of subspace columns, instead of the O(n^3) of forming
-``L' Diag(omega) L``.  The dense ``curvature(h)`` remains the reference:
-``MajorantAtPoint.curvature`` builds ``R + B(h)`` from it on first read,
-which only certification, verification and the tests do.  A penalty that
-defines only ``curvature`` still works, because the default
-``apply_curvature`` multiplies by that matrix.
+which returns ``B(h) @ X = lam * L'(omega(Lh) * LX)`` for a vector or a
+block of columns ``X``, and an identity ``L`` is never multiplied at all.  A
+plain 3MG iteration then costs O(n^2 m) for the products with ``R`` plus
+O(nnz(L) m) for the penalty, with m the number of subspace columns, instead
+of the O(n^3) of forming ``L' Diag(omega) L``.  The dense ``curvature(h)``
+remains the reference: ``MajorantAtPoint.curvature`` builds ``R + B(h)``
+from it on first read, which only certification, verification and the tests
+do.
 
 ``curvature_gap_bound(h)`` proves the domination ``B(h) >= hess Psi(h)``
-without an eigensolve.  For a separable penalty
-``B(h) - hess Psi(h) = lam * L' Diag(omega - phi'')(Lh) L``, so the scalars
+without an eigensolve.  Since
+``B(h) - hess Psi(h) = lam * L' Diag(omega - phi'')(Lh) L``, the scalars
 ``omega - phi''`` at ``Lh`` decide it: the half-quadratic domination
-condition of Allain, Idier and Goussard (IEEE TIP 2006).  A penalty without
-the hook returns None, and the majorization check then takes the smallest
-eigenvalue of the dense difference.
+condition.  Where the bound is too weak to prove it, for a potential that
+does not dominate or a negative scalar times ``||L||_F^2``, the
+majorization check takes the smallest eigenvalue of the dense difference.
 """
 
 from __future__ import annotations
@@ -49,69 +46,13 @@ from .errors import InputError
 from .linalg import as_vector, check_symmetric
 
 
-class Penalty:
-    """Interface for twice continuously differentiable convex penalties.
-
-    Subclasses implement ``value``, ``gradient``, ``hessian``, ``curvature``
-    (the matrix ``B(h)``), and ``curvature_bound`` (the matrix ``V``).  They
-    may override three block hooks, each taking a vector or a block of
-    columns ``X``: ``apply_curvature`` to multiply by ``B(h)`` without
-    forming it, ``column_values`` for the value at each column (by default
-    a loop over ``value``), and ``curvature_gap_bound`` to prove
-    ``B(h) >= hessian(h)`` at each column without an eigensolve.  The
-    shipped penalties get all of them from ``_SeparablePenalty``; the
-    interface stays open to other penalties.
-    """
-
-    kind = "abstract"
-
-    def value(self, h: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def column_values(self, X: np.ndarray) -> np.ndarray:
-        """``value`` at each column of the block ``X``, one entry per column."""
-        return np.array([self.value(x) for x in X.T], dtype=float)
-
-    def gradient(self, h: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def value_and_gradient(self, h: np.ndarray) -> tuple[float, np.ndarray]:
-        """``(value(h), gradient(h))``; a subclass may share work between the two."""
-        return self.value(h), self.gradient(h)
-
-    def hessian(self, h: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def curvature(self, h: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def apply_curvature(self, h: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """``B(h) @ X`` for a vector or a block of columns ``X``."""
-        return self.curvature(h) @ X
-
-    def curvature_gap_bound(self, h: np.ndarray) -> float | np.ndarray | None:
-        """A lower bound on ``min_eig(B(h) - hessian(h))`` in exact arithmetic.
-
-        For a block of columns ``h`` it is an array with one bound per
-        column.  None means the penalty gives no bound, and callers compute
-        the smallest eigenvalue of the dense difference instead.
-        """
-        return None
-
-    def curvature_bound(self, dim: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
-
 def _penalty_weight(lam) -> float:
     if not (np.isfinite(lam) and lam >= 0):
         raise InputError(f"penalty weight lambda must be finite and nonnegative, got {lam}")
     return float(lam)
 
 
-class _SeparablePenalty(Penalty):
+class Penalty:
     """``Psi(h) = lam * sum_i phi((L h)_i)`` for an even scalar potential phi.
 
     The half-quadratic curvature is ``B(h) = lam * L' Diag(omega(Lh)) L`` with
@@ -121,6 +62,12 @@ class _SeparablePenalty(Penalty):
     Loewner sandwich and the exactness identity both hold.  A subclass
     defines only its potential (``_phi``, ``_dphi``, ``_ddphi``, ``_omega``),
     its constructor and, where its file form differs, ``to_dict``.
+
+    Three block hooks work on a block of columns: ``column_values`` gives
+    the value at each column, ``apply_curvature(h, X)`` multiplies a vector
+    or block ``X`` by ``B(h)`` without forming it, and
+    ``curvature_gap_bound`` bounds ``min_eig(B(h) - hessian(h))`` at a
+    vector or at each column.
 
     ``L`` is stored as None when it is the identity, given or omitted, and
     every product with it is then skipped.
@@ -193,11 +140,12 @@ class _SeparablePenalty(Penalty):
         return self._Lt_times(lw[:, None] * LX if LX.ndim == 2 else lw * LX)
 
     def curvature_gap_bound(self, h):
-        """``min(d)`` for ``d = lam * (omega - phi'')(Lh)``, the exact gap when L is the identity.
+        """A lower bound on ``min_eig(B(h) - hessian(h))`` in exact arithmetic.
 
-        Otherwise ``L' Diag(d) L >= min(d) * L'L``, and for a negative
-        ``min(d)`` the bound ``||L||_2^2 <= ||L||_F^2`` keeps it rigorous.
-        A block ``h`` gets the same bound for each column.
+        It is ``min(d)`` for ``d = lam * (omega - phi'')(Lh)``, the exact gap
+        when L is the identity.  Otherwise ``L' Diag(d) L >= min(d) * L'L``,
+        and for a negative ``min(d)`` the bound ``||L||_2^2 <= ||L||_F^2``
+        keeps it rigorous.  A block ``h`` gets the same bound for each column.
         """
         Lh = self._L_times(h)
         d = self.lam * (self._omega(Lh) - self._ddphi(Lh))
@@ -223,7 +171,7 @@ class _SeparablePenalty(Penalty):
         }
 
 
-class TikhonovPenalty(_SeparablePenalty):
+class TikhonovPenalty(Penalty):
     """Ridge ``0.5 * lam * ||h||^2``: the quadratic potential ``phi(t) = t^2/2`` with ``L = I``.
 
     Here ``omega = phi'' = 1``, so ``B(h)`` is the Hessian ``lam * I``.  The
@@ -264,7 +212,7 @@ class ZeroPenalty(TikhonovPenalty):
         return {"kind": "zero"}
 
 
-class HyperbolicPenalty(_SeparablePenalty):
+class HyperbolicPenalty(Penalty):
     """Smooth-L1 potential ``phi(t) = sqrt(delta^2 + t^2) - delta``."""
 
     kind = "hyperbolic"
@@ -282,7 +230,7 @@ class HyperbolicPenalty(_SeparablePenalty):
         return 1.0 / np.sqrt(self.delta**2 + t**2)
 
 
-class FairPenalty(_SeparablePenalty):
+class FairPenalty(Penalty):
     """Fair potential ``phi(t) = delta^2 (|t|/delta - log(1 + |t|/delta))``."""
 
     kind = "fair"
@@ -340,15 +288,13 @@ def eval_objective(p: ProblemInstance, h) -> float | np.ndarray:
 
 
 def eval_gradient(p: ProblemInstance, h) -> np.ndarray:
-    h = as_vector(h, p.dim)
-    q = p.quad
-    return q.R @ h - q.r + p.penalty.gradient(h)
+    return eval_objective_and_gradient(p, h)[1]
 
 
 def eval_objective_and_gradient(p: ProblemInstance, h) -> tuple[float, np.ndarray]:
     """``F(h)`` and ``grad F(h)`` from one product with ``R`` (and one with ``L``).
 
-    Bit for bit the values of ``eval_objective`` and ``eval_gradient``.
+    The value is bit for bit that of ``eval_objective``.
     """
     h = as_vector(h, p.dim)
     q = p.quad

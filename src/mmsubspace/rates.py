@@ -21,7 +21,9 @@ Hessian plus ``eps I``, so the factorization succeeds.  Per iteration that
 is two Cholesky factorizations and two ``eigvalsh``.  ``factor_hessian``
 gives the pair ``(H, L)``; a caller that also runs
 ``check_subspace_ordering`` on the iterate, as verification does, passes
-that pair to both.
+that pair to both.  The ordering check brackets the certified theta_tilde
+between that of the gradient reference and that of the full space; a
+strategy's own theta_tilde comes from ``compute_theta_tilde``.
 
 The batch summaries are stated against ``F* = inf F``; the caller solves
 for the reference solution once and passes it in.
@@ -30,16 +32,16 @@ for the reference solution once and passes it in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import InputError, NumericError
 from .linalg import (
-    PINV_RCOND, as_vector, check_symmetric, cholesky_lower, extreme_eigs, min_eig, psd_pinv, solve_lower,
+    as_vector, check_symmetric, cholesky_lower, extreme_eigs, min_eig, psd_pinv, solve_lower,
 )
 from .model import ProblemInstance, curvature_bound, eval_hessian
-from .subspace import DirectionMatrix, SubspaceStrategy, build_subspace, column_scaled
+from .subspace import DirectionMatrix, column_scaled
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ def _subspace_form(grad, A, D: DirectionMatrix) -> float:
     cols, _ = column_scaled(D.cols)
     M = cols.T @ A @ cols
     Dg = cols.T @ grad
-    return float(Dg @ (psd_pinv(M, PINV_RCOND) @ Dg))
+    return float(Dg @ (psd_pinv(M) @ Dg))
 
 
 def _gradient_form(L: np.ndarray, grad: np.ndarray) -> float:
@@ -144,28 +146,29 @@ def compute_sigma_bounds(hess) -> tuple[float, float]:
 
 def certify_iteration(
     p_n: ProblemInstance,
-    state,
+    n: int,
+    h: np.ndarray,
+    grad: np.ndarray,
     D: DirectionMatrix,
     A: np.ndarray,
     epsilon: float,
     R_limit: np.ndarray | None = None,
     hessian: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> RateCertificate:
-    """Assemble the full rate certificate for one iteration.
+    """Assemble the full rate certificate for iteration ``n`` at ``h``, with gradient ``grad``.
 
     ``R_limit`` is the data matrix of the limiting instance (equal to
     ``p_n.quad.R`` in the batch case); the Hessian floor is measured
-    against it.  ``hessian`` is ``factor_hessian(p_n, state.h)`` when the
-    caller already has it.
+    against it.  ``hessian`` is ``factor_hessian(p_n, h)`` when the caller
+    already has it.
     """
     if R_limit is None:
         R_limit = p_n.quad.R
-    hess, L = (eval_hessian(p_n, state.h), None) if hessian is None else hessian
+    hess, L = (eval_hessian(p_n, h), None) if hessian is None else hessian
     floor_ok = _floor_holds(hess - R_limit + epsilon * np.eye(p_n.dim))
-    grad = state.grad
     if not np.any(grad):
         return RateCertificate(
-            n=state.n, epsilon=epsilon, theta_tilde=None, theta=None,
+            n=n, epsilon=epsilon, theta_tilde=None, theta=None,
             theta_lo=None, theta_hi=None, kappa_lo=None, kappa_hi=None,
             sigma_lo=None, sigma_hi=None, hessian_floor_ok=floor_ok,
             lemma_bound=None, converged=True,
@@ -181,7 +184,7 @@ def certify_iteration(
     theta_hi = 1.0 - (1.0 - sigma_spread(sigma_lo, sigma_hi)**2) / ((1.0 + epsilon) * kappa_hi)
     lemma_bound = 0.5 * (1.0 + epsilon) * g_form
     return RateCertificate(
-        n=state.n, epsilon=epsilon, theta_tilde=theta_tilde, theta=theta,
+        n=n, epsilon=epsilon, theta_tilde=theta_tilde, theta=theta,
         theta_lo=theta_lo, theta_hi=theta_hi, kappa_lo=kappa_lo, kappa_hi=kappa_hi,
         sigma_lo=sigma_lo, sigma_hi=sigma_hi, hessian_floor_ok=floor_ok,
         lemma_bound=lemma_bound,
@@ -193,9 +196,7 @@ class DecayReport:
     decay_ok: bool
     gap_bound_ok: bool
     gap_now: float
-    gap_next: float
     decay_rhs: float
-    gap_bound_rhs: Optional[float]
 
     @property
     def passed(self) -> bool:
@@ -211,55 +212,41 @@ def check_decay_inequality(cert: RateCertificate, F_now: float, F_next: float, i
     """
     tol = 1e-10 * (1.0 + abs(inf_Fn))
     gap_now = F_now - inf_Fn
-    gap_next = F_next - inf_Fn
     if cert.converged or cert.theta is None:
-        return DecayReport(True, True, gap_now, gap_next, gap_now, None)
+        return DecayReport(True, True, gap_now, gap_now)
     rhs = cert.theta * gap_now
-    decay_ok = gap_next <= rhs + tol
+    decay_ok = F_next - inf_Fn <= rhs + tol
     gap_bound_ok = gap_now <= cert.lemma_bound + tol
-    return DecayReport(decay_ok, gap_bound_ok, gap_now, gap_next, rhs, cert.lemma_bound)
+    return DecayReport(decay_ok, gap_bound_ok, gap_now, rhs)
 
 
 @dataclass(frozen=True)
 class OrderingReport:
     theta_gradient_ref: float
     theta_full: float
-    theta_by_strategy: dict
-    passed: bool
 
 
 def check_subspace_ordering(
     p_n: ProblemInstance,
-    state,
+    h: np.ndarray,
+    grad: np.ndarray,
     A: np.ndarray,
-    strategies: Sequence[SubspaceStrategy],
-    history: Sequence[np.ndarray] = (),
     hessian: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> OrderingReport:
-    """Gradient-only direction is slowest, the full space is fastest.
+    """theta_tilde at ``h`` of the gradient reference and of the full space.
 
-    Computes theta_tilde for the one-column gradient reference, for each
-    listed strategy, and for the full space, and checks the ordering.  The
-    full space gives ``g' A^{-1} g / g' H^{-1} g``; ``A`` dominates ``H``, so
-    its Cholesky factor exists whenever the Hessian's does.  ``hessian`` is
-    ``factor_hessian(p_n, state.h)`` when the caller already has it.
+    The gradient-only direction is the slowest and the full space the
+    fastest, so every strategy's theta_tilde lies between the two.  The full
+    space gives ``g' A^{-1} g / g' H^{-1} g``; ``A`` dominates ``H``, so its
+    Cholesky factor exists whenever the Hessian's does.  ``hessian`` is
+    ``factor_hessian(p_n, h)`` when the caller already has it.
     """
-    grad = state.grad
     if not np.any(grad):
         raise InputError("ordering check undefined at a zero gradient")
-    _, L = factor_hessian(p_n, state.h) if hessian is None else hessian
+    _, L = factor_hessian(p_n, h) if hessian is None else hessian
     g_form = _gradient_form(L, grad)
     t_ref = _subspace_form(grad, A, gradient_reference(grad)) / g_form
-    t_full = _gradient_form(cholesky_lower(A), grad) / g_form
-    by_strategy = {}
-    ok = True
-    for s in strategies:
-        D = build_subspace(s, grad, state.h, history)
-        t = _subspace_form(grad, A, D) / g_form
-        by_strategy[s.label()] = t
-        tol = 1e-10 * max(1.0, abs(t))
-        ok = ok and (t_ref <= t + tol) and (t <= t_full + tol)
-    return OrderingReport(t_ref, t_full, by_strategy, ok)
+    return OrderingReport(t_ref, _gradient_form(cholesky_lower(A), grad) / g_form)
 
 
 def certified_regime_start(rows) -> int | None:
@@ -279,21 +266,14 @@ def certified_regime_start(rows) -> int | None:
     return start
 
 
-def detect_n_eps(trace, inf_F: float) -> int | None:
-    """First iteration from which the floor and gap bound hold to the end."""
-    return certified_regime_start(
-        (rec.n, rec.cert, rec.obj, inf_F)
-        for rec in trace.records if rec.cert is not None and not rec.cert.converged
-    )
-
-
 def batch_rate_summary(p: ProblemInstance, trace, epsilon: float, ref) -> BatchRateSummary:
     """Worst-case geometric rate and constant for a certified batch run; ``ref.value`` is ``F*``."""
-    certs = [rec.cert for rec in trace.records if rec.cert is not None and not rec.cert.converged]
-    if not certs:
+    recs = [rec for rec in trace.records if rec.cert is not None and not rec.cert.converged]
+    if not recs:
         raise InputError("trace carries no certified iterations")
     inf_F = ref.value
-    n_eps = detect_n_eps(trace, inf_F)
+    n_eps = certified_regime_start((rec.n, rec.cert, rec.obj, inf_F) for rec in recs)
+    certs = [rec.cert for rec in recs]
 
     eta_lo = min_eig(p.quad.R)
     eta_hi = extreme_eigs(p.quad.R + curvature_bound(p))[1]
@@ -320,18 +300,15 @@ class LinearConvergenceReport:
     passed: bool
     strong_convexity_ok: bool
     geometric_ok: bool
-    iterate_bound_constant: float  # sqrt(2 mu / eta_lo); rate is sqrt(vartheta)
-    worst_margin: float
 
 
 def check_linear_iterate_convergence(trace, summary: BatchRateSummary, ref) -> LinearConvergenceReport:
     """Strong-convexity lower bound and geometric upper bound on the gap to ``ref.value``."""
     if not summary.certified:
-        return LinearConvergenceReport(False, False, False, float("nan"), float("nan"))
+        return LinearConvergenceReport(False, False, False)
     h_hat, inf_F = ref.h, ref.value
     sc_ok = True
     geo_ok = True
-    worst = np.inf
     for rec in trace.records:
         if rec.n < summary.n_eps:
             continue
@@ -341,6 +318,4 @@ def check_linear_iterate_convergence(trace, summary: BatchRateSummary, ref) -> L
         upper = summary.mu * summary.vartheta**rec.n
         sc_ok = sc_ok and (lower <= gap + 1e-10 * scale)
         geo_ok = geo_ok and (gap <= upper + 1e-9 * scale)
-        worst = min(worst, upper - gap)
-    const = float(np.sqrt(2.0 * summary.mu / summary.eta_lo))
-    return LinearConvergenceReport(sc_ok and geo_ok, sc_ok, geo_ok, const, float(worst))
+    return LinearConvergenceReport(sc_ok and geo_ok, sc_ok, geo_ok)

@@ -45,13 +45,6 @@ class SolveOptions:
 
 
 @dataclass(frozen=True)
-class IterateState:
-    n: int
-    h: np.ndarray
-    grad: np.ndarray
-
-
-@dataclass(frozen=True)
 class TraceRecord:
     n: int
     h: np.ndarray
@@ -160,22 +153,21 @@ class Trace:
         return trace
 
 
-def subspace_step(m: MajorantAtPoint, D: DirectionMatrix) -> tuple[np.ndarray, np.ndarray]:
+def subspace_step(m: MajorantAtPoint, D: DirectionMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form surrogate minimization over the span of ``D``.
 
-    Returns the minimum-norm coefficient vector and the next iterate.  The
-    one product of the curvature with the columns also covers the anchor,
-    and fills ``m.anchor_product``.
+    Returns the minimum-norm coefficient vector, the next iterate and
+    ``A @ anchor``: the one product of the curvature with the columns also
+    covers the anchor.
     """
     if not (np.all(np.isfinite(m.gradient_at_anchor)) and np.all(np.isfinite(D.cols))):
         raise NumericError("non-finite inputs to subspace_step")
     cols, scales = column_scaled(D.cols)
     AX = m.apply(np.column_stack([cols, m.anchor]))
-    m.anchor_product = AX[:, -1]
     M = cols.T @ AX[:, :-1]
     u = -(psd_pinv(M) @ (cols.T @ m.gradient_at_anchor))
     h_next = m.anchor + cols @ u
-    return u / scales, h_next
+    return u / scales, h_next, AX[:, -1]
 
 
 def optimal_gradient_step(m: MajorantAtPoint) -> float:
@@ -296,7 +288,7 @@ def _run(stream: EstimateStream, h1, strategy, opts: SolveOptions, mode: str) ->
         m = build_majorant(p_n, h, f, g)
         D = build_subspace(strategy, g, h, history)
         trace.fallback_used = trace.fallback_used or D.fallback
-        u, h_next = subspace_step(m, D)
+        u, h_next, Ah = subspace_step(m, D)
         if np.array_equal(h_next, h):
             why = ("the step is below the floating-point resolution of the iterate" if np.any(u)
                    else "the majorant curvature is not positive definite on the subspace")
@@ -311,8 +303,7 @@ def _run(stream: EstimateStream, h1, strategy, opts: SolveOptions, mode: str) ->
         cert = None
         if opts.certify:
             try:
-                cert = certify_iteration(p_n, IterateState(n, h, g), D, m.curvature, epsilon,
-                                         R_limit=limit.R)
+                cert = certify_iteration(p_n, n, h, g, D, m.curvature, epsilon, R_limit=limit.R)
             except NumericError as exc:
                 trace.certificates_skipped[type(exc).__name__] += 1
 
@@ -329,7 +320,7 @@ def _run(stream: EstimateStream, h1, strategy, opts: SolveOptions, mode: str) ->
                 dR = p_n.quad.R - p_next.quad.R
                 chi = -float(dr @ h_next) + 0.5 * float(h_next @ (dR @ h_next))
 
-        c_norm = float(np.linalg.norm(m.anchor_product - g))
+        c_norm = float(np.linalg.norm(Ah - g))
         trace.records.append(TraceRecord(
             n, h.copy(), f, gn, step_norm, chi, c_norm, cert,
         ))

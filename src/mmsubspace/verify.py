@@ -35,7 +35,7 @@ from .rates import (
     factor_hessian,
     sigma_spread,
 )
-from .solver import IterateState, Trace, _resolve_epsilon, optimal_gradient_step, reference_minimizer
+from .solver import Trace, _resolve_epsilon, optimal_gradient_step, reference_minimizer
 from .stream import ConstantStream, EstimateStream
 from .subspace import build_subspace, history_window, parse_strategy
 
@@ -149,6 +149,20 @@ def verify_trace(
         row[name] = ok
         results[name].record(n, ok)
 
+    def snapshot_at(rec):
+        """The snapshot of ``rec`` with F and its gradient at the record's iterate.
+
+        A huge finite iterate can overflow them; that is refused as input,
+        naming the record, and not warned about.
+        """
+        p_n = stream.instance(rec.n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            f, g = eval_objective_and_gradient(p_n, rec.h)
+        if not (np.isfinite(f) and np.isfinite(g).all()):
+            raise InputError(f"the objective or its gradient at the iterate of trace record n={rec.n} "
+                             "is not finite")
+        return p_n, f, g
+
     # F* of the batch problem, or the last online snapshot's, which warm-starts the next
     ref = reference_minimizer(p, tol=1e-12) if mode == "batch" else None
 
@@ -156,15 +170,16 @@ def verify_trace(
     gap_checks = []
     skipped = Counter()
     history: list[np.ndarray] = []
-    for k in range(len(recs) - 1):
+    last = len(recs) - 1
+    snapshot_next = snapshot_at(recs[0]) if last else None
+    for k in range(last):
         rec, rec_next = recs[k], recs[k + 1]
         n = rec.n
-        p_n = stream.instance(n)
+        p_n, f, g = snapshot_next
+        # the next record is checked before the step into it is measured
+        if k + 1 < last:
+            snapshot_next = snapshot_at(rec_next)
         h, h_next = rec.h, rec_next.h
-        f, g = eval_objective_and_gradient(p_n, h)
-        if not (np.isfinite(f) and np.isfinite(g).all()):
-            raise InputError(f"the objective or its gradient at the iterate of trace record n={n} "
-                             "is not finite")
         tol = 1e-10 * (1.0 + abs(f))
         row = {}
 
@@ -182,12 +197,11 @@ def verify_trace(
         cert = None
         if np.any(g):
             check("eq41_gradient_step_domination", optimal_gradient_step(m) * float(g @ g) <= dAd + tol)
-            state = IterateState(n, h, g)
             D = build_subspace(strategy, g, h, history)
             try:
                 hessian = factor_hessian(p_n, h)
-                order = check_subspace_ordering(p_n, state, A, (), hessian=hessian)
-                cert = certify_iteration(p_n, state, D, A, epsilon, R_limit=p.quad.R, hessian=hessian)
+                order = check_subspace_ordering(p_n, h, g, A, hessian=hessian)
+                cert = certify_iteration(p_n, n, h, g, D, A, epsilon, R_limit=p.quad.R, hessian=hessian)
             except NumericError as exc:  # the snapshot's Hessian is not positive definite
                 skipped[type(exc).__name__] += 1
         if cert is not None:

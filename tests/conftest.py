@@ -17,6 +17,29 @@ def diag14():
     return ProblemInstance(QuadraticData(np.diag([1.0, 4.0]), np.zeros(2)), ZeroPenalty())
 
 
+class DensePenalty:
+    """The dense defaults of an open penalty interface, kept as the reference for ``Penalty``'s hooks.
+
+    A subclass gives ``value``, ``gradient``, ``hessian``, ``curvature`` (the
+    matrix ``B(h)``) and ``curvature_bound``; the block hooks and the value
+    and gradient pair then come from those, one column or one call at a time.
+    """
+
+    def column_values(self, X):
+        return np.array([self.value(x) for x in X.T], dtype=float)
+
+    def value_and_gradient(self, h):
+        return self.value(h), self.gradient(h)
+
+    def apply_curvature(self, h, X):
+        return self.curvature(h) @ X
+
+    def curvature_gap_bound(self, h):
+        """No bound: -inf at each column, so the majorization check takes the dense eigenvalue."""
+        h = np.asarray(h)
+        return -np.inf if h.ndim == 1 else np.full(h.shape[1], -np.inf)
+
+
 def instance_grid(seed=0, dims=(1, 2, 5, 20), kinds=PENALTY_KINDS, per_combo=None):
     """Deterministic list of random instances covering all penalty kinds."""
     rng = np.random.default_rng(seed)

@@ -20,14 +20,13 @@ from mmsubspace.model import (
 from mmsubspace.problems import random_instance
 from mmsubspace.rates import (
     batch_rate_summary,
+    certified_regime_start,
     check_decay_inequality,
     check_subspace_ordering,
     compute_theta_tilde,
-    detect_n_eps,
     gradient_reference,
 )
 from mmsubspace.solver import (
-    IterateState,
     SolveOptions,
     reference_minimizer,
     run_batch,
@@ -97,7 +96,7 @@ def test_criterion_03_exact_one_step_solve():
 def test_criterion_04_worked_2x2(diag14):
     h = np.array([1.0, 1.0])
     m = build_majorant(diag14, h)
-    _, h2 = subspace_step(m, gradient_reference(m.gradient_at_anchor))
+    _, h2, _ = subspace_step(m, gradient_reference(m.gradient_at_anchor))
     ok = np.allclose(h2, [48.0 / 65.0, -3.0 / 65.0], rtol=1e-12, atol=0)
 
     A = np.diag([1.0, 4.0])
@@ -128,7 +127,10 @@ def test_criterion_05_per_iteration_certification():
     for p, strat, trace in _certified_batch_runs():
         eps = trace.meta["epsilon"]
         inf_F = reference_minimizer(p, tol=1e-12).value
-        n_eps = detect_n_eps(trace, inf_F)
+        n_eps = certified_regime_start(
+            (rec.n, rec.cert, rec.obj, inf_F)
+            for rec in trace.records if rec.cert is not None and not rec.cert.converged
+        )
         if n_eps is None:
             violations += 1
             continue
@@ -168,9 +170,11 @@ def test_criterion_06_subspace_ordering():
             if not np.any(g):
                 continue
             A = build_majorant(p, rec.h).curvature
-            st = IterateState(rec.n, rec.h, g)
-            rep = check_subspace_ordering(p, st, A, [strategy], history)
-            ok = ok and rep.passed
+            rep = check_subspace_ordering(p, rec.h, g, A)
+            D = build_subspace(strategy, g, rec.h, history)
+            t = compute_theta_tilde(g, A, eval_hessian(p, rec.h), D)
+            tol = 1e-10 * max(1.0, abs(t))
+            ok = ok and rep.theta_gradient_ref <= t + tol and t <= rep.theta_full + tol
             history.insert(0, rec.h.copy())
             del history[4:]
     _report(6, "theta_tilde ordering gradient-ref <= strategy <= full space", ok)
@@ -272,7 +276,7 @@ def test_criterion_09_equivalence_oracle():
         strat = ["gradient", "3mg"][trial % 2]
         D = build_subspace(parse_strategy(strat), m.gradient_at_anchor, h,
                            history=[h + rng.standard_normal(dim)])
-        _, h_next = subspace_step(m, D)
+        _, h_next, _ = subspace_step(m, D)
 
         # independent direct solve on an orthonormal basis of ran D
         Q = scipy.linalg.orth(D.cols)

@@ -41,7 +41,7 @@ def reference_check_majorization(p_n, m, samples=100, radius=None, seed=0):
 
     def curvature_gap(h):
         bound = p_n.penalty.curvature_gap_bound(h)
-        if bound is not None and bound >= -gap_tol:
+        if bound >= -gap_tol:
             return bound
         A_h = p_n.quad.R + majorant_curvature(p_n, h)
         return min_eig(A_h - eval_hessian(p_n, h))
@@ -128,11 +128,10 @@ def test_block_hooks_equal_the_per_column_calls(case):
     assert np.array_equal(p.penalty.column_values(X), [p.penalty.value(x) for x in columns])
     bound = p.penalty.curvature_gap_bound(X)
     per_column = [p.penalty.curvature_gap_bound(x) for x in columns]
-    if isinstance(p.penalty, DenseOnlyPenalty):
-        assert bound is None and per_column == [None] * samples
-    else:
-        assert bound.shape == (samples,)
-        assert np.array_equal(bound, per_column)
+    assert bound.shape == (samples,)
+    assert np.array_equal(bound, per_column)
+    if isinstance(p.penalty, DenseOnlyPenalty):  # no bound: every column takes the dense eigenvalue
+        assert np.all(bound == -np.inf)
 
 
 def test_the_block_holds_the_points_drawn_one_at_a_time(monkeypatch):

@@ -12,7 +12,6 @@ from mmsubspace.majorant import build_majorant
 from mmsubspace.model import ProblemInstance, QuadraticData, ZeroPenalty, eval_gradient, eval_hessian
 from mmsubspace.problems import random_spd
 from mmsubspace.rates import certify_iteration, compute_kappa_bounds
-from mmsubspace.solver import IterateState
 from mmsubspace.subspace import DirectionMatrix, build_subspace, column_scaled, parse_strategy
 from conftest import PENALTY_KINDS
 from test_matrix_free import make_penalty
@@ -22,16 +21,15 @@ VALUE_FIELDS = ["theta_tilde", "theta", "theta_lo", "theta_hi", "kappa_lo", "kap
                 "sigma_lo", "sigma_hi", "lemma_bound"]
 
 
-def reference_certificate(p_n, state, D, A, epsilon, R_limit):
+def reference_certificate(p_n, h, g, D, A, epsilon, R_limit):
     """The certificate from the dense formulas: nine decompositions of A and H per call.
 
     The floor is an eigenvalue test, the lemma bound and theta_tilde's
     denominator solve with H separately, and kappa comes from the symmetric
     square root of A.
     """
-    hess = eval_hessian(p_n, state.h)
+    hess = eval_hessian(p_n, h)
     floor_ok = linalg.min_eig(hess - R_limit + epsilon * np.eye(p_n.dim)) >= -1e-10
-    g = state.grad
     cols, _ = column_scaled(D.cols)
     Dg = cols.T @ g
     num = float(Dg @ (linalg.psd_pinv(cols.T @ A @ cols) @ Dg))
@@ -103,11 +101,11 @@ def floor_matrix(p, h, epsilon, R_limit):
 @given(certificate_cases())
 def test_certificate_matches_dense_reference(case):
     p, h, strategy, history, epsilon, R_limit = case
-    state = IterateState(1, h, eval_gradient(p, h))
+    g = eval_gradient(p, h)
     A = build_majorant(p, h).curvature
-    D = build_subspace(strategy, state.grad, h, history)
-    cert = certify_iteration(p, state, D, A, epsilon, R_limit=R_limit)
-    ref = reference_certificate(p, state, D, A, epsilon, R_limit)
+    D = build_subspace(strategy, g, h, history)
+    cert = certify_iteration(p, 1, h, g, D, A, epsilon, R_limit=R_limit)
+    ref = reference_certificate(p, h, g, D, A, epsilon, R_limit)
     assert_matches_reference(cert, ref, p.dim)
     # a Cholesky factor proves the floor; the eigenvalue test decides only
     # where the factorization fails, so the two can differ only where the
@@ -136,9 +134,9 @@ def online_case(shift):
 ])
 def test_floor_takes_both_branches(shift, floor_ok):
     p, h, epsilon, R_limit = online_case(shift)
-    state = IterateState(1, h, eval_gradient(p, h))
+    g = eval_gradient(p, h)
     A = build_majorant(p, h).curvature
-    D = build_subspace(parse_strategy("3mg"), state.grad, h, [])
+    D = build_subspace(parse_strategy("3mg"), g, h, [])
     M = floor_matrix(p, h, epsilon, R_limit)
     factors = True
     try:
@@ -146,8 +144,8 @@ def test_floor_takes_both_branches(shift, floor_ok):
     except NumericError:
         factors = False
     assert factors == (shift == 0.0)
-    cert = certify_iteration(p, state, D, A, epsilon, R_limit=R_limit)
-    ref = reference_certificate(p, state, D, A, epsilon, R_limit)
+    cert = certify_iteration(p, 1, h, g, D, A, epsilon, R_limit=R_limit)
+    ref = reference_certificate(p, h, g, D, A, epsilon, R_limit)
     assert cert.hessian_floor_ok == ref["hessian_floor_ok"] == floor_ok
     assert_matches_reference(cert, ref, p.dim)
 
@@ -156,11 +154,11 @@ def test_non_pd_hessian_raises():
     # R = diag(1, -1) and no penalty: H = R is indefinite
     p = ProblemInstance(QuadraticData(np.diag([1.0, -1.0]), np.array([1.0, 1.0])), ZeroPenalty())
     h = np.array([0.5, 0.5])
-    state = IterateState(1, h, eval_gradient(p, h))
+    g = eval_gradient(p, h)
     with pytest.raises(NumericError):
-        certify_iteration(p, state, DirectionMatrix(np.eye(2)), np.eye(2), 0.1, R_limit=np.eye(2))
+        certify_iteration(p, 1, h, g, DirectionMatrix(np.eye(2)), np.eye(2), 0.1, R_limit=np.eye(2))
     with pytest.raises(NumericError):
-        reference_certificate(p, state, DirectionMatrix(np.eye(2)), np.eye(2), 0.1, np.eye(2))
+        reference_certificate(p, h, g, DirectionMatrix(np.eye(2)), np.eye(2), 0.1, np.eye(2))
 
 
 def test_pd_solve_rejects_non_finite_matrix():
@@ -172,12 +170,12 @@ def test_pd_solve_rejects_non_finite_matrix():
 @pytest.mark.parametrize("A", [np.diag([1.0, -2.0]), np.array([[1.0, 2.0], [2.0, 1.0]]), -np.eye(2)])
 def test_non_pd_majorant_raises(A, diag14):
     h = np.array([1.0, 1.0])
-    state = IterateState(1, h, eval_gradient(diag14, h))
+    g = eval_gradient(diag14, h)
     D = DirectionMatrix(np.eye(2))
     with pytest.raises(NumericError):
-        certify_iteration(diag14, state, D, A, 0.1)
+        certify_iteration(diag14, 1, h, g, D, A, 0.1)
     with pytest.raises(NumericError):
-        reference_certificate(diag14, state, D, A, 0.1, diag14.quad.R)
+        reference_certificate(diag14, h, g, D, A, 0.1, diag14.quad.R)
     with pytest.raises(NumericError):
         compute_kappa_bounds(A, eval_hessian(diag14, h))
 
@@ -189,9 +187,9 @@ def test_one_batch_certificate_makes_four_decompositions(monkeypatch):
     p = ProblemInstance(QuadraticData(random_spd(n, 50.0, rng), rng.standard_normal(n)),
                         make_penalty("hyperbolic", "identity", n, 1.0, 1.0))
     h = rng.standard_normal(n)
-    state = IterateState(3, h, eval_gradient(p, h))
+    g = eval_gradient(p, h)
     A = build_majorant(p, h).curvature
-    D = build_subspace(parse_strategy("3mg"), state.grad, h, [h + rng.standard_normal(n)])
+    D = build_subspace(parse_strategy("3mg"), g, h, [h + rng.standard_normal(n)])
 
     counts = {"factorizations": 0, "eigendecompositions": 0}
 
@@ -202,10 +200,10 @@ def test_one_batch_certificate_makes_four_decompositions(monkeypatch):
             return fn(M, *args, **kwargs)
         return wrapper
 
+    # the package factors through linalg's potrf, not scipy.linalg.cholesky
     for module, name, kind in [
         (np.linalg, "cholesky", "factorizations"),
-        (scipy.linalg, "cholesky", "factorizations"),
-        (scipy.linalg, "cho_factor", "factorizations"),
+        (linalg, "_potrf", "factorizations"),
         (np.linalg, "eigvalsh", "eigendecompositions"),
         (np.linalg, "eigh", "eigendecompositions"),
         (scipy.linalg, "eigvalsh", "eigendecompositions"),
@@ -213,7 +211,8 @@ def test_one_batch_certificate_makes_four_decompositions(monkeypatch):
     ]:
         monkeypatch.setattr(module, name, counting(getattr(module, name), kind))
 
-    cert = certify_iteration(p, state, D, A, 0.1)
+    cert = certify_iteration(p, 3, h, g, D, A, 0.1)
     assert cert.hessian_floor_ok and not cert.converged
     assert counts["eigendecompositions"] <= 2, counts
+    assert counts["factorizations"] == 2, counts
     assert counts["factorizations"] + counts["eigendecompositions"] <= 4, counts

@@ -17,9 +17,9 @@ from mmsubspace.majorant import build_majorant
 from mmsubspace.model import (
     HyperbolicPenalty, ProblemInstance, QuadraticData, eval_gradient, eval_hessian, eval_objective, save_problem,
 )
-from mmsubspace.problems import random_spd
+from mmsubspace.problems import demo_instances, random_spd
 from mmsubspace.rates import certify_iteration
-from mmsubspace.solver import IterateState, ReferenceSolution, SolveOptions, reference_minimizer, run_batch
+from mmsubspace.solver import ReferenceSolution, SolveOptions, reference_minimizer, run_batch
 from mmsubspace.subspace import build_subspace, parse_strategy
 from mmsubspace.verify import verify_trace
 from conftest import PENALTY_KINDS, instance_grid
@@ -245,9 +245,9 @@ def test_one_certificate_makes_two_cholesky_factorizations(monkeypatch):
     p = ProblemInstance(QuadraticData(random_spd(n, 50.0, rng), rng.standard_normal(n)),
                         make_penalty("hyperbolic", "identity", n, 1.0, 1.0))
     h = rng.standard_normal(n)
-    state = IterateState(3, h, eval_gradient(p, h))
+    g = eval_gradient(p, h)
     A = build_majorant(p, h).curvature
-    D = build_subspace(parse_strategy("3mg"), state.grad, h, [h + rng.standard_normal(n)])
+    D = build_subspace(parse_strategy("3mg"), g, h, [h + rng.standard_normal(n)])
     calls = {"potrf": 0, "trtrs": 0}
 
     def counting(fn, name):
@@ -258,7 +258,7 @@ def test_one_certificate_makes_two_cholesky_factorizations(monkeypatch):
 
     monkeypatch.setattr(linalg, "_potrf", counting(linalg._potrf, "potrf"))
     monkeypatch.setattr(linalg, "_trtrs", counting(linalg._trtrs, "trtrs"))
-    cert = certify_iteration(p, state, D, A, 0.1)
+    cert = certify_iteration(p, 3, h, g, D, A, 0.1)
     assert cert.hessian_floor_ok
     assert calls == {"potrf": 2, "trtrs": 3}
 
@@ -315,7 +315,7 @@ def test_verify_refuses_a_non_finite_record(field, value):
     else:
         trace.records[k] = replace(rec, **{field: value})
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the 1e308 iterate overflows the step before it is refused
+        warnings.simplefilter("error")  # a 1e308 iterate is refused before anything overflows
         with pytest.raises(InputError, match=f"n={rec.n}"):
             verify_trace(p, trace)
 
@@ -330,3 +330,18 @@ def test_verify_of_a_trace_with_a_nan_iterate_exits_one(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--problem", str(tmp_path / "p.json"), "--trace", str(tmp_path / "t.json")]) == 1
     assert capsys.readouterr().err.startswith(f"error: trace record n={d['records'][1]['n']} ")
+
+
+def test_verify_of_a_trace_with_a_huge_iterate_exits_one_without_a_warning(tmp_path, capsys):
+    save_problem(demo_instances()["hyperbolic-4d"], tmp_path / "p.json")
+    main(["solve", "--problem", str(tmp_path / "p.json"), "--certify", "--trace-out", str(tmp_path / "t")])
+    d = json.loads((tmp_path / "t.json").read_text())
+    assert len(d["records"]) > 6
+    d["records"][4]["h"][0] = 1e308
+    (tmp_path / "t.json").write_text(json.dumps(d))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--problem", str(tmp_path / "p.json"), "--trace", str(tmp_path / "t.json")]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: the objective or its gradient at the iterate of trace record n={d['records'][4]['n']} ")

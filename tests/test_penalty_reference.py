@@ -1,7 +1,7 @@
 """Zero and Tikhonov penalties as the quadratic potential match their closed forms.
 
 The reference classes below are the hand-written closed forms the two
-penalties had before they became ``_SeparablePenalty`` potentials.  Every
+penalties had before they became potentials of ``Penalty``.  Every
 matrix and vector they return is matched bit for bit, and so are the
 solver's iterates.  Only ``value`` sums in another order: the reference
 takes ``0.5 * lam * (h @ h)``, the potential ``lam * sum(0.5 * h * h)``.
@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mmsubspace.model import Penalty, ProblemInstance, QuadraticData, TikhonovPenalty, ZeroPenalty
+from mmsubspace.model import ProblemInstance, QuadraticData, TikhonovPenalty, ZeroPenalty
 from mmsubspace.problems import random_spd
 from mmsubspace.solver import SolveOptions, run_batch
+from conftest import DensePenalty
 
 # Each side sums n <= 25 nonnegative terms with relative error at most
 # (n - 1) * 2**-53, so the two sums differ by less than 50 * 2**-53 ~ 5.6e-15
@@ -24,7 +25,7 @@ VALUE_RTOL = 1e-14
 VALUE_ATOL = 1e-300
 
 
-class RefZeroPenalty(Penalty):
+class RefZeroPenalty(DensePenalty):
     kind = "zero"
 
     def value(self, h):
@@ -50,7 +51,7 @@ class RefZeroPenalty(Penalty):
         return 1e-12 * np.eye(dim)
 
 
-class RefTikhonovPenalty(Penalty):
+class RefTikhonovPenalty(DensePenalty):
     kind = "tikhonov"
 
     def __init__(self, lam):

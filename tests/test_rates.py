@@ -3,7 +3,7 @@ import pytest
 
 from mmsubspace.errors import InputError
 from mmsubspace.majorant import build_majorant
-from mmsubspace.model import ProblemInstance, QuadraticData, ZeroPenalty, eval_gradient
+from mmsubspace.model import ProblemInstance, QuadraticData, ZeroPenalty, eval_gradient, eval_hessian
 from mmsubspace.rates import (
     batch_rate_summary,
     certify_iteration,
@@ -12,18 +12,13 @@ from mmsubspace.rates import (
     check_subspace_ordering,
     compute_kappa_bounds,
     compute_sigma_bounds,
+    certified_regime_start,
     compute_theta_tilde,
-    detect_n_eps,
     gradient_reference,
 )
-from mmsubspace.solver import IterateState, SolveOptions, reference_minimizer, run_batch
+from mmsubspace.solver import SolveOptions, reference_minimizer, run_batch
 from mmsubspace.subspace import DirectionMatrix, build_subspace, parse_strategy
 from conftest import instance_grid
-
-
-def _state(p, h, n=1):
-    h = np.asarray(h, dtype=float)
-    return IterateState(n, h, eval_gradient(p, h))
 
 
 def test_theta_tilde_full_space_is_one():
@@ -83,11 +78,11 @@ def test_sigma_bounds_example():
 def test_certify_iteration_full_space(diag14):
     # full space: theta_tilde = 1, so theta = eps/(1+eps)
     h = np.array([1.0, 1.0])
-    st = _state(diag14, h)
+    g = eval_gradient(diag14, h)
     m = build_majorant(diag14, h)
-    D = build_subspace(parse_strategy("full"), st.grad, h)
+    D = build_subspace(parse_strategy("full"), g, h)
     eps = 0.1
-    cert = certify_iteration(diag14, st, D, m.curvature, eps)
+    cert = certify_iteration(diag14, 1, h, g, D, m.curvature, eps)
     np.testing.assert_allclose(cert.theta_tilde, 1.0, rtol=1e-12)
     np.testing.assert_allclose(cert.theta, eps / (1.0 + eps), rtol=1e-12)
     assert cert.hessian_floor_ok
@@ -98,9 +93,8 @@ def test_certify_iteration_full_space(diag14):
 
 def test_kantorovich_floor_worked_2x2(diag14):
     # spread = 3/5; floor (1 - spread^2)/kappa_hi = 0.64 <= theta_tilde = 289/325
-    h = np.array([1.0, 1.0])
-    st = _state(diag14, h)
-    t = compute_theta_tilde(st.grad, np.diag([1.0, 4.0]), np.diag([1.0, 4.0]), gradient_reference(st.grad))
+    g = eval_gradient(diag14, np.array([1.0, 1.0]))
+    t = compute_theta_tilde(g, np.diag([1.0, 4.0]), np.diag([1.0, 4.0]), gradient_reference(g))
     floor = (1.0 - (3.0 / 5.0) ** 2) / 1.0
     assert abs(floor - 0.64) <= 1e-15
     assert t >= floor - 1e-12
@@ -146,7 +140,10 @@ def test_decay_holds_along_certified_runs():
         trace = run_batch(p, h1=np.ones(p.dim), strategy="gradient",
                           opts=SolveOptions(max_iters=300, grad_tol=1e-9, certify=True))
         inf_F = reference_minimizer(p).value
-        n_eps = detect_n_eps(trace, inf_F)
+        n_eps = certified_regime_start(
+            (rec.n, rec.cert, rec.obj, inf_F)
+            for rec in trace.records if rec.cert is not None and not rec.cert.converged
+        )
         assert n_eps is not None
         recs = trace.records
         for a, b in zip(recs, recs[1:]):
@@ -161,13 +158,16 @@ def test_subspace_ordering_and_memory_monotonicity():
     rng = np.random.default_rng(3)
     h = rng.standard_normal(6)
     hist = [h + rng.standard_normal(6), h + rng.standard_normal(6), h + rng.standard_normal(6)]
-    st = _state(p, h)
+    g = eval_gradient(p, h)
     A = build_majorant(p, h).curvature
-    strategies = [parse_strategy(s) for s in ["gradient", "3mg", "memory:4", "memory:5", "full"]]
-    rep = check_subspace_ordering(p, st, A, strategies, history=hist)
-    assert rep.passed
+    hess = eval_hessian(p, h)
+    t = {s: compute_theta_tilde(g, A, hess, build_subspace(parse_strategy(s), g, h, hist))
+         for s in ["gradient", "3mg", "memory:4", "memory:5", "full"]}
+    rep = check_subspace_ordering(p, h, g, A)
+    for theta in t.values():
+        tol = 1e-10 * max(1.0, abs(theta))
+        assert rep.theta_gradient_ref <= theta + tol and theta <= rep.theta_full + tol
     # nested memories: adding difference columns can only increase theta_tilde
-    t = rep.theta_by_strategy
     assert t["gradient"] <= t["3mg"] + 1e-10
     assert t["3mg"] <= t["memory:4"] + 1e-10
     assert t["memory:4"] <= t["memory:5"] + 1e-10
@@ -205,7 +205,7 @@ def test_batch_summary_and_linear_convergence():
 
 
 def test_certificate_at_zero_gradient_is_converged(diag14):
-    st = _state(diag14, [0.0, 0.0])
-    m = build_majorant(diag14, [0.0, 0.0])
-    cert = certify_iteration(diag14, st, DirectionMatrix(np.eye(2)), m.curvature, 0.05)
+    h = np.zeros(2)
+    m = build_majorant(diag14, h)
+    cert = certify_iteration(diag14, 1, h, eval_gradient(diag14, h), DirectionMatrix(np.eye(2)), m.curvature, 0.05)
     assert cert.converged and cert.theta is None

@@ -11,7 +11,6 @@ from mmsubspace.majorant import build_majorant, check_majorization
 from mmsubspace.model import (
     FairPenalty,
     HyperbolicPenalty,
-    Penalty,
     ProblemInstance,
     QuadraticData,
     TikhonovPenalty,
@@ -21,6 +20,7 @@ from mmsubspace.model import (
 from mmsubspace.problems import random_spd
 from mmsubspace.solver import SolveOptions, run_batch
 from mmsubspace.verify import verify_trace
+from conftest import DensePenalty
 
 
 def first_difference(n):
@@ -72,7 +72,6 @@ def points(draw, l_kinds=("identity", "diff")):
 def test_scalar_pass_implies_dense_pass(case):
     p, h, dense_gap, a_scale = case
     bound = p.penalty.curvature_gap_bound(h)
-    assert bound is not None
     if bound >= -1e-10 * a_scale:
         assert dense_gap >= -1e-10 * a_scale
     # a lower bound, up to the rounding of the dense difference
@@ -86,8 +85,8 @@ def test_identity_bound_is_the_dense_gap(case):
     assert abs(p.penalty.curvature_gap_bound(h) - dense_gap) <= 1e-12 * a_scale
 
 
-class DenseOnlyPenalty(Penalty):
-    """A user penalty without ``curvature_gap_bound``, delegating to a hyperbolic one."""
+class DenseOnlyPenalty(DensePenalty):
+    """A penalty whose gap bound proves nothing, delegating to a hyperbolic one."""
 
     kind = "dense-only"
 

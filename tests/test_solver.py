@@ -30,7 +30,7 @@ def test_subspace_step_worked_2x2(diag14):
     h = np.array([1.0, 1.0])
     m = build_majorant(diag14, h)
     D = build_subspace(parse_strategy("gradient"), m.gradient_at_anchor, h)
-    u, h_next = subspace_step(m, D)
+    u, h_next, _ = subspace_step(m, D)
     np.testing.assert_allclose(h_next, [0.0, 0.0], atol=1e-13)
 
 
@@ -38,7 +38,7 @@ def test_subspace_step_full_space_solves_exactly(diag14):
     h = np.array([1.0, 1.0])
     m = build_majorant(diag14, h)
     D = build_subspace(parse_strategy("full"), m.gradient_at_anchor, h)
-    _, h_next = subspace_step(m, D)
+    _, h_next, _ = subspace_step(m, D)
     np.testing.assert_allclose(h_next, [0.0, 0.0], atol=1e-14)
 
 
@@ -47,7 +47,7 @@ def test_subspace_step_single_gradient_column(diag14):
 
     h = np.array([1.0, 1.0])
     m = build_majorant(diag14, h)
-    u, h_next = subspace_step(m, gradient_reference(m.gradient_at_anchor))
+    u, h_next, _ = subspace_step(m, gradient_reference(m.gradient_at_anchor))
     # exact line search coefficient along -g is 17/65
     np.testing.assert_allclose(u, [17.0 / 65.0], rtol=1e-12)
     np.testing.assert_allclose(h_next, [1.0 - 17.0 / 65.0, 1.0 - 4.0 * 17.0 / 65.0], rtol=1e-12)
@@ -150,7 +150,7 @@ def test_surrogate_value_dominates_next_objective():
         for _ in range(6):
             m = build_majorant(p, h)
             D = build_subspace(parse_strategy("gradient"), m.gradient_at_anchor, h)
-            _, h_next = subspace_step(m, D)
+            _, h_next, _ = subspace_step(m, D)
             f_next = eval_objective(p, h_next)
             s_next = eval_surrogate(m, h_next)
             scale = 1 + abs(m.value_at_anchor)
@@ -165,7 +165,7 @@ def test_subspace_step_dominates_optimal_gradient_step():
         for _ in range(5):
             m = build_majorant(p, h)
             D = build_subspace(parse_strategy("gradient"), m.gradient_at_anchor, h)
-            _, h_sub = subspace_step(m, D)
+            _, h_sub, _ = subspace_step(m, D)
             alpha = optimal_gradient_step(m)
             h_grad = h - alpha * m.gradient_at_anchor
             assert eval_objective(p, h_sub) <= eval_objective(p, h_grad) + 1e-11 * (1 + abs(m.value_at_anchor))
