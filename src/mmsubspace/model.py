@@ -11,10 +11,10 @@ half-quadratic form of Allain, Idier and Goussard (IEEE TIP 2006).  A
 hyperbolic and Fair smoothed-l1 potentials, and the quadratic
 ``phi(t) = t^2/2`` with ``L = I`` of the Tikhonov ridge, whose weight-0 case
 is the zero penalty.  ``Penalty`` writes each evaluation once from the
-potential and ``L``: value, gradient, Hessian, the half-quadratic curvature
-matrix ``B(h)`` (which satisfies ``hess Psi(h) <= B(h) <= V`` in the Loewner
-order and the exactness identity ``B(h) h = grad Psi(h)``), and the global
-curvature cap ``V``.
+potential and ``L``: the value, alone and paired with the gradient, the
+Hessian, the half-quadratic curvature matrix ``B(h)`` (which satisfies
+``hess Psi(h) <= B(h) <= V`` in the Loewner order and the exactness
+identity ``B(h) h = grad Psi(h)``), and the global curvature cap ``V``.
 
 The solve loop never forms ``B(h)``.  It calls ``apply_curvature(h, X)``,
 which returns ``B(h) @ X = lam * L'(omega(Lh) * LX)`` for a vector or a
@@ -120,9 +120,6 @@ class Penalty:
     def column_values(self, X):
         # a sum along contiguous rows is the pairwise sum of ``value``, bit for bit
         return self.lam * np.sum(np.ascontiguousarray(self._phi(self._L_times(X)).T), axis=1)
-
-    def gradient(self, h):
-        return self.lam * self._Lt_times(self._dphi(self._L_times(h)))
 
     def value_and_gradient(self, h):
         Lh = self._L_times(h)

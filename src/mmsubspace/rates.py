@@ -195,7 +195,6 @@ def certify_iteration(
 class DecayReport:
     decay_ok: bool
     gap_bound_ok: bool
-    gap_now: float
     decay_rhs: float
 
     @property
@@ -213,11 +212,11 @@ def check_decay_inequality(cert: RateCertificate, F_now: float, F_next: float, i
     tol = 1e-10 * (1.0 + abs(inf_Fn))
     gap_now = F_now - inf_Fn
     if cert.converged or cert.theta is None:
-        return DecayReport(True, True, gap_now, gap_now)
+        return DecayReport(True, True, gap_now)
     rhs = cert.theta * gap_now
     decay_ok = F_next - inf_Fn <= rhs + tol
     gap_bound_ok = gap_now <= cert.lemma_bound + tol
-    return DecayReport(decay_ok, gap_bound_ok, gap_now, rhs)
+    return DecayReport(decay_ok, gap_bound_ok, rhs)
 
 
 @dataclass(frozen=True)

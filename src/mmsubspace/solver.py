@@ -22,7 +22,7 @@ import numpy as np
 from .errors import InputError, NumericError, OracleError, StreamExhausted
 from .linalg import as_vector, cholesky_lower, min_eig, pd_solve, psd_pinv
 from .majorant import MajorantAtPoint, build_majorant
-from .model import ProblemInstance, eval_gradient, eval_hessian, eval_objective, eval_objective_and_gradient
+from .model import ProblemInstance, eval_hessian, eval_objective_and_gradient
 from .rates import RateCertificate, certify_iteration
 from .stream import ConstantStream, EstimateStream
 from .subspace import (
@@ -199,9 +199,8 @@ def reference_minimizer(p: ProblemInstance, tol: float = 1e-12, h0=None) -> Refe
     except NumericError as exc:
         raise OracleError("reference minimizer needs a positive definite R") from exc
     h = np.zeros(p.dim) if h0 is None else as_vector(h0, p.dim)
-    f = eval_objective(p, h)
+    f, g = eval_objective_and_gradient(p, h)
     for k in range(500):
-        g = eval_gradient(p, h)
         gn = float(np.linalg.norm(g))
         if gn <= tol:
             return ReferenceSolution(h, f, gn, k)
@@ -213,14 +212,14 @@ def reference_minimizer(p: ProblemInstance, tol: float = 1e-12, h0=None) -> Refe
         t = 1.0
         while t > 1e-14:
             h_try = h + t * d
-            f_try = eval_objective(p, h_try)
+            f_try, g_try = eval_objective_and_gradient(p, h_try)
             if f_try <= f + 1e-4 * t * slope + f_noise:
                 break
             t *= 0.5
         else:  # no trial passed: take the step below the last one tried
             h_try = h + t * d
-            f_try = eval_objective(p, h_try)
-        h, f = h_try, f_try
+            f_try, g_try = eval_objective_and_gradient(p, h_try)
+        h, f, g = h_try, f_try, g_try
     raise OracleError("Newton oracle did not reach tolerance in 500 steps")
 
 

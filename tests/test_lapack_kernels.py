@@ -202,6 +202,9 @@ class JumpAwayFromZero(HyperbolicPenalty):
     def value(self, h):
         return super().value(h) + (1e6 if np.any(h) else 0.0)
 
+    def value_and_gradient(self, h):
+        return self.value(h), super().value_and_gradient(h)[1]
+
 
 def test_a_line_search_that_accepts_no_trial_takes_the_previous_step():
     rng = np.random.default_rng(5)

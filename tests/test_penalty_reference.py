@@ -107,15 +107,16 @@ def evaluations(draw):
 def test_quadratic_potential_matches_the_closed_form(case):
     new, ref, h, X = case
     n = len(h)
-    for name in ("gradient", "hessian", "curvature"):
+    value, gradient = new.value_and_gradient(h)
+    assert np.array_equal(gradient, ref.gradient(h))
+    for name in ("hessian", "curvature"):
         assert np.array_equal(getattr(new, name)(h), getattr(ref, name)(h)), name
     assert np.array_equal(new.apply_curvature(h, X), ref.apply_curvature(h, X))
     assert np.array_equal(new.curvature_bound(n), ref.curvature_bound(n))
     assert new.curvature_gap_bound(h) == ref.curvature_gap_bound(h)
     want = ref.value(h)
     assert abs(new.value(h) - want) <= VALUE_RTOL * want + VALUE_ATOL
-    value, gradient = new.value_and_gradient(h)
-    assert value == new.value(h) and np.array_equal(gradient, new.gradient(h))
+    assert value == new.value(h)
 
 
 @settings(max_examples=40, deadline=None)

@@ -96,8 +96,8 @@ class DenseOnlyPenalty(DensePenalty):
     def value(self, h):
         return self.inner.value(h)
 
-    def gradient(self, h):
-        return self.inner.gradient(h)
+    def value_and_gradient(self, h):
+        return self.inner.value_and_gradient(h)
 
     def hessian(self, h):
         return self.inner.hessian(h)

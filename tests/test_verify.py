@@ -146,8 +146,6 @@ def test_verify_builds_each_direction_matrix_once(monkeypatch):
         return build_subspace(*args, **kwargs)
 
     monkeypatch.setattr(verify, "build_subspace", counting)
-    # rates no longer imports build_subspace; should it again, its calls are counted too
-    monkeypatch.setattr(rates, "build_subspace", counting, raising=False)
     report = verify_trace(p, trace)
     assert report.passed
     # the ordering check and the certificate share one direction matrix per iterate
