@@ -18,10 +18,11 @@ bounds are the extreme eigenvalues of ``H``.  The Hessian floor
 factorization of that matrix when one exists; only when it fails is the
 smallest eigenvalue computed.  In batch mode the matrix is the penalty
 Hessian plus ``eps I``, so the factorization succeeds.  Per iteration that
-is two Cholesky factorizations and two ``eigvalsh``.  ``factor_hessian``
-gives the pair ``(H, L)``; a caller that also runs
-``check_subspace_ordering`` on the iterate, as verification does, passes
-that pair to both.  The ordering check brackets the certified theta_tilde
+is two Cholesky factorizations and two ``eigvalsh``.  There is one path to a
+certificate: the caller factors the Hessian once with ``factor_hessian`` and
+passes the pair ``(H, L)`` to ``certify_iteration``, and to
+``check_subspace_ordering`` when it also runs that check on the iterate, as
+verification does.  The ordering check brackets the certified theta_tilde
 between that of the gradient reference and that of the full space; a
 strategy's own theta_tilde comes from ``compute_theta_tilde``.
 
@@ -32,7 +33,6 @@ for the reference solution once and passes it in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -48,17 +48,16 @@ from .subspace import DirectionMatrix, column_scaled
 class RateCertificate:
     n: int
     epsilon: float
-    theta_tilde: Optional[float]
-    theta: Optional[float]
-    theta_lo: Optional[float]
-    theta_hi: Optional[float]
-    kappa_lo: Optional[float]
-    kappa_hi: Optional[float]
-    sigma_lo: Optional[float]
-    sigma_hi: Optional[float]
+    theta_tilde: float
+    theta: float
+    theta_lo: float
+    theta_hi: float
+    kappa_lo: float
+    kappa_hi: float
+    sigma_lo: float
+    sigma_hi: float
     hessian_floor_ok: bool
-    lemma_bound: Optional[float] = None  # 0.5*(1+eps)*g' H^{-1} g
-    converged: bool = False              # zero gradient at this iterate
+    lemma_bound: float  # 0.5*(1+eps)*g' H^{-1} g
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,6 @@ class BatchRateSummary:
     kappa_max: float
     n_eps: int
     spread_cap: float  # (eta_hi - eta_lo + 2 eps) / (eta_hi + eta_lo), the eq11 bound
-    spread_bound_ok: bool
     certified: bool
     message: str = ""
 
@@ -145,36 +143,23 @@ def compute_sigma_bounds(hess) -> tuple[float, float]:
 
 
 def certify_iteration(
-    p_n: ProblemInstance,
     n: int,
-    h: np.ndarray,
     grad: np.ndarray,
     D: DirectionMatrix,
     A: np.ndarray,
     epsilon: float,
-    R_limit: np.ndarray | None = None,
-    hessian: tuple[np.ndarray, np.ndarray] | None = None,
+    R_limit: np.ndarray,
+    hessian: tuple[np.ndarray, np.ndarray],
 ) -> RateCertificate:
-    """Assemble the full rate certificate for iteration ``n`` at ``h``, with gradient ``grad``.
+    """The full rate certificate of iteration ``n`` from its gradient ``grad``.
 
-    ``R_limit`` is the data matrix of the limiting instance (equal to
-    ``p_n.quad.R`` in the batch case); the Hessian floor is measured
-    against it.  ``hessian`` is ``factor_hessian(p_n, h)`` when the caller
-    already has it.
+    ``hessian`` is ``factor_hessian(p_n, h)`` at the iterate, the one path
+    to a certificate.  ``R_limit`` is the data matrix of the limiting
+    instance (``p_n.quad.R`` in the batch case); the Hessian floor is
+    measured against it.  A zero gradient raises NumericError.
     """
-    if R_limit is None:
-        R_limit = p_n.quad.R
-    hess, L = (eval_hessian(p_n, h), None) if hessian is None else hessian
-    floor_ok = _floor_holds(hess - R_limit + epsilon * np.eye(p_n.dim))
-    if not np.any(grad):
-        return RateCertificate(
-            n=n, epsilon=epsilon, theta_tilde=None, theta=None,
-            theta_lo=None, theta_hi=None, kappa_lo=None, kappa_hi=None,
-            sigma_lo=None, sigma_hi=None, hessian_floor_ok=floor_ok,
-            lemma_bound=None, converged=True,
-        )
-    if L is None:
-        L = cholesky_lower(hess)
+    hess, L = hessian
+    floor_ok = _floor_holds(hess - R_limit + epsilon * np.eye(len(grad)))
     g_form = _gradient_form(L, grad)
     theta_tilde = _subspace_form(grad, A, D) / g_form
     theta = 1.0 - theta_tilde / (1.0 + epsilon)
@@ -191,11 +176,15 @@ def certify_iteration(
     )
 
 
+def _gap_bound_ok(cert: RateCertificate, F_n: float, inf_Fn: float) -> bool:
+    """Eq6: the gap ``F_n - inf_Fn`` is within ``cert.lemma_bound`` up to ``1e-10 * (1 + |inf_Fn|)``."""
+    return F_n - inf_Fn <= cert.lemma_bound + 1e-10 * (1.0 + abs(inf_Fn))
+
+
 @dataclass(frozen=True)
 class DecayReport:
     decay_ok: bool
     gap_bound_ok: bool
-    decay_rhs: float
 
     @property
     def passed(self) -> bool:
@@ -209,14 +198,8 @@ def check_decay_inequality(cert: RateCertificate, F_now: float, F_next: float, i
     ``0.5*(1+eps) * g' hess^{-1} g``) is the condition whose first holding
     index defines the start of the certified regime.
     """
-    tol = 1e-10 * (1.0 + abs(inf_Fn))
-    gap_now = F_now - inf_Fn
-    if cert.converged or cert.theta is None:
-        return DecayReport(True, True, gap_now)
-    rhs = cert.theta * gap_now
-    decay_ok = F_next - inf_Fn <= rhs + tol
-    gap_bound_ok = gap_now <= cert.lemma_bound + tol
-    return DecayReport(decay_ok, gap_bound_ok, rhs)
+    decay_ok = F_next - inf_Fn <= cert.theta * (F_now - inf_Fn) + 1e-10 * (1.0 + abs(inf_Fn))
+    return DecayReport(decay_ok, _gap_bound_ok(cert, F_now, inf_Fn))
 
 
 @dataclass(frozen=True)
@@ -225,24 +208,17 @@ class OrderingReport:
     theta_full: float
 
 
-def check_subspace_ordering(
-    p_n: ProblemInstance,
-    h: np.ndarray,
-    grad: np.ndarray,
-    A: np.ndarray,
-    hessian: tuple[np.ndarray, np.ndarray] | None = None,
-) -> OrderingReport:
-    """theta_tilde at ``h`` of the gradient reference and of the full space.
+def check_subspace_ordering(grad, A, hessian: tuple[np.ndarray, np.ndarray]) -> OrderingReport:
+    """theta_tilde of the gradient reference and of the full space at an iterate.
 
     The gradient-only direction is the slowest and the full space the
     fastest, so every strategy's theta_tilde lies between the two.  The full
     space gives ``g' A^{-1} g / g' H^{-1} g``; ``A`` dominates ``H``, so its
     Cholesky factor exists whenever the Hessian's does.  ``hessian`` is
-    ``factor_hessian(p_n, h)`` when the caller already has it.
+    ``factor_hessian(p_n, h)`` at the iterate, the pair its certificate
+    takes.  A zero gradient raises NumericError.
     """
-    if not np.any(grad):
-        raise InputError("ordering check undefined at a zero gradient")
-    _, L = factor_hessian(p_n, h) if hessian is None else hessian
+    _, L = hessian
     g_form = _gradient_form(L, grad)
     t_ref = _subspace_form(grad, A, gradient_reference(grad)) / g_form
     return OrderingReport(t_ref, _gradient_form(cholesky_lower(A), grad) / g_form)
@@ -251,13 +227,13 @@ def check_subspace_ordering(
 def certified_regime_start(rows) -> int | None:
     """First index from which the Hessian floor and the gap bound hold to the end.
 
-    ``rows`` yields ``(n, cert, F_n, inf_Fn)`` for each certified,
-    non-converged iteration in order; the gap ``F_n - inf_Fn`` must stay
-    within ``cert.lemma_bound`` up to ``1e-10 * (1 + |inf_Fn|)``.
+    ``rows`` yields ``(n, cert, F_n, inf_Fn)`` for each certified iteration
+    in order; the gap bound is ``_gap_bound_ok``, the eq6 test of
+    ``check_decay_inequality``.
     """
     start = None
     for n, cert, F_n, inf_Fn in rows:
-        ok = cert.hessian_floor_ok and (F_n - inf_Fn <= cert.lemma_bound + 1e-10 * (1.0 + abs(inf_Fn)))
+        ok = cert.hessian_floor_ok and _gap_bound_ok(cert, F_n, inf_Fn)
         if ok and start is None:
             start = n
         elif not ok:
@@ -267,7 +243,7 @@ def certified_regime_start(rows) -> int | None:
 
 def batch_rate_summary(p: ProblemInstance, trace, epsilon: float, ref) -> BatchRateSummary:
     """Worst-case geometric rate and constant for a certified batch run; ``ref.value`` is ``F*``."""
-    recs = [rec for rec in trace.records if rec.cert is not None and not rec.cert.converged]
+    recs = [rec for rec in trace.records if rec.cert is not None]
     if not recs:
         raise InputError("trace carries no certified iterations")
     inf_F = ref.value
@@ -280,8 +256,6 @@ def batch_rate_summary(p: ProblemInstance, trace, epsilon: float, ref) -> BatchR
     spread_cap = (eta_hi - eta_lo + 2.0 * epsilon) / (eta_hi + eta_lo)
     vartheta = 1.0 - (1.0 - spread_cap**2) / ((1.0 + epsilon) * kappa_max)
 
-    spread_ok = all(sigma_spread(c.sigma_lo, c.sigma_hi) <= spread_cap + 1e-10 for c in certs)
-
     if n_eps is None:
         mu, message = float("nan"), "not certified within horizon"
     else:
@@ -289,7 +263,7 @@ def batch_rate_summary(p: ProblemInstance, trace, epsilon: float, ref) -> BatchR
         mu, message = (F_at[n_eps] - inf_F) / vartheta**n_eps, ""
     return BatchRateSummary(
         vartheta=vartheta, mu=mu, eta_lo=eta_lo, eta_hi=eta_hi, kappa_max=kappa_max,
-        n_eps=-1 if n_eps is None else n_eps, spread_cap=spread_cap, spread_bound_ok=spread_ok,
+        n_eps=-1 if n_eps is None else n_eps, spread_cap=spread_cap,
         certified=n_eps is not None, message=message,
     )
 

@@ -23,7 +23,7 @@ from .errors import InputError, NumericError, OracleError, StreamExhausted
 from .linalg import as_vector, cholesky_lower, min_eig, pd_solve, psd_pinv
 from .majorant import MajorantAtPoint, build_majorant
 from .model import ProblemInstance, eval_hessian, eval_objective_and_gradient
-from .rates import RateCertificate, certify_iteration
+from .rates import RateCertificate, certify_iteration, factor_hessian
 from .stream import ConstantStream, EstimateStream
 from .subspace import (
     DirectionMatrix, SubspaceStrategy, build_subspace, column_scaled, history_window, parse_strategy,
@@ -70,12 +70,6 @@ TRACE_FLAGS = ["converged", "stream_exhausted", "fallback_used"]
 TRACE_SKIPS = "certificates_skipped"
 
 
-def _stored_cert(rec: TraceRecord) -> Optional[RateCertificate]:
-    """The certificate a trace file keeps; converged ones carry no values."""
-    c = rec.cert
-    return None if c is None or c.converged else c
-
-
 @dataclass
 class Trace:
     records: list = field(default_factory=list)
@@ -97,7 +91,7 @@ class Trace:
         def fmt(x):
             return "" if x is None else f"{x:.17g}"
 
-        c = _stored_cert(rec)
+        c = rec.cert
         cert_vals = [None if c is None else getattr(c, k) for k in CSV_CERT_FIELDS]
         return [str(rec.n), fmt(rec.obj), fmt(rec.grad_norm), fmt(rec.step_norm)] + \
             [fmt(v) for v in cert_vals] + [fmt(rec.chi)]
@@ -120,7 +114,6 @@ class Trace:
             out[TRACE_SKIPS] = dict(self.certificates_skipped)
         out["records"] = []
         for rec in self.records:
-            c = _stored_cert(rec)
             d = {
                 "n": rec.n,
                 "h": rec.h.tolist(),
@@ -130,8 +123,8 @@ class Trace:
                 "chi_n": rec.chi,
                 "c_norm": rec.c_norm,
             }
-            if c is not None:
-                d.update((k, getattr(c, k)) for k in CERT_FIELDS)
+            if rec.cert is not None:
+                d.update((k, getattr(rec.cert, k)) for k in CERT_FIELDS)
             out["records"].append(d)
         return out
 
@@ -302,7 +295,7 @@ def _run(stream: EstimateStream, h1, strategy, opts: SolveOptions, mode: str) ->
         cert = None
         if opts.certify:
             try:
-                cert = certify_iteration(p_n, n, h, g, D, m.curvature, epsilon, R_limit=limit.R)
+                cert = certify_iteration(n, g, D, m.curvature, epsilon, limit.R, factor_hessian(p_n, h))
             except NumericError as exc:
                 trace.certificates_skipped[type(exc).__name__] += 1
 

@@ -11,7 +11,11 @@ one certificate.  The Newton oracle for ``F* = inf F`` gates only the gap bound
 and decay (eq6/eq7) and the batch summary.  It runs once for a batch trace
 and once per online snapshot, from the previous snapshot's minimizer, never
 from an MM iterate.  An iteration whose certificate or oracle raises counts
-as skipped once, by the class of its first error.
+as skipped once, by the class of its first error.  F and its gradient are
+evaluated at every record, the last included, so an iterate that overflows
+them is refused as input.  The eq6 gap bound holds by construction at every
+``n >= n_eps``: ``n_eps`` is found by the same predicate over the same rows,
+so the eq6 row counts the certified regime; eq7 is the test made there.
 """
 
 from __future__ import annotations
@@ -170,15 +174,12 @@ def verify_trace(
     gap_checks = []
     skipped = Counter()
     history: list[np.ndarray] = []
-    last = len(recs) - 1
-    snapshot_next = snapshot_at(recs[0]) if last else None
-    for k in range(last):
-        rec, rec_next = recs[k], recs[k + 1]
+    snapshot_next = snapshot_at(recs[0])
+    for rec, rec_next in zip(recs, recs[1:]):
         n = rec.n
         p_n, f, g = snapshot_next
-        # the next record is checked before the step into it is measured
-        if k + 1 < last:
-            snapshot_next = snapshot_at(rec_next)
+        # the next record, the last one too, is checked before the step into it is measured
+        snapshot_next = snapshot_at(rec_next)
         h, h_next = rec.h, rec_next.h
         tol = 1e-10 * (1.0 + abs(f))
         row = {}
@@ -200,8 +201,8 @@ def verify_trace(
             D = build_subspace(strategy, g, h, history)
             try:
                 hessian = factor_hessian(p_n, h)
-                order = check_subspace_ordering(p_n, h, g, A, hessian=hessian)
-                cert = certify_iteration(p_n, n, h, g, D, A, epsilon, R_limit=p.quad.R, hessian=hessian)
+                order = check_subspace_ordering(g, A, hessian)
+                cert = certify_iteration(n, g, D, A, epsilon, p.quad.R, hessian)
             except NumericError as exc:  # the snapshot's Hessian is not positive definite
                 skipped[type(exc).__name__] += 1
         if cert is not None:
@@ -244,8 +245,7 @@ def verify_trace(
     certified = n_eps_detect is not None
     summary = None
     if mode == "batch" and certified_recs:
-        vtrace = Trace(records=certified_recs + [recs[-1]], converged=trace.converged,
-                       meta=dict(trace.meta))
+        vtrace = Trace(records=certified_recs + [recs[-1]])
         summary = batch_rate_summary(p, vtrace, epsilon, ref)
         certified = summary.certified
         n_eps = summary.n_eps if summary.certified else None

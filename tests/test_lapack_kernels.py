@@ -18,7 +18,7 @@ from mmsubspace.model import (
     HyperbolicPenalty, ProblemInstance, QuadraticData, eval_gradient, eval_hessian, eval_objective, save_problem,
 )
 from mmsubspace.problems import demo_instances, random_spd
-from mmsubspace.rates import certify_iteration
+from mmsubspace.rates import certify_iteration, factor_hessian
 from mmsubspace.solver import ReferenceSolution, SolveOptions, reference_minimizer, run_batch
 from mmsubspace.subspace import build_subspace, parse_strategy
 from mmsubspace.verify import verify_trace
@@ -261,7 +261,7 @@ def test_one_certificate_makes_two_cholesky_factorizations(monkeypatch):
 
     monkeypatch.setattr(linalg, "_potrf", counting(linalg._potrf, "potrf"))
     monkeypatch.setattr(linalg, "_trtrs", counting(linalg._trtrs, "trtrs"))
-    cert = certify_iteration(p, 3, h, g, D, A, 0.1)
+    cert = certify_iteration(3, g, D, A, 0.1, p.quad.R, factor_hessian(p, h))
     assert cert.hessian_floor_ok
     assert calls == {"potrf": 2, "trtrs": 3}
 
@@ -335,16 +335,17 @@ def test_verify_of_a_trace_with_a_nan_iterate_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: trace record n={d['records'][1]['n']} ")
 
 
-def test_verify_of_a_trace_with_a_huge_iterate_exits_one_without_a_warning(tmp_path, capsys):
+@pytest.mark.parametrize("index", [4, -1])
+def test_verify_of_a_trace_with_a_huge_iterate_exits_one_without_a_warning(tmp_path, capsys, index):
     save_problem(demo_instances()["hyperbolic-4d"], tmp_path / "p.json")
     main(["solve", "--problem", str(tmp_path / "p.json"), "--certify", "--trace-out", str(tmp_path / "t")])
     d = json.loads((tmp_path / "t.json").read_text())
     assert len(d["records"]) > 6
-    d["records"][4]["h"][0] = 1e308
+    d["records"][index]["h"][0] = 1e308
     (tmp_path / "t.json").write_text(json.dumps(d))
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["verify", "--problem", str(tmp_path / "p.json"), "--trace", str(tmp_path / "t.json")]) == 1
     assert capsys.readouterr().err.startswith(
-        f"error: the objective or its gradient at the iterate of trace record n={d['records'][4]['n']} ")
+        f"error: the objective or its gradient at the iterate of trace record n={d['records'][index]['n']} ")

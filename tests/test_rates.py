@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
-from mmsubspace.errors import InputError
+from mmsubspace.cli import build_stream, main
+from mmsubspace.errors import InputError, NumericError
 from mmsubspace.majorant import build_majorant
-from mmsubspace.model import ProblemInstance, QuadraticData, ZeroPenalty, eval_gradient, eval_hessian
+from mmsubspace.model import (
+    ProblemInstance, QuadraticData, ZeroPenalty, eval_gradient, eval_hessian, eval_objective_and_gradient,
+    save_problem,
+)
+from mmsubspace.problems import demo_instances
 from mmsubspace.rates import (
     batch_rate_summary,
     certify_iteration,
@@ -14,10 +19,12 @@ from mmsubspace.rates import (
     compute_sigma_bounds,
     certified_regime_start,
     compute_theta_tilde,
+    factor_hessian,
     gradient_reference,
+    sigma_spread,
 )
-from mmsubspace.solver import SolveOptions, reference_minimizer, run_batch
-from mmsubspace.subspace import DirectionMatrix, build_subspace, parse_strategy
+from mmsubspace.solver import SolveOptions, Trace, reference_minimizer, run_batch
+from mmsubspace.subspace import DirectionMatrix, build_subspace, history_window, parse_strategy
 from conftest import instance_grid
 
 
@@ -82,7 +89,7 @@ def test_certify_iteration_full_space(diag14):
     m = build_majorant(diag14, h)
     D = build_subspace(parse_strategy("full"), g, h)
     eps = 0.1
-    cert = certify_iteration(diag14, 1, h, g, D, m.curvature, eps)
+    cert = certify_iteration(1, g, D, m.curvature, eps, diag14.quad.R, factor_hessian(diag14, h))
     np.testing.assert_allclose(cert.theta_tilde, 1.0, rtol=1e-12)
     np.testing.assert_allclose(cert.theta, eps / (1.0 + eps), rtol=1e-12)
     assert cert.hessian_floor_ok
@@ -106,7 +113,7 @@ def test_theta_sandwich_on_runs():
                           opts=SolveOptions(max_iters=200, grad_tol=1e-9, certify=True))
         for rec in trace.records:
             c = rec.cert
-            if c is None or c.converged:
+            if c is None:
                 continue
             assert c.theta_lo <= c.theta + 1e-10
             assert c.theta <= c.theta_hi + 1e-10
@@ -129,7 +136,6 @@ def test_decay_example_numbers():
     )
     rep = check_decay_inequality(cert, F_now=5.0, F_next=2.5, inf_Fn=0.0)
     assert rep.decay_ok and rep.gap_bound_ok and rep.passed
-    assert rep.decay_rhs == 2.5
 
     rep_bad = check_decay_inequality(cert, F_now=5.0, F_next=2.6, inf_Fn=0.0)
     assert not rep_bad.decay_ok
@@ -142,12 +148,12 @@ def test_decay_holds_along_certified_runs():
         inf_F = reference_minimizer(p).value
         n_eps = certified_regime_start(
             (rec.n, rec.cert, rec.obj, inf_F)
-            for rec in trace.records if rec.cert is not None and not rec.cert.converged
+            for rec in trace.records if rec.cert is not None
         )
         assert n_eps is not None
         recs = trace.records
         for a, b in zip(recs, recs[1:]):
-            if a.cert is None or a.cert.converged or a.n < n_eps:
+            if a.cert is None or a.n < n_eps:
                 continue
             rep = check_decay_inequality(a.cert, a.obj, b.obj, inf_F)
             assert rep.passed, a.n
@@ -163,7 +169,7 @@ def test_subspace_ordering_and_memory_monotonicity():
     hess = eval_hessian(p, h)
     t = {s: compute_theta_tilde(g, A, hess, build_subspace(parse_strategy(s), g, h, hist))
          for s in ["gradient", "3mg", "memory:4", "memory:5", "full"]}
-    rep = check_subspace_ordering(p, h, g, A)
+    rep = check_subspace_ordering(g, A, factor_hessian(p, h))
     for theta in t.values():
         tol = 1e-10 * max(1.0, abs(theta))
         assert rep.theta_gradient_ref <= theta + tol and theta <= rep.theta_full + tol
@@ -189,7 +195,8 @@ def test_batch_summary_identity_R():
     np.testing.assert_allclose(s.kappa_max, 1.0, rtol=1e-10)
     np.testing.assert_allclose(s.vartheta, eps, rtol=1e-6)
     assert s.n_eps >= 1
-    assert s.spread_bound_ok
+    assert all(sigma_spread(rec.cert.sigma_lo, rec.cert.sigma_hi) <= s.spread_cap + 1e-10
+               for rec in trace.records if rec.cert is not None)
 
 
 def test_batch_summary_and_linear_convergence():
@@ -204,8 +211,40 @@ def test_batch_summary_and_linear_convergence():
         assert rep.passed, (p.penalty.kind, rep)
 
 
-def test_certificate_at_zero_gradient_is_converged(diag14):
+def test_certificate_at_zero_gradient_raises(diag14):
+    # g' H^{-1} g vanishes, so neither a certificate nor the ordering exists;
+    # the solver stops before a zero gradient
     h = np.zeros(2)
+    g = eval_gradient(diag14, h)
     m = build_majorant(diag14, h)
-    cert = certify_iteration(diag14, 1, h, eval_gradient(diag14, h), DirectionMatrix(np.eye(2)), m.curvature, 0.05)
-    assert cert.converged and cert.theta is None
+    with pytest.raises(NumericError):
+        certify_iteration(1, g, DirectionMatrix(np.eye(2)), m.curvature, 0.05, diag14.quad.R, factor_hessian(diag14, h))
+    with pytest.raises(NumericError):
+        check_subspace_ordering(g, m.curvature, factor_hessian(diag14, h))
+
+
+@pytest.mark.parametrize("stream", [[], ["--stream", "geometric:0.9", "--seed", "1"]],
+                         ids=["batch", "online"])
+def test_recorded_certificates_are_the_single_path_recomputed(tmp_path, stream):
+    """Each recorded certificate is bitwise certify_iteration on factor_hessian at the record's iterate."""
+    p = demo_instances()["hyperbolic-4d"]
+    save_problem(p, tmp_path / "p.json")
+    assert main(["solve", "--problem", str(tmp_path / "p.json"), "--certify", *stream,
+                 "--trace-out", str(tmp_path / "t")]) == 0
+    trace = Trace.from_json(tmp_path / "t.json")
+    src = build_stream(stream[1] if stream else "constant", p, int(stream[3]) if stream else 0)
+    strategy = parse_strategy(trace.meta["strategy"])
+    eps = trace.meta["epsilon"]
+    history = []
+    certified = 0
+    for rec in trace.records[:-1]:
+        p_n = src.instance(rec.n)
+        f, g = eval_objective_and_gradient(p_n, rec.h)
+        A = build_majorant(p_n, rec.h, f, g).curvature
+        D = build_subspace(strategy, g, rec.h, history)
+        if rec.cert is not None:
+            assert certify_iteration(rec.n, g, D, A, eps, src.limit.R, factor_hessian(p_n, rec.h)) == rec.cert
+            certified += 1
+        history.insert(0, rec.h)
+        del history[history_window(strategy):]
+    assert certified == len(trace.records) - 1 - sum(trace.certificates_skipped.values()) > 0
