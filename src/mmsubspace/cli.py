@@ -25,10 +25,11 @@ def build_stream(spec: str, p: ProblemInstance, seed: int):
     The geometric stream derives its perturbation direction from the seed,
     scaled to a few percent of the problem data, so runs are reproducible.
     """
-    spec = spec.strip().lower()
-    if spec == "constant":
+    spec = spec.strip()
+    kind = spec.lower()  # a replay path keeps its case
+    if kind == "constant":
         return ConstantStream(p.quad, p.penalty)
-    if spec.startswith("geometric:"):
+    if kind.startswith("geometric:"):
         rho = float(spec.split(":", 1)[1])
         rng = np.random.default_rng(seed)
         E = rng.standard_normal((p.dim, p.dim))
@@ -37,7 +38,7 @@ def build_stream(spec: str, p: ProblemInstance, seed: int):
         e = rng.standard_normal(p.dim)
         e *= 0.05 * (1.0 + np.linalg.norm(p.quad.r)) / max(np.linalg.norm(e), 1e-300)
         return GeometricPerturbationStream(p.quad, rho, E, e, penalty=p.penalty)
-    if spec.startswith("replay:"):
+    if kind.startswith("replay:"):
         return FileReplayStream(spec.split(":", 1)[1], quad=p.quad, penalty=p.penalty)
     raise InputError(f"unknown stream spec {spec!r}")
 
@@ -185,7 +186,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, OracleError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (InputError, OracleError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericError as exc:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field check of the JSON readers."""
 
 
 class InputError(ValueError):
@@ -15,3 +15,17 @@ class OracleError(RuntimeError):
 
 class StreamExhausted(Exception):
     """A finite estimate stream has no further snapshots."""
+
+
+def require_fields(d, fields, where: str) -> dict:
+    """``d`` itself if it is a JSON object holding every key of ``fields``.
+
+    Anything else is an ``InputError`` that names ``where`` and the first
+    missing key.
+    """
+    if not isinstance(d, dict):
+        raise InputError(f"{where} is not a JSON object")
+    for key in fields:
+        if key not in d:
+            raise InputError(f"{where} lacks {key!r}")
+    return d

@@ -1,26 +1,52 @@
 """Small symmetric linear-algebra helpers used throughout the package.
 
 Every LAPACK call of the package goes through this module.  The Cholesky
-kernels call ``potrf``, ``potrs`` and ``trtrs`` directly, looked up once at
-import: the ``scipy.linalg`` front ends validate and dispatch on every call,
-which at the sizes of a certificate costs as much as the factorization.  The
-checks they made are kept here explicitly, so a non-square, non-finite or
+kernels call ``potrf``, ``potrs`` and ``trtrs`` directly: the
+``scipy.linalg`` front ends validate and dispatch on every call, which at the
+sizes of a certificate costs as much as the factorization.  The checks they
+made are kept here explicitly, so a non-square, non-finite or
 non-positive-definite input still raises ``NumericError``.  The routines and
 their arguments are the ones ``scipy.linalg.cholesky``, ``cho_solve`` and
 ``solve_triangular`` pass, so the results are bitwise theirs.
+
+The kernels are looked up once, on the first Cholesky factorization or
+triangular solve, not at import.  Importing ``scipy.linalg`` takes longer
+than a plain solve of a medium problem, and a plain solve never factors, so
+it never imports scipy.  ``_potrf``, ``_potrs`` and ``_trtrs`` still read
+as module attributes before any call; reading one binds all three.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import InputError, NumericError
 
 # Relative eigenvalue cutoff shared by every pseudo-inverse in the package.
 PINV_RCOND = 1e-12
 
-_potrf, _potrs, _trtrs = lapack.get_lapack_funcs(("potrf", "potrs", "trtrs"), (np.empty((1, 1)),))
+_KERNELS = ("_potrf", "_potrs", "_trtrs")
+_kernels_bound = False
+
+
+def _bind_kernels() -> None:
+    """Look the LAPACK kernels up on first use; a kernel already set on the module is kept."""
+    global _kernels_bound
+    if _kernels_bound:
+        return
+    from scipy.linalg import lapack
+
+    funcs = lapack.get_lapack_funcs([name[1:] for name in _KERNELS], (np.empty((1, 1)),))
+    for name, fn in zip(_KERNELS, funcs):
+        globals().setdefault(name, fn)
+    _kernels_bound = True
+
+
+def __getattr__(name: str):
+    if name in _KERNELS:
+        _bind_kernels()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def as_vector(v, dim: int | None = None) -> np.ndarray:
@@ -88,6 +114,7 @@ def cholesky_lower(M: np.ndarray) -> np.ndarray:
     returned factor is also a proof of that.  The factor is Fortran-ordered,
     with zeros above the diagonal.
     """
+    _bind_kernels()
     c, info = _potrf(_finite_square(M), lower=True)
     if info != 0:
         raise NumericError("matrix not positive definite")
@@ -96,6 +123,7 @@ def cholesky_lower(M: np.ndarray) -> np.ndarray:
 
 def solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``L x = b`` for lower triangular ``L``; ``b`` is a vector or a block of columns."""
+    _bind_kernels()
     L = _finite_square(L)
     b = _finite_rhs(b, L.shape[0])
     if L.flags.f_contiguous:

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, NumericError, OracleError, StreamExhausted
+from .errors import InputError, NumericError, OracleError, StreamExhausted, require_fields
 from .linalg import as_vector, cholesky_lower, min_eig, pd_solve, psd_pinv
 from .majorant import MajorantAtPoint, build_majorant
 from .model import ProblemInstance, eval_hessian, eval_objective_and_gradient
@@ -65,6 +66,8 @@ CERT_FIELDS = [
 CSV_CERT_FIELDS = CERT_FIELDS[:8]
 CSV_COLUMNS = ["n", "obj", "grad_norm", "step_norm", *CSV_CERT_FIELDS, "chi_n"]
 TRACE_FLAGS = ["converged", "stream_exhausted", "fallback_used"]
+# the keys a record must hold to be read back, each with the conversion it must pass
+RECORD_FIELDS = {"n": operator.index, "h": lambda v: np.asarray(v, dtype=float), "obj": float, "grad_norm": float}
 # certificates not recorded because computing them raised, counted by the
 # error's class name; a certified run stores the counts under this key
 TRACE_SKIPS = "certificates_skipped"
@@ -131,16 +134,28 @@ class Trace:
     @classmethod
     def from_json(cls, path) -> "Trace":
         with open(path) as f:
-            d = json.load(f)
+            d = require_fields(json.load(f), ["records"], f"trace file {path}")
+        if not isinstance(d["records"], list):
+            raise InputError(f"'records' of trace file {path} is not a list")
+        if not isinstance(d.get("meta", {}), dict):
+            raise InputError(f"'meta' of trace file {path} is not an object")
         trace = cls(meta=d.get("meta", {}), certificates_skipped=Counter(d.get(TRACE_SKIPS, {})),
                     **{k: d.get(k, False) for k in TRACE_FLAGS})
-        for rd in d["records"]:
+        for i, rd in enumerate(d["records"]):
+            where = f"record {i} of trace file {path}"
+            require_fields(rd, RECORD_FIELDS, where)
+            fields = {}
+            for key, convert in RECORD_FIELDS.items():
+                try:
+                    fields[key] = convert(rd[key])
+                except (TypeError, ValueError) as exc:
+                    raise InputError(f"malformed {key!r} in {where}: {exc}") from exc
             cert = None
             if "theta" in rd:
-                cert = RateCertificate(n=rd["n"], **{k: rd[k] for k in CERT_FIELDS})
+                require_fields(rd, CERT_FIELDS, where)
+                cert = RateCertificate(n=fields["n"], **{k: rd[k] for k in CERT_FIELDS})
             trace.records.append(TraceRecord(
-                n=rd["n"], h=np.asarray(rd["h"], dtype=float), obj=rd["obj"],
-                grad_norm=rd["grad_norm"], step_norm=rd.get("step_norm"),
+                **fields, step_norm=rd.get("step_norm"),
                 chi=rd.get("chi_n"), c_norm=rd.get("c_norm"), cert=cert,
             ))
         return trace

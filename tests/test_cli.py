@@ -190,3 +190,55 @@ def test_solve_reports_a_malformed_number_in_the_problem_file(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert field in err.splitlines()[0]
+
+
+# an input file that cannot be read, or holds JSON of the wrong shape, ends in "error:"
+
+@pytest.mark.parametrize("case", ["problem-dir", "problem-utf16", "trace-dir", "replay-dir", "replay-utf16"])
+def test_an_unreadable_input_file_is_an_error(problem_file, tmp_path, capsys, case):
+    directory = str(tmp_path)
+    utf16 = tmp_path / "u.json"
+    utf16.write_bytes(b"\xff\xfe{}")
+    argv = {
+        "problem-dir": ["solve", "--problem", directory],
+        "problem-utf16": ["solve", "--problem", str(utf16)],
+        "trace-dir": ["verify", "--problem", str(problem_file), "--trace", directory],
+        "replay-dir": ["solve", "--problem", str(problem_file), "--stream", f"replay:{directory}"],
+        "replay-utf16": ["solve", "--problem", str(problem_file), "--stream", f"replay:{utf16}"],
+    }[case]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("content, message", [
+    ("{}", "lacks 'records'"),
+    ("[1]", "is not a JSON object"),
+    ('{"records": 5}', "'records' of trace file"),
+    ('{"records": [{"n": 0, "obj": 1.0, "grad_norm": 1.0}]}', "lacks 'h'"),
+    ('{"records": [{"n": 0, "h": [0, 0, 0], "obj": 1.0, "grad_norm": 1.0, "theta": 0.5}]}',
+     "lacks 'theta_tilde'"),
+    ('{"records": [{"n": 0, "h": "x", "obj": 1.0, "grad_norm": 1.0}]}', "malformed 'h'"),
+    ('{"records": [{"n": 0, "h": [0, 0, 0], "obj": "x", "grad_norm": 1.0}]}', "malformed 'obj'"),
+    ('{"records": [{"n": 0.5, "h": [0, 0, 0], "obj": 1.0, "grad_norm": 1.0}]}', "malformed 'n'"),
+    ('{"meta": [], "records": []}', "'meta' of trace file"),
+], ids=["empty-object", "list", "records-not-a-list", "record-without-h", "partial-certificate",
+        "string-h", "string-obj", "fractional-n", "meta-not-an-object"])
+def test_verify_names_a_malformed_trace_file(problem_file, tmp_path, capsys, content, message):
+    path = tmp_path / "t.json"
+    path.write_text(content)
+    assert main(["verify", "--problem", str(problem_file), "--trace", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()[0]
+    assert err.startswith("error: ") and message in err and str(path) in err
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"r": [1, 2]}', "lacks 'R'"),
+    ("[1]", "is not a JSON object"),
+    ('{"R": [[1, 0], [0]], "r": [1, 2]}', "inhomogeneous"),
+], ids=["no-R", "list", "ragged-R"])
+def test_a_malformed_replay_line_is_named(problem_file, tmp_path, capsys, line, message):
+    path = tmp_path / "Replay.jsonl"  # the path keeps its case
+    path.write_text(line + "\n")
+    assert main(["solve", "--problem", str(problem_file), "--stream", f"replay:{path}"]) == 1
+    err = capsys.readouterr().err.splitlines()[0]
+    assert err.startswith(f"error: line 1 of replay file {path}") and message in err
