@@ -19,6 +19,14 @@ from .subspace import parse_strategy
 from .verify import verify_trace
 
 
+def _flag_value(flag: str, text: str, convert):
+    """``convert(text)``, with a malformed value reported as an ``InputError`` naming the flag."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise InputError(f"malformed {flag} {text!r}: {exc}") from exc
+
+
 def build_stream(spec: str, p: ProblemInstance, seed: int):
     """Instantiate a snapshot stream from its CLI spec string.
 
@@ -30,7 +38,7 @@ def build_stream(spec: str, p: ProblemInstance, seed: int):
     if kind == "constant":
         return ConstantStream(p.quad, p.penalty)
     if kind.startswith("geometric:"):
-        rho = float(spec.split(":", 1)[1])
+        rho = _flag_value("--stream", spec, lambda s: float(s.split(":", 1)[1]))
         rng = np.random.default_rng(seed)
         E = rng.standard_normal((p.dim, p.dim))
         E = 0.5 * (E + E.T)
@@ -82,7 +90,7 @@ def cmd_solve(args) -> int:
         epsilon=args.epsilon,
         certify=args.certify,
     )
-    strategy = parse_strategy(args.subspace)
+    strategy = _flag_value("--subspace", args.subspace, parse_strategy)
     if args.stream == "constant":
         trace = run_batch(p, None, strategy, opts)
     else:
@@ -186,7 +194,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, OracleError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (InputError, OracleError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericError as exc:

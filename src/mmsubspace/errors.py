@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the field check of the JSON readers."""
+"""Exception types shared across the package, and the file read and field check of the JSON readers."""
 
 
 class InputError(ValueError):
@@ -29,3 +29,16 @@ def require_fields(d, fields, where: str) -> dict:
         if key not in d:
             raise InputError(f"{where} lacks {key!r}")
     return d
+
+
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of the file at ``path``.
+
+    Bytes that are not UTF-8 are an ``InputError`` naming ``what`` and the
+    path, since a command may read several files.
+    """
+    with open(path, encoding="utf-8") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{what} {path} is not UTF-8 text: {exc}") from exc

@@ -25,6 +25,9 @@ from .errors import InputError, NumericError
 # Relative eigenvalue cutoff shared by every pseudo-inverse in the package.
 PINV_RCOND = 1e-12
 
+# The smallest positive normal double; nonzero magnitudes below it are subnormal.
+TINY = np.finfo(float).tiny
+
 _KERNELS = ("_potrf", "_potrs", "_trtrs")
 _kernels_bound = False
 
@@ -72,6 +75,22 @@ def check_symmetric(M: np.ndarray, rtol: float = 1e-12, name: str = "matrix") ->
     if np.sqrt(np.vdot(D, D)) > rtol * max(scale, 1e-300):
         raise InputError(f"{name} not symmetric")
     return M
+
+
+def flush_subnormals(M: np.ndarray) -> np.ndarray:
+    """``M`` with every subnormal entry, ``0 < |x| < TINY``, stored as 0.0.
+
+    A dense product that reads a subnormal operand runs on the CPU's slow
+    microcode path, several times slower for the whole product.  The result
+    differs from ``M`` by less than ``TINY`` in each entry; normal entries,
+    zeros and their signs are kept.  ``M`` itself is returned when it holds
+    no subnormal entry, and it is never written to.
+    """
+    sub = np.abs(M) < TINY
+    sub &= M != 0.0
+    if not sub.any():
+        return M
+    return np.where(sub, 0.0, M)
 
 
 def psd_pinv(M: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, NumericError, OracleError, StreamExhausted, require_fields
+from .errors import InputError, NumericError, OracleError, StreamExhausted, read_text, require_fields
 from .linalg import as_vector, cholesky_lower, min_eig, pd_solve, psd_pinv
 from .majorant import MajorantAtPoint, build_majorant
 from .model import ProblemInstance, eval_hessian, eval_objective_and_gradient
@@ -107,9 +107,19 @@ class Trace:
                 w.writerow(self._row(rec))
 
     def to_json(self, path) -> None:
+        """Write ``as_dict()`` as one JSON object: the run-level keys on the
+        first line, then one record per line.
+
+        ``json.dumps`` without ``indent`` runs CPython's C encoder, where
+        ``json.dump`` to a file always runs the pure-Python one.  The layout
+        is not part of the schema: ``from_json`` reads any JSON layout.
+        """
+        d = self.as_dict()
+        records = d.pop("records")
         with open(path, "w") as f:
-            json.dump(self.as_dict(), f, indent=1)
-            f.write("\n")
+            f.write(json.dumps(d)[:-1] + ', "records": [\n')
+            f.write(",\n".join(map(json.dumps, records)))
+            f.write("\n]}\n")
 
     def as_dict(self) -> dict:
         out = {"meta": self.meta, **{k: getattr(self, k) for k in TRACE_FLAGS}}
@@ -133,8 +143,7 @@ class Trace:
 
     @classmethod
     def from_json(cls, path) -> "Trace":
-        with open(path) as f:
-            d = require_fields(json.load(f), ["records"], f"trace file {path}")
+        d = require_fields(json.loads(read_text(path, "trace file")), ["records"], f"trace file {path}")
         if not isinstance(d["records"], list):
             raise InputError(f"'records' of trace file {path} is not a list")
         if not isinstance(d.get("meta", {}), dict):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, StreamExhausted, require_fields
+from .errors import InputError, StreamExhausted, read_text, require_fields
 from .linalg import as_vector, check_symmetric, min_eig
 from .model import Penalty, ProblemInstance, QuadraticData, ZeroPenalty
 
@@ -115,19 +115,18 @@ class FileReplayStream(EstimateStream):
 
     def __init__(self, path, quad: QuadraticData | None = None, penalty: Penalty | None = None):
         self.snapshots = []
-        with open(path) as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                where = f"line {lineno} of replay file {path}"
-                d = require_fields(json.loads(line), ["R", "r"], where)
-                try:
-                    R = check_symmetric(np.asarray(d["R"], dtype=float), rtol=1e-12, name="replayed R")
-                    r = as_vector(d["r"], R.shape[0])
-                except (TypeError, ValueError) as exc:
-                    raise InputError(f"{where}: {exc}") from exc
-                self.snapshots.append((R, r))
+        for lineno, line in enumerate(read_text(path, "replay file").split("\n"), 1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"line {lineno} of replay file {path}"
+            d = require_fields(json.loads(line), ["R", "r"], where)
+            try:
+                R = check_symmetric(np.asarray(d["R"], dtype=float), rtol=1e-12, name="replayed R")
+                r = as_vector(d["r"], R.shape[0])
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"{where}: {exc}") from exc
+            self.snapshots.append((R, r))
         if not self.snapshots:
             raise InputError(f"no snapshots in {path}")
         if quad is None:

@@ -41,7 +41,12 @@ class SubspaceStrategy:
 def parse_strategy(text: str) -> SubspaceStrategy:
     text = text.strip().lower()
     if text.startswith("memory:"):
-        return SubspaceStrategy(MEMORY, memory=int(text.split(":", 1)[1]))
+        m = text.split(":", 1)[1]
+        try:
+            memory = int(m)
+        except ValueError:
+            raise InputError(f"memory size {m!r} is not an integer") from None
+        return SubspaceStrategy(MEMORY, memory=memory)
     return SubspaceStrategy(text)
 
 

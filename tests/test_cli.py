@@ -147,6 +147,19 @@ def test_trace_roundtrip_preserves_verification(problem_file, tmp_path):
     assert len(csv_lines) == len(trace.records) + 1
 
 
+def test_a_trace_in_the_indented_layout_still_verifies(problem_file, tmp_path, capsys):
+    main(["solve", "--problem", str(problem_file), "--certify", "--trace-out", str(tmp_path / "t")])
+    text = (tmp_path / "t.json").read_text()
+    d = json.loads(text)
+    assert len(text.splitlines()) == len(d["records"]) + 2  # the run-level keys, one line per record, "]}"
+    old = tmp_path / "old.json"
+    with open(old, "w") as f:
+        json.dump(d, f, indent=1)
+    assert Trace.from_json(old).as_dict() == d
+    assert main(["verify", "--problem", str(problem_file), "--trace", str(old)]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
+
+
 def test_verify_refuses_an_online_trace_without_its_stream(problem_file, tmp_path, capsys):
     main(["solve", "--problem", str(problem_file), "--certify",
           "--stream", "geometric:0.8", "--seed", "7", "--trace-out", str(tmp_path / "t")])
@@ -194,20 +207,38 @@ def test_solve_reports_a_malformed_number_in_the_problem_file(tmp_path, capsys, 
 
 # an input file that cannot be read, or holds JSON of the wrong shape, ends in "error:"
 
-@pytest.mark.parametrize("case", ["problem-dir", "problem-utf16", "trace-dir", "replay-dir", "replay-utf16"])
+@pytest.mark.parametrize("case", ["problem-dir", "problem-utf16", "trace-dir", "trace-utf16", "replay-dir",
+                                  "replay-utf16"])
 def test_an_unreadable_input_file_is_an_error(problem_file, tmp_path, capsys, case):
-    directory = str(tmp_path)
+    directory = tmp_path / "d"
+    directory.mkdir()
     utf16 = tmp_path / "u.json"
     utf16.write_bytes(b"\xff\xfe{}")
     argv = {
-        "problem-dir": ["solve", "--problem", directory],
+        "problem-dir": ["solve", "--problem", str(directory)],
         "problem-utf16": ["solve", "--problem", str(utf16)],
-        "trace-dir": ["verify", "--problem", str(problem_file), "--trace", directory],
+        "trace-dir": ["verify", "--problem", str(problem_file), "--trace", str(directory)],
+        "trace-utf16": ["verify", "--problem", str(problem_file), "--trace", str(utf16)],
         "replay-dir": ["solve", "--problem", str(problem_file), "--stream", f"replay:{directory}"],
         "replay-utf16": ["solve", "--problem", str(problem_file), "--stream", f"replay:{utf16}"],
     }[case]
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err.splitlines()[0]
+    # verify reads two files, so the message names the one that failed
+    assert err.startswith("error: ") and str(utf16 if case.endswith("utf16") else directory) in err
+    if case.endswith("utf16"):
+        assert f"{case.split('-')[0]} file {utf16} is not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--stream", "geometric:x"),
+    ("--stream", "geometric:"),
+    ("--subspace", "memory:x"),
+], ids=["geometric-x", "geometric-empty", "memory-x"])
+def test_a_malformed_number_in_a_flag_is_named(problem_file, capsys, flag, value):
+    assert main(["solve", "--problem", str(problem_file), flag, value]) == 1
+    err = capsys.readouterr().err.splitlines()[0]
+    assert err.startswith(f"error: malformed {flag} {value!r}: ")
 
 
 @pytest.mark.parametrize("content, message", [
