@@ -194,7 +194,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, OracleError, OSError, json.JSONDecodeError) as exc:
+    except (InputError, OracleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericError as exc:

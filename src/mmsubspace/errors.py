@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the file read and field check of the JSON readers."""
+"""Exception types shared across the package, and the file read, parse and field check of the JSON readers."""
+
+import json
 
 
 class InputError(ValueError):
@@ -42,3 +44,11 @@ def read_text(path, what: str) -> str:
             return f.read()
         except UnicodeDecodeError as exc:
             raise InputError(f"{what} {path} is not UTF-8 text: {exc}") from exc
+
+
+def parse_json(text: str, where: str):
+    """``json.loads(text)``; text that is not JSON is an ``InputError`` naming ``where``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{where} is not JSON: {exc}") from exc

@@ -21,7 +21,9 @@ which returns ``B(h) @ X = lam * L'(omega(Lh) * LX)`` for a vector or a
 block of columns ``X``, and an identity ``L`` is never multiplied at all.  A
 plain 3MG iteration then costs O(n^2 m) for the products with ``R`` plus
 O(nnz(L) m) for the penalty, with m the number of subspace columns, instead
-of the O(n^3) of forming ``L' Diag(omega) L``.  The dense ``curvature(h)``
+of the O(n^3) of forming ``L' Diag(omega) L``.  A first-difference ``L``,
+given as a dense matrix or as ``{"diff": 1}`` in a problem file, is applied
+by slicing, so its penalty costs O(n m).  The dense ``curvature(h)``
 remains the reference: ``MajorantAtPoint.curvature`` builds ``R + B(h)``
 from it on first read, which only certification, verification and the tests
 do.
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, read_text
+from .errors import InputError, parse_json, read_text
 from .linalg import as_vector, check_symmetric, flush_subnormals
 
 
@@ -50,6 +52,30 @@ def _penalty_weight(lam) -> float:
     if not (np.isfinite(lam) and lam >= 0):
         raise InputError(f"penalty weight lambda must be finite and nonnegative, got {lam}")
     return float(lam)
+
+
+def _first_difference(n: int) -> np.ndarray:
+    """The (n-1) x n first-difference operator, ``(L x)_i = x_{i+1} - x_i``."""
+    L = np.zeros((n - 1, n))
+    np.fill_diagonal(L, -1.0)
+    np.fill_diagonal(L[:, 1:], 1.0)
+    return L
+
+
+def _is_first_difference(L: np.ndarray) -> bool:
+    """Whether ``L`` equals ``_first_difference(n)`` exactly, n >= 2, read in place.
+
+    Its two diagonals hold -1 and +1 and nothing else is nonzero; a NaN
+    anywhere fails one test or the other.  Nothing of L's size is allocated.
+    """
+    n = L.shape[-1]
+    return (
+        n >= 2
+        and L.shape == (n - 1, n)
+        and bool(np.all(np.diagonal(L) == -1.0))
+        and bool(np.all(np.diagonal(L, 1) == 1.0))
+        and np.count_nonzero(L) == 2 * (n - 1)
+    )
 
 
 class Penalty:
@@ -70,8 +96,15 @@ class Penalty:
     vector or at each column.
 
     ``L`` is stored as None when it is the identity, given or omitted, and
-    every product with it is then skipped.  Any other ``L`` is stored with
-    its subnormal entries flushed to 0.0, as ``QuadraticData`` stores ``R``.
+    every product with it is then skipped.  An ``L`` exactly equal to the
+    first-difference operator (``L x = x[1:] - x[:-1]``) is kept as given and
+    applied by slicing: each entry of ``L x`` or ``L' y`` is one difference of
+    two entries, rounded once, so it equals the dense product bit for bit on
+    finite input.  A scaled or perturbed ``L``, or one with a NaN entry,
+    keeps the dense product.  Any other ``L`` is stored with its subnormal
+    entries flushed to 0.0, as ``QuadraticData`` stores ``R``.  The dense
+    ``L`` serves the dense matrices ``hessian``, ``curvature`` and
+    ``curvature_bound`` in every case.
     """
 
     def __init__(self, lam: float, delta: float, L=None):
@@ -79,11 +112,18 @@ class Penalty:
         if not (np.isfinite(delta) and delta > 0):
             raise InputError(f"smoothing scale delta must be finite and positive, got {delta}")
         self.delta = float(delta)
+        self._first_diff = False
         if L is not None:
-            L = flush_subnormals(np.atleast_2d(np.asarray(L, dtype=float)))
-            if L.shape[0] == L.shape[1] and np.array_equal(L, np.eye(L.shape[0])):
-                L = None
+            L = np.atleast_2d(np.asarray(L, dtype=float))
+            self._first_diff = _is_first_difference(L)
+            if not self._first_diff:  # a difference operator has no subnormal entry to flush
+                L = flush_subnormals(L)
+                if L.shape[0] == L.shape[1] and np.array_equal(L, np.eye(L.shape[0])):
+                    L = None
         self.L = L
+        if L is not None:
+            # ||L||_F^2 of the gap bound; a difference operator's 2(n-1) ones sum to it exactly
+            self._L_fro2 = 2.0 * L.shape[0] if self._first_diff else float(np.sum(L * L))
 
     # scalar potential, defined by subclasses
     def _phi(self, t):
@@ -104,10 +144,25 @@ class Penalty:
 
     def _L_times(self, x):
         x = np.asarray(x, dtype=float)
-        return x if self.L is None else self.L @ x
+        if self.L is None:
+            return x
+        if self._first_diff:
+            # summed onto +0.0 like the dense product, so an exact zero is +0.0 there too
+            Lx = np.zeros((x.shape[0] - 1, *x.shape[1:]))
+            Lx += x[1:]
+            Lx -= x[:-1]
+            return Lx
+        return self.L @ x
 
     def _Lt_times(self, y):
-        return y if self.L is None else self.L.T @ y
+        if self.L is None:
+            return y
+        if self._first_diff:
+            Lty = np.zeros((y.shape[0] + 1, *y.shape[1:]))
+            Lty[1:] += y
+            Lty[:-1] -= y
+            return Lty
+        return self.L.T @ y
 
     def _weighted_gram(self, w):
         """The dense matrix ``lam * L' Diag(w) L``."""
@@ -151,7 +206,7 @@ class Penalty:
             bound = np.min(d, axis=0)
         else:
             d_min = np.min(d, axis=0, initial=0.0)
-            bound = np.where(d_min == 0.0, 0.0, d_min * float(np.sum(self.L * self.L)))
+            bound = np.where(d_min == 0.0, 0.0, d_min * self._L_fro2)
         return float(bound) if d.ndim == 1 else bound
 
     def curvature_bound(self, dim):
@@ -165,7 +220,7 @@ class Penalty:
             "kind": self.kind,
             "lambda": self.lam,
             "delta": self.delta,
-            "L": "identity" if self.L is None else self.L.tolist(),
+            "L": "identity" if self.L is None else {"diff": 1} if self._first_diff else self.L.tolist(),
         }
 
 
@@ -353,6 +408,11 @@ def penalty_from_dict(spec: dict, dim: int) -> Penalty:
     L = spec.get("L", "identity")
     if isinstance(L, str) and L == "identity":
         L = None
+    elif isinstance(L, dict):
+        if L != {"diff": 1} or dim < 2:
+            raise InputError(f"malformed 'penalty.L' in the problem file: only the first difference "
+                             f"{{\"diff\": 1}} at dim >= 2 is supported, got {L} at dim {dim}")
+        L = _first_difference(dim)
     else:
         L = np.atleast_2d(_field("penalty.L", _array, L))
         if L.ndim != 2:
@@ -393,7 +453,7 @@ def problem_to_dict(p: ProblemInstance) -> dict:
 
 
 def load_problem(path) -> ProblemInstance:
-    return problem_from_dict(json.loads(read_text(path, "problem file")))
+    return problem_from_dict(parse_json(read_text(path, "problem file"), f"problem file {path}"))
 
 
 def save_problem(p: ProblemInstance, path) -> None:

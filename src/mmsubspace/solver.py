@@ -20,7 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, NumericError, OracleError, StreamExhausted, read_text, require_fields
+from .errors import (
+    InputError, NumericError, OracleError, StreamExhausted, parse_json, read_text, require_fields,
+)
 from .linalg import as_vector, cholesky_lower, min_eig, pd_solve, psd_pinv
 from .majorant import MajorantAtPoint, build_majorant
 from .model import ProblemInstance, eval_hessian, eval_objective_and_gradient
@@ -143,7 +145,8 @@ class Trace:
 
     @classmethod
     def from_json(cls, path) -> "Trace":
-        d = require_fields(json.loads(read_text(path, "trace file")), ["records"], f"trace file {path}")
+        where = f"trace file {path}"
+        d = require_fields(parse_json(read_text(path, "trace file"), where), ["records"], where)
         if not isinstance(d["records"], list):
             raise InputError(f"'records' of trace file {path} is not a list")
         if not isinstance(d.get("meta", {}), dict):

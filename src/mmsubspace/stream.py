@@ -7,12 +7,11 @@ online run converges to the minimizer of the limit instance.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, StreamExhausted, read_text, require_fields
+from .errors import InputError, StreamExhausted, parse_json, read_text, require_fields
 from .linalg import as_vector, check_symmetric, min_eig
 from .model import Penalty, ProblemInstance, QuadraticData, ZeroPenalty
 
@@ -120,7 +119,7 @@ class FileReplayStream(EstimateStream):
             if not line:
                 continue
             where = f"line {lineno} of replay file {path}"
-            d = require_fields(json.loads(line), ["R", "r"], where)
+            d = require_fields(parse_json(line, where), ["R", "r"], where)
             try:
                 R = check_symmetric(np.asarray(d["R"], dtype=float), rtol=1e-12, name="replayed R")
                 r = as_vector(d["r"], R.shape[0])

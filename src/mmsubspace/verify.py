@@ -124,6 +124,11 @@ def verify_trace(
     ``p``.  Raises InputError when the trace does not match the problem,
     when a record's iterate, objective or gradient is not finite, or when a
     batch trace gets a drifting stream or an online trace a constant one.
+
+    The ``eq6_gap_bound`` row is the predicate that defines ``n_eps``
+    (``rates.certified_regime_start``), checked only from ``n_eps`` on, so
+    it cannot fail and its count is the certified regime; ``eq7_decay`` is
+    the inequality tested there.
     """
     recs = trace.records
     if not recs:

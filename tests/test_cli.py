@@ -273,3 +273,18 @@ def test_a_malformed_replay_line_is_named(problem_file, tmp_path, capsys, line, 
     assert main(["solve", "--problem", str(problem_file), "--stream", f"replay:{path}"]) == 1
     err = capsys.readouterr().err.splitlines()[0]
     assert err.startswith(f"error: line 1 of replay file {path}") and message in err
+
+
+@pytest.mark.parametrize("case", ["problem", "trace", "replay"])
+def test_an_input_file_that_is_not_json_is_named(problem_file, tmp_path, capsys, case):
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json\n")
+    argv = {
+        "problem": ["solve", "--problem", str(bad)],
+        "trace": ["verify", "--problem", str(problem_file), "--trace", str(bad)],
+        "replay": ["solve", "--problem", str(problem_file), "--stream", f"replay:{bad}"],
+    }[case]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()[0]
+    where = f"line 1 of replay file {bad}" if case == "replay" else f"{case} file {bad}"
+    assert err.startswith(f"error: {where} is not JSON: Expecting value")
