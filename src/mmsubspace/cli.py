@@ -114,7 +114,7 @@ def cmd_verify(args) -> int:
     p = load_problem(args.problem)
     trace = Trace.from_json(args.trace)
     stream = build_stream(args.stream, p, args.seed)
-    report = verify_trace(p, trace, stream=stream, epsilon=args.epsilon, seed=args.seed)
+    report = verify_trace(p, trace, stream=stream, seed=args.seed)
     if len(report.rows) <= 25:
         for n, row in report.rows:
             checks = "  ".join(f"{k.split('_')[0]}:{'ok' if v else 'FAIL'}" for k, v in row.items())
@@ -163,7 +163,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve", help="run the solver on a problem file")
     sp.add_argument("--problem", required=True)
     sp.add_argument("--subspace", default="3mg",
-                    help="gradient | 3mg | full | memory:<m>")
+                    help="memory:<m> | gradient (memory:2) | 3mg (memory:3) | full")
     sp.add_argument("--stream", default="constant",
                     help="constant | geometric:<rho> | replay:<path>")
     sp.add_argument("--max-iters", type=int, default=500)
@@ -179,7 +179,6 @@ def make_parser() -> argparse.ArgumentParser:
     vp.add_argument("--problem", required=True)
     vp.add_argument("--trace", required=True, help="trace JSON written by solve")
     vp.add_argument("--stream", default="constant")
-    vp.add_argument("--epsilon", type=float, default=None)
     vp.add_argument("--seed", type=int, default=0)
     vp.set_defaults(func=cmd_verify)
 

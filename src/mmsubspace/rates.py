@@ -46,8 +46,9 @@ from .subspace import DirectionMatrix, column_scaled
 
 @dataclass(frozen=True)
 class RateCertificate:
+    """One iteration's certificate.  The fields after ``n``, in this order,
+    are the trace schema's certificate keys and columns (``solver.CERT_FIELDS``)."""
     n: int
-    epsilon: float
     theta_tilde: float
     theta: float
     theta_lo: float
@@ -58,6 +59,7 @@ class RateCertificate:
     sigma_hi: float
     hessian_floor_ok: bool
     lemma_bound: float  # 0.5*(1+eps)*g' H^{-1} g
+    epsilon: float
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ from __future__ import annotations
 import csv
 import json
 import operator
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, deque
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -61,10 +61,7 @@ class TraceRecord:
 
 # the trace schema: certificate fields in column and key order, of which the
 # CSV holds the first eight, and the run-level flags stored next to the records
-CERT_FIELDS = [
-    "theta_tilde", "theta", "theta_lo", "theta_hi", "kappa_lo", "kappa_hi",
-    "sigma_lo", "sigma_hi", "hessian_floor_ok", "lemma_bound", "epsilon",
-]
+CERT_FIELDS = [f.name for f in fields(RateCertificate) if f.name != "n"]
 CSV_CERT_FIELDS = CERT_FIELDS[:8]
 CSV_COLUMNS = ["n", "obj", "grad_norm", "step_norm", *CSV_CERT_FIELDS, "chi_n"]
 TRACE_FLAGS = ["converged", "stream_exhausted", "fallback_used"]
@@ -289,8 +286,7 @@ def _run(stream: EstimateStream, h1, strategy, opts: SolveOptions, mode: str) ->
         "epsilon": epsilon,
     })
 
-    history: list[np.ndarray] = []
-    keep = history_window(strategy)
+    history = deque(maxlen=history_window(strategy))
     stream_exhausted = False
     p_n = stream.instance(1)
     n = 1
@@ -347,8 +343,7 @@ def _run(stream: EstimateStream, h1, strategy, opts: SolveOptions, mode: str) ->
         if stream_exhausted:
             trace.stream_exhausted = True
             break
-        history.insert(0, h.copy())
-        del history[keep:]
+        history.appendleft(h.copy())
         h = h_next
         p_n = p_next
         n += 1

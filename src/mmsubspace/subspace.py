@@ -2,9 +2,12 @@
 
 Every runnable strategy keeps both the negative gradient and the current
 iterate inside the span of its columns, which is what the step analysis
-requires.  Columns are deliberately not orthonormalized: the pseudo-inverse
-in the step absorbs rank deficiency and keeps the closed form exactly as
-written.
+requires.  The memory strategies form one family: ``memory:m`` is
+``[-grad, h]`` plus the ``m - 2`` latest displacements ``h_k - h_{k-1}``.
+``gradient`` is ``memory:2`` and ``3mg`` is ``memory:3``; they keep their
+names as labels only.  Columns are deliberately not orthonormalized: the
+pseudo-inverse in the step absorbs rank deficiency and keeps the closed
+form exactly as written.
 """
 
 from __future__ import annotations
@@ -17,10 +20,10 @@ import numpy as np
 from .errors import InputError
 from .linalg import as_vector
 
-GRADIENT = "gradient"     # columns [-grad, h]
-MEMORY_3MG = "3mg"        # columns [-grad, h, h - h_prev]
 FULL = "full"             # identity, half-quadratic step
 MEMORY = "memory"         # [-grad, h, diffs...] up to m columns total
+# the members of the memory family known by name, with their m
+NAMED_MEMORY = {"gradient": 2, "3mg": 3}
 
 
 @dataclass(frozen=True)
@@ -29,9 +32,11 @@ class SubspaceStrategy:
     memory: int = 0
 
     def __post_init__(self):
-        if self.kind not in (GRADIENT, MEMORY_3MG, FULL, MEMORY):
+        if self.kind in NAMED_MEMORY:
+            object.__setattr__(self, "memory", NAMED_MEMORY[self.kind])
+        elif self.kind not in (FULL, MEMORY):
             raise InputError(f"unknown subspace strategy {self.kind!r}")
-        if self.kind == MEMORY and self.memory < 2:
+        elif self.kind == MEMORY and self.memory < 2:
             raise InputError("memory strategy needs m >= 2")
 
     def label(self) -> str:
@@ -53,7 +58,7 @@ def parse_strategy(text: str) -> SubspaceStrategy:
 @dataclass(frozen=True)
 class DirectionMatrix:
     cols: np.ndarray
-    fallback: bool = False  # set when 3MG/memory lacked history and degraded
+    fallback: bool = False  # set when a memory m > 2 lacked history and degraded
 
     @property
     def n_cols(self) -> int:
@@ -62,7 +67,7 @@ class DirectionMatrix:
 
 def history_window(strategy: SubspaceStrategy) -> int:
     """Past iterates the solve and verify loops keep: the last one, or the
-    ``memory - 2`` that ``build_subspace`` reads for the memory strategy."""
+    ``memory - 2`` that ``build_subspace`` reads for a memory strategy."""
     return max(1, strategy.memory - 2)
 
 
@@ -74,8 +79,9 @@ def build_subspace(
 ) -> DirectionMatrix:
     """Assemble the direction matrix for one iteration.
 
-    ``history`` holds previous iterates, most recent first; it is consulted
-    only by the memory strategies.  When history is required but absent
+    ``history`` holds previous iterates, most recent first; a memory
+    strategy takes a displacement from each consecutive pair of ``h_n`` and
+    its first ``memory - 2`` entries.  When history is required but absent
     (the first iteration) the strategy degrades to [-grad, h] and the
     result is flagged, not rejected.
     """
@@ -86,27 +92,16 @@ def build_subspace(
     if strategy.kind == FULL:
         return DirectionMatrix(np.eye(n))
 
+    m = strategy.memory
     cols = [-grad, h_n]
-    fallback = False
-    if strategy.kind == GRADIENT:
-        pass
-    elif strategy.kind == MEMORY_3MG:
-        if history:
-            cols.append(h_n - as_vector(history[0], n))
-        else:
-            fallback = True
-    else:  # MEMORY
-        n_diffs = strategy.memory - 2
-        chain = [h_n] + [as_vector(h, n) for h in history]
-        added = 0
-        for prev, older in zip(chain, chain[1:]):
-            if added >= n_diffs:
-                break
-            cols.append(prev - older)
-            added += 1
-        if added == 0 and n_diffs > 0:
-            fallback = True
-    return DirectionMatrix(np.column_stack(cols), fallback=fallback)
+    prev = h_n
+    for older in history:
+        if len(cols) == m:
+            break
+        older = as_vector(older, n)
+        cols.append(prev - older)
+        prev = older
+    return DirectionMatrix(np.column_stack(cols), fallback=m > 2 and len(cols) == 2)
 
 
 def column_scaled(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -20,7 +20,7 @@ so the eq6 row counts the certified regime; eq7 is the test made there.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -114,7 +114,6 @@ def verify_trace(
     p: ProblemInstance,
     trace: Trace,
     stream: EstimateStream | None = None,
-    epsilon: float | None = None,
     seed: int = 0,
 ) -> VerificationReport:
     """Re-run every inequality check against a recorded trajectory.
@@ -124,6 +123,8 @@ def verify_trace(
     ``p``.  Raises InputError when the trace does not match the problem,
     when a record's iterate, objective or gradient is not finite, or when a
     batch trace gets a drifting stream or an online trace a constant one.
+    The certificates use the margin ε stored in ``trace.meta``, or the
+    solver's default rule when none is stored.
 
     The ``eq6_gap_bound`` row is the predicate that defines ``n_eps``
     (``rates.certified_regime_start``), checked only from ``n_eps`` on, so
@@ -146,9 +147,8 @@ def verify_trace(
                          "pass the --stream and --seed it was solved with")
     strategy = parse_strategy(trace.meta.get("strategy", "3mg"))
 
-    if epsilon is None:
-        epsilon = trace.meta.get("epsilon") or None  # a stored 0 also means the default
-    epsilon = _resolve_epsilon(epsilon, p.quad.R)
+    # a stored 0 or null means the default
+    epsilon = _resolve_epsilon(trace.meta.get("epsilon") or None, p.quad.R)
 
     results = {name: EqResult(name) for name in EQ_NAMES}
     rows = []
@@ -178,7 +178,7 @@ def verify_trace(
     certified_recs = []
     gap_checks = []
     skipped = Counter()
-    history: list[np.ndarray] = []
+    history = deque(maxlen=history_window(strategy))
     snapshot_next = snapshot_at(recs[0])
     for rec, rec_next in zip(recs, recs[1:]):
         n = rec.n
@@ -231,8 +231,7 @@ def verify_trace(
                 gap_checks.append((n, cert, f, f_next_same, ref.value, row))
 
         rows.append((n, row))
-        history.insert(0, h)
-        del history[history_window(strategy):]
+        history.appendleft(h)
 
     # the gap bound and the decay inequality are asserted only from the
     # first index where the Hessian floor and the gap bound hold for good
