@@ -18,9 +18,11 @@ bounds are the extreme eigenvalues of ``H``.  The Hessian floor
 factorization of that matrix when one exists; only when it fails is the
 smallest eigenvalue computed.  In batch mode the matrix is the penalty
 Hessian plus ``eps I``, so the factorization succeeds.  Per iteration that
-is two Cholesky factorizations and two ``eigvalsh``.  There is one path to a
-certificate: the caller factors the Hessian once with ``factor_hessian`` and
-passes the pair ``(H, L)`` to ``certify_iteration``, and to
+is two Cholesky factorizations and two ``linalg.extreme_eigs``, each a
+tridiagonal reduction followed by a bisection for each extreme eigenvalue,
+or by the tridiagonal spectrum for small n; no dense eigensolve.  There is
+one path to a certificate: the caller factors the Hessian once with
+``factor_hessian`` and passes the pair ``(H, L)`` to ``certify_iteration``, and to
 ``check_subspace_ordering`` when it also runs that check on the iterate, as
 verification does.  The ordering check brackets the certified theta_tilde
 between that of the gradient reference and that of the full space; a

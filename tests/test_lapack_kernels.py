@@ -266,6 +266,33 @@ def test_one_certificate_makes_two_cholesky_factorizations(monkeypatch):
     assert calls == {"potrf": 2, "trtrs": 3}
 
 
+@pytest.mark.parametrize("n, tridiagonal", [(12, {"stebz": 0, "sterf": 2}), (60, {"stebz": 4, "sterf": 0})])
+def test_one_certificate_makes_two_reductions_and_no_full_eigensolve(monkeypatch, n, tridiagonal):
+    """kappa and sigma each reduce once, then bisect for two eigenvalues or, below
+    ``BISECT_MIN_DIM``, take the tridiagonal spectrum."""
+    rng = np.random.default_rng(11)
+    p = ProblemInstance(QuadraticData(random_spd(n, 50.0, rng), rng.standard_normal(n)),
+                        make_penalty("hyperbolic", "identity", n, 1.0, 1.0))
+    h = rng.standard_normal(n)
+    g = eval_gradient(p, h)
+    A = build_majorant(p, h).curvature
+    D = build_subspace(parse_strategy("3mg"), g, h, [h + rng.standard_normal(n)])
+    calls = {"sytrd": 0, "stebz": 0, "sterf": 0, "eigvalsh": 0}
+
+    def counting(fn, name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ["sytrd", "stebz", "sterf"]:
+        monkeypatch.setattr(linalg, f"_{name}", counting(getattr(linalg, f"_{name}"), name))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh, "eigvalsh"))
+    cert = certify_iteration(3, g, D, A, 0.1, p.quad.R, factor_hessian(p, h))
+    assert cert.hessian_floor_ok
+    assert calls == {"sytrd": 2, **tridiagonal, "eigvalsh": 0}
+
+
 # malformed inputs end in an InputError that names the problem
 
 def solve_file(tmp_path, spec):

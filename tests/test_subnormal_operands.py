@@ -6,6 +6,8 @@ change of every product, and on a realistic operator, whose rows carry
 normal entries, the products stay bitwise the same.
 """
 
+import tracemalloc
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,3 +109,27 @@ def test_a_penalty_operator_is_flushed_the_same_way():
     assert np.array_equal(L, before)
     clean = np.eye(3, 4, 1) - np.eye(3, 4)
     assert HyperbolicPenalty(1.0, 0.5, L=clean).L is clean
+
+
+def test_the_flush_matches_the_magnitude_test_bitwise():
+    # the window compares give what |x| < TINY and x != 0 gave, NaN and signed zeros included
+    M = np.array([[np.nan, 0.0, -0.0, TINY / 2, -TINY / 2],
+                  [TINY, -TINY, SMALLEST, -SMALLEST, np.inf],
+                  [-np.inf, 1.0, -1e-300, np.nextafter(TINY, 0.0), -np.nextafter(TINY, 0.0)]])
+    reference = np.where((np.abs(M) < TINY) & (M != 0.0), 0.0, M)
+    flushed = flush_subnormals(M)
+    assert np.array_equal(np.signbit(flushed), np.signbit(reference))
+    assert np.array_equal(flushed, reference, equal_nan=True)
+
+
+def test_the_flush_allocates_no_float_temporary():
+    # at most two boolean arrays of n^2 bytes, 0.5 MB at n = 500; |M| alone would be 2 MB
+    R = 2.0 * np.eye(500)
+    flush_subnormals(R)
+    tracemalloc.start()
+    try:
+        assert flush_subnormals(R) is R
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6e6, peak
