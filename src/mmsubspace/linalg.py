@@ -28,6 +28,8 @@ before any call; reading one binds them all.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InputError, NumericError
@@ -82,12 +84,13 @@ def check_symmetric(M: np.ndarray, rtol: float = 1e-12, name: str = "matrix") ->
         raise InputError(f"{name} must be square, got shape {M.shape}")
     # Frobenius norms as np.linalg.norm takes them, but vdot lets the sum of
     # squares overflow to inf without a RuntimeWarning; a finite sum also keeps
-    # M - M.T from overflowing
-    scale = np.sqrt(np.vdot(M, M))
-    if not np.isfinite(scale):
+    # M - M.T from overflowing.  The scalar roots and test go through math,
+    # which skips numpy's dispatch and rounds the same.
+    scale = math.sqrt(np.vdot(M, M))
+    if not math.isfinite(scale):
         raise InputError(f"{name} has a non-finite entry or a sum of squares beyond the float range")
     D = M - M.T
-    if np.sqrt(np.vdot(D, D)) > rtol * max(scale, 1e-300):
+    if math.sqrt(np.vdot(D, D)) > rtol * max(scale, 1e-300):
         raise InputError(f"{name} not symmetric")
     return M
 
@@ -116,13 +119,24 @@ def psd_pinv(M: np.ndarray) -> np.ndarray:
 
     Eigenvalues at or below ``PINV_RCOND * max_eig`` are treated as exact
     zeros, which yields the minimum-norm solution when the matrix is singular.
+    The pseudo-inverse is that of the symmetric part ``(M + M')/2``.  A
+    non-finite entry raises ``NumericError``, and so does a finite ``M``
+    whose ``M + M'`` overflows the float range, with a message that names
+    the overflow.
     """
-    if not np.all(np.isfinite(M)):
-        raise NumericError("non-finite entries in matrix passed to psd_pinv")
-    w, U = np.linalg.eigh(0.5 * (M + M.T))
-    wmax = max(float(w[-1]), 0.0)
-    cutoff = PINV_RCOND * wmax
-    inv = np.where(w > cutoff, 1.0 / np.where(w > cutoff, w, 1.0), 0.0)
+    # bitwise 0.5 * (M + M.T), in one temporary; a non-finite S also covers a
+    # non-finite M
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = M + M.T
+        S *= 0.5
+    if not np.isfinite(S).all():
+        if not np.isfinite(M).all():
+            raise NumericError("non-finite entries in matrix passed to psd_pinv")
+        raise NumericError("the symmetric part M + M' of the matrix passed to psd_pinv overflows the float range")
+    w, U = np.linalg.eigh(S)
+    cutoff = PINV_RCOND * max(float(w[-1]), 0.0)
+    inv = np.zeros_like(w)
+    np.divide(1.0, w, out=inv, where=w > cutoff)
     return (U * inv) @ U.T
 
 

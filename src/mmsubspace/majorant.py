@@ -18,6 +18,7 @@ matrices at that point and take the smallest eigenvalue of their difference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -139,15 +140,21 @@ def check_majorization(
     a_scale = max(float(np.linalg.norm(m.curvature)), 1.0)
     gap_tol = 1e-10 * a_scale
 
-    # row 0 is the anchor; each sample row is built as it was when drawn alone
-    points = [m.anchor]
+    # row 0 is the anchor; each sample is drawn into the next free row and
+    # scaled there, bitwise as anchor + c * u for a point drawn alone
+    P = np.empty((samples + 1, n))
+    P[0] = m.anchor
+    k = 1
     for _ in range(samples):
-        u = rng.standard_normal(n)
-        nu = np.sqrt(u @ u)  # np.linalg.norm(u), without its dispatch
+        row = P[k]
+        rng.standard_normal(out=row)
+        nu = math.sqrt(row @ row)  # np.linalg.norm(row), without its dispatch
         if nu == 0.0:
             continue
-        points.append(m.anchor + (radius * rng.random() ** (1.0 / n) / nu) * u)
-    X = np.array(points).T  # columns, each contiguous in memory
+        row *= radius * rng.random() ** (1.0 / n) / nu
+        row += m.anchor
+        k += 1
+    X = P[:k].T  # columns, each contiguous in memory
     H = X[:, 1:]
     margins = eval_surrogate(m, H) - eval_objective(p_n, H)
     # curvature domination is pointwise: A(h) >= hess F(h) at the same h

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import operator
 from collections import Counter, deque
 from dataclasses import dataclass, field, fields
@@ -177,14 +178,21 @@ def subspace_step(m: MajorantAtPoint, D: DirectionMatrix) -> tuple[np.ndarray, n
     ``A @ anchor``: the one product of the curvature with the columns also
     covers the anchor.
     """
-    if not (np.all(np.isfinite(m.gradient_at_anchor)) and np.all(np.isfinite(D.cols))):
+    g = m.gradient_at_anchor
+    if not (np.isfinite(g).all() and np.isfinite(D.cols).all()):
         raise NumericError("non-finite inputs to subspace_step")
     cols, scales = column_scaled(D.cols)
-    AX = m.apply(np.column_stack([cols, m.anchor]))
-    M = cols.T @ AX[:, :-1]
-    u = -(psd_pinv(M) @ (cols.T @ m.gradient_at_anchor))
+    # [cols, anchor] in one C-ordered block, as np.column_stack builds it
+    k = cols.shape[1]
+    X = np.empty((cols.shape[0], k + 1))
+    X[:, :k] = cols
+    X[:, k] = m.anchor
+    AX = m.apply(X)
+    M = cols.T @ AX[:, :k]
+    u = psd_pinv(M) @ (cols.T @ g)
+    np.negative(u, out=u)
     h_next = m.anchor + cols @ u
-    return u / scales, h_next, AX[:, -1]
+    return u / scales, h_next, AX[:, k]
 
 
 def optimal_gradient_step(m: MajorantAtPoint) -> float:
@@ -292,9 +300,10 @@ def _run(stream: EstimateStream, h1, strategy, opts: SolveOptions, mode: str) ->
     n = 1
     while True:
         f, g = eval_objective_and_gradient(p_n, h)
-        if not (np.isfinite(f) and np.all(np.isfinite(g))):
+        if not (math.isfinite(f) and np.isfinite(g).all()):
             raise NumericError(f"non-finite objective or gradient at iteration {n}")
-        gn = float(np.linalg.norm(g))
+        # math.sqrt(v @ v) is what np.linalg.norm computes for a 1-D float vector
+        gn = math.sqrt(g @ g)
         if gn <= opts.grad_tol or n > opts.max_iters:
             trace.records.append(TraceRecord(n, h.copy(), f, gn, None, None, None, None))
             trace.converged = gn <= opts.grad_tol
@@ -304,14 +313,15 @@ def _run(stream: EstimateStream, h1, strategy, opts: SolveOptions, mode: str) ->
         D = build_subspace(strategy, g, h, history)
         trace.fallback_used = trace.fallback_used or D.fallback
         u, h_next, Ah = subspace_step(m, D)
-        if np.array_equal(h_next, h):
+        if (h_next == h).all():
             why = ("the step is below the floating-point resolution of the iterate" if np.any(u)
                    else "the majorant curvature is not positive definite on the subspace")
             raise NumericError(f"zero step at iteration {n} with gradient norm {gn:.3e} "
                                f"above grad_tol: {why}")
-        step_norm = float(np.linalg.norm(h_next - h))
+        dh = h_next - h
+        step_norm = math.sqrt(dh @ dh)
         # a step back to the previous iterate repeats the previous step length exactly
-        if history and step_norm == trace.records[-1].step_norm and np.array_equal(h_next, history[0]):
+        if history and step_norm == trace.records[-1].step_norm and (h_next == history[0]).all():
             raise NumericError(f"2-cycle at iteration {n} with gradient norm {gn:.3e} above "
                                "grad_tol: the step returns to the previous iterate")
 
@@ -335,7 +345,8 @@ def _run(stream: EstimateStream, h1, strategy, opts: SolveOptions, mode: str) ->
                 dR = p_n.quad.R - p_next.quad.R
                 chi = -float(dr @ h_next) + 0.5 * float(h_next @ (dR @ h_next))
 
-        c_norm = float(np.linalg.norm(Ah - g))
+        c = Ah - g
+        c_norm = math.sqrt(c @ c)
         trace.records.append(TraceRecord(
             n, h.copy(), f, gn, step_norm, chi, c_norm, cert,
         ))

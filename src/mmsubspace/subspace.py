@@ -92,16 +92,18 @@ def build_subspace(
     if strategy.kind == FULL:
         return DirectionMatrix(np.eye(n))
 
-    m = strategy.memory
-    cols = [-grad, h_n]
+    # the columns go straight into one C-ordered block, laid out as
+    # np.column_stack lays them out
+    k = min(strategy.memory, 2 + len(history))
+    cols = np.empty((n, k))
+    np.negative(grad, out=cols[:, 0])
+    cols[:, 1] = h_n
     prev = h_n
-    for older in history:
-        if len(cols) == m:
-            break
+    for j, older in zip(range(2, k), history):
         older = as_vector(older, n)
-        cols.append(prev - older)
+        np.subtract(prev, older, out=cols[:, j])
         prev = older
-    return DirectionMatrix(np.column_stack(cols), fallback=m > 2 and len(cols) == 2)
+    return DirectionMatrix(cols, fallback=strategy.memory > 2 and k == 2)
 
 
 def column_scaled(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -112,6 +114,7 @@ def column_scaled(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     when gradient-sized and iterate-sized columns differ by many orders of
     magnitude.
     """
-    s = np.linalg.norm(cols, axis=0)
-    s = np.where(s > 0.0, s, 1.0)
+    # the expression np.linalg.norm(cols, axis=0) evaluates, without its dispatch
+    s = np.sqrt(np.add.reduce(cols * cols, axis=0))
+    s[~(s > 0.0)] = 1.0
     return cols / s, s

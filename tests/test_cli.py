@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -288,3 +289,16 @@ def test_an_input_file_that_is_not_json_is_named(problem_file, tmp_path, capsys,
     err = capsys.readouterr().err.splitlines()[0]
     where = f"line 1 of replay file {bad}" if case == "replay" else f"{case} file {bad}"
     assert err.startswith(f"error: {where} is not JSON: Expecting value")
+
+
+def test_a_majorant_beyond_the_float_range_is_a_numeric_error(tmp_path, capsys):
+    """lambda = 1e308 makes the step's D'AD overflow when symmetrized: the
+    solve ends in a named numeric error, with no RuntimeWarning on the way."""
+    path = tmp_path / "huge-lambda.json"
+    path.write_text(json.dumps({"dim": 3, "R": {"diag": [1, 2, 3]}, "r": [1, 1, 1],
+                                "penalty": {"kind": "hyperbolic", "lambda": 1e308, "delta": 1.0}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--problem", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error:") and "overflow" in err
