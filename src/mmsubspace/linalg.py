@@ -9,6 +9,17 @@ non-positive-definite input still raises ``NumericError``.  The routines and
 their arguments are the ones ``scipy.linalg.cholesky``, ``cho_solve`` and
 ``solve_triangular`` pass, so the results are bitwise theirs.
 
+Two paths skip work whose result is known.  A 1x1 ``psd_pinv`` is
+``[[1/w]]`` for ``w > 0`` and ``[[0]]`` otherwise, bitwise what ``eigh``
+gives: for n = 1, ``dsyevd`` returns the entry with the eigenvector ``[[1]]``,
+and ``w > PINV_RCOND * max(w, 0)`` holds exactly when ``w > 0``.  The
+gradient reference of the ordering check makes this call once per verified
+iteration.  ``_solve_factor`` solves with a factor that ``cholesky_lower``
+made, so it checks only the right-hand side: the factor was built from a
+matrix already checked finite, and potrf leaves it Fortran-ordered with a
+positive diagonal.  ``solve_lower`` stays the checked helper for any other
+triangular matrix.
+
 ``extreme_eigs`` needs two eigenvalues, not the spectrum.  It reduces the
 matrix to tridiagonal form once with ``sytrd`` and finds the smallest and
 the largest eigenvalue by Sturm-count bisection with ``stebz`` (Parlett,
@@ -133,6 +144,10 @@ def psd_pinv(M: np.ndarray) -> np.ndarray:
         if not np.isfinite(M).all():
             raise NumericError("non-finite entries in matrix passed to psd_pinv")
         raise NumericError("the symmetric part M + M' of the matrix passed to psd_pinv overflows the float range")
+    if S.shape[0] == 1:
+        # eigh's result in closed form; a numpy scalar divide warns on overflow as np.divide does
+        w = S[0, 0]
+        return np.array([[1.0 / w if w > 0.0 else 0.0]])
     w, U = np.linalg.eigh(S)
     cutoff = PINV_RCOND * max(float(w[-1]), 0.0)
     inv = np.zeros_like(w)
@@ -181,6 +196,19 @@ def solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
         x, info = _trtrs(L, b, lower=True)
     else:  # trtrs reads Fortran order, so a C-ordered L is solved as the upper factor L'
         x, info = _trtrs(L.T, b, lower=False, trans=1)
+    if info != 0:
+        raise NumericError("triangular matrix is singular")
+    return x
+
+
+def _solve_factor(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``L x = b`` for a factor ``L`` that ``cholesky_lower`` returned.
+
+    Only ``b`` is checked, as ``solve_lower`` checks it: the factor is finite,
+    Fortran-ordered and has a positive diagonal, and the call that made it
+    bound the kernels.
+    """
+    x, info = _trtrs(L, _finite_rhs(b, L.shape[0]), lower=True)
     if info != 0:
         raise NumericError("triangular matrix is singular")
     return x

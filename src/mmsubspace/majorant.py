@@ -6,7 +6,10 @@ objective's Hessian everywhere.  The solve loop only multiplies by ``A``;
 the dense matrix is built the first time something reads it.
 
 ``check_majorization`` draws its sample points one at a time, in a fixed
-order from its seed, then evaluates them as one block of columns: the
+order from its seed, each into its row of one array, and keeps only each
+row's scale ``radius * U^(1/n) / nu``.  After the draws it scales the rows
+and adds the anchor as one block, which rounds every entry as scaling each
+row alone did.  It then evaluates the points as one block of columns: the
 surrogate from one product with the dense ``A``, the objective from one
 product with ``R``, and the penalty's value and ``curvature_gap_bound`` at
 every column in O(nnz(L)) each.  The bound proves the domination
@@ -73,7 +76,7 @@ def eval_surrogate(m: MajorantAtPoint, h) -> float | np.ndarray:
     h = np.asarray(h, dtype=float)
     if h.ndim == 2 and h.shape[0] == len(m.anchor):
         D = h - m.anchor[:, None]
-        return m.value_at_anchor + m.gradient_at_anchor @ D + 0.5 * np.sum(D * (m.curvature @ D), axis=0)
+        return m.value_at_anchor + m.gradient_at_anchor @ D + 0.5 * np.add.reduce(D * (m.curvature @ D), axis=0)
     h = as_vector(h, len(m.anchor))
     d = h - m.anchor
     return m.value_at_anchor + float(m.gradient_at_anchor @ d) + 0.5 * float(d @ (m.curvature @ d))
@@ -107,8 +110,12 @@ class MajorizationReport:
 def _curvature_gaps(p_n: ProblemInstance, X: np.ndarray, gap_tol: float) -> np.ndarray:
     """At each column h of ``X``: the penalty's bound on ``min_eig(A(h) - hess F(h))`` if it
     is at least ``-gap_tol``, else the dense eigenvalue."""
-    gaps = np.array(p_n.penalty.curvature_gap_bound(X), dtype=float)
-    for j in np.flatnonzero(~(gaps >= -gap_tol)):
+    gaps = np.asarray(p_n.penalty.curvature_gap_bound(X), dtype=float)
+    weak = ~(gaps >= -gap_tol)
+    if not weak.any():
+        return gaps
+    gaps = gaps.copy()
+    for j in np.flatnonzero(weak):
         h = X[:, j]
         A_h = p_n.quad.R + majorant_curvature(p_n, h)
         gaps[j] = min_eig(A_h - eval_hessian(p_n, h))
@@ -132,34 +139,42 @@ def check_majorization(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    # each norm as np.linalg.norm takes it, math.sqrt(v.dot(v)) over the raveled
+    # array, without its dispatch
     if radius is None:
-        radius = 10.0 * (1.0 + float(np.linalg.norm(m.anchor)))
+        radius = 10.0 * (1.0 + math.sqrt(m.anchor.dot(m.anchor)))
     rng = np.random.default_rng(seed)
     n = p_n.dim
     scale = 1.0 + abs(m.value_at_anchor)
-    a_scale = max(float(np.linalg.norm(m.curvature)), 1.0)
+    a = m.curvature.ravel(order="K")
+    a_scale = max(math.sqrt(a.dot(a)), 1.0)
     gap_tol = 1e-10 * a_scale
 
-    # row 0 is the anchor; each sample is drawn into the next free row and
-    # scaled there, bitwise as anchor + c * u for a point drawn alone
+    # row 0 is the anchor; each sample is drawn into the next free row, and its
+    # scale c[k] is kept for the block step below
     P = np.empty((samples + 1, n))
     P[0] = m.anchor
+    c = np.empty(samples + 1)
+    inv_n = 1.0 / n
     k = 1
     for _ in range(samples):
         row = P[k]
         rng.standard_normal(out=row)
-        nu = math.sqrt(row @ row)  # np.linalg.norm(row), without its dispatch
+        nu = math.sqrt(row.dot(row))
         if nu == 0.0:
             continue
-        row *= radius * rng.random() ** (1.0 / n) / nu
-        row += m.anchor
+        c[k] = radius * rng.random() ** inv_n / nu
         k += 1
+    # one rounding per entry, bitwise anchor + c * u for a point drawn alone
+    Y = P[1:k]
+    Y *= c[1:k, None]
+    Y += m.anchor
     X = P[:k].T  # columns, each contiguous in memory
     H = X[:, 1:]
     margins = eval_surrogate(m, H) - eval_objective(p_n, H)
     # curvature domination is pointwise: A(h) >= hess F(h) at the same h
-    min_margin = float(np.min(margins, initial=np.inf))
-    min_gap = float(np.min(_curvature_gaps(p_n, X, gap_tol)))
+    min_margin = float(np.minimum.reduce(margins, initial=np.inf))
+    min_gap = float(np.minimum.reduce(_curvature_gaps(p_n, X, gap_tol)))
     tol = 1e-9 * scale
     return MajorizationReport(samples, radius, min_margin, min_gap, tol,
                               margin_ok=min_margin >= -tol, curvature_ok=min_gap >= -gap_tol)

@@ -175,7 +175,7 @@ class Penalty:
 
     def column_values(self, X):
         # a sum along contiguous rows is the pairwise sum of ``value``, bit for bit
-        return self.lam * np.sum(np.ascontiguousarray(self._phi(self._L_times(X)).T), axis=1)
+        return self.lam * np.add.reduce(np.ascontiguousarray(self._phi(self._L_times(X)).T), axis=1)
 
     def value_and_gradient(self, h):
         Lh = self._L_times(h)
@@ -203,9 +203,9 @@ class Penalty:
         Lh = self._L_times(h)
         d = self.lam * (self._omega(Lh) - self._ddphi(Lh))
         if self.L is None:
-            bound = np.min(d, axis=0)
+            bound = np.minimum.reduce(d, axis=0)
         else:
-            d_min = np.min(d, axis=0, initial=0.0)
+            d_min = np.minimum.reduce(d, axis=0, initial=0.0)
             bound = np.where(d_min == 0.0, 0.0, d_min * self._L_fro2)
         return float(bound) if d.ndim == 1 else bound
 
@@ -328,6 +328,17 @@ class QuadraticData:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "dim", R.shape[0])
 
+    @classmethod
+    def _of_symmetric(cls, R: np.ndarray, r: np.ndarray) -> "QuadraticData":
+        """``QuadraticData(R, r)`` for a float ``R`` that the caller knows passes
+        ``check_symmetric`` and a float vector ``r`` of its length: only the
+        subnormal flush runs."""
+        quad = object.__new__(cls)
+        object.__setattr__(quad, "R", flush_subnormals(R))
+        object.__setattr__(quad, "r", r)
+        object.__setattr__(quad, "dim", R.shape[0])
+        return quad
+
 
 @dataclass(frozen=True)
 class ProblemInstance:
@@ -346,7 +357,7 @@ def eval_objective(p: ProblemInstance, h) -> float | np.ndarray:
     q = p.quad
     h = np.asarray(h, dtype=float)
     if h.ndim == 2 and h.shape[0] == p.dim:
-        return 0.5 * np.sum(h * (q.R @ h), axis=0) - q.r @ h + p.penalty.column_values(h)
+        return 0.5 * np.add.reduce(h * (q.R @ h), axis=0) - q.r @ h + p.penalty.column_values(h)
     h = as_vector(h, p.dim)
     return 0.5 * float(h @ (q.R @ h)) - float(q.r @ h) + p.penalty.value(h)
 

@@ -9,10 +9,13 @@ One certified iteration factors the Hessian ``H = L L'`` once and shares the
 factor.  ``g' H^{-1} g = |L^{-1} g|^2`` is both the denominator of
 ``theta_tilde`` and, times ``(1 + eps)/2``, the gap bound.  The kappa bounds
 are the extreme eigenvalues of ``L^{-1} A L^{-T}``, two triangular solves
-away: it is congruent to ``A`` and similar to ``H^{-1} A``, so it has the
-spectrum of ``A^{1/2} H^{-1} A^{1/2}`` (Golub and Van Loan, *Matrix
-Computations*, section 8.7), and by Sylvester's law of inertia its smallest
-eigenvalue is positive exactly when ``A`` is positive definite.  The sigma
+away.  Every solve with ``L`` goes through ``linalg._solve_factor``, which
+checks only the right-hand side, since ``cholesky_lower`` made the factor
+from a matrix it had checked.  The matrix is congruent to ``A`` and similar
+to ``H^{-1} A``, so it has the spectrum of ``A^{1/2} H^{-1} A^{1/2}``
+(Golub and Van Loan, *Matrix Computations*, section 8.7), and by
+Sylvester's law of inertia its smallest eigenvalue is positive exactly when
+``A`` is positive definite.  The sigma
 bounds are the extreme eigenvalues of ``H``.  The Hessian floor
 ``min_eig(H - R_limit + eps I) >= -1e-10`` is proved by a Cholesky
 factorization of that matrix when one exists; only when it fails is the
@@ -40,7 +43,7 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .linalg import (
-    as_vector, check_symmetric, cholesky_lower, extreme_eigs, min_eig, psd_pinv, solve_lower,
+    _solve_factor, as_vector, check_symmetric, cholesky_lower, extreme_eigs, min_eig, psd_pinv,
 )
 from .model import ProblemInstance, curvature_bound, eval_hessian
 from .subspace import DirectionMatrix, column_scaled
@@ -92,8 +95,8 @@ def _subspace_form(grad, A, D: DirectionMatrix) -> float:
 
 
 def _gradient_form(L: np.ndarray, grad: np.ndarray) -> float:
-    """``g' M^{-1} g`` from the lower Cholesky factor ``L`` of ``M``."""
-    y = solve_lower(L, grad)
+    """``g' M^{-1} g`` from the factor ``L = cholesky_lower(M)``."""
+    y = _solve_factor(L, grad)
     den = float(y @ y)
     if den <= 0:
         raise NumericError("quadratic form not positive")
@@ -101,9 +104,10 @@ def _gradient_form(L: np.ndarray, grad: np.ndarray) -> float:
 
 
 def _kappa_from_factor(A, L: np.ndarray) -> tuple[float, float]:
-    """Extreme eigenvalues of ``L^{-1} A L^{-T}``, the spectrum of ``H^{-1} A`` for ``H = L L'``."""
-    X = solve_lower(L, A)
-    lo, hi = extreme_eigs(solve_lower(L, X.T))
+    """Extreme eigenvalues of ``L^{-1} A L^{-T}``, the spectrum of ``H^{-1} A``
+    for ``L = cholesky_lower(H)``."""
+    X = _solve_factor(L, A)
+    lo, hi = extreme_eigs(_solve_factor(L, X.T))
     if lo <= 0:
         raise NumericError("kappa bounds need positive definite matrices")
     return lo, hi
@@ -157,13 +161,19 @@ def certify_iteration(
 ) -> RateCertificate:
     """The full rate certificate of iteration ``n`` from its gradient ``grad``.
 
-    ``hessian`` is ``factor_hessian(p_n, h)`` at the iterate, the one path
-    to a certificate.  ``R_limit`` is the data matrix of the limiting
+    ``hessian`` must be ``factor_hessian(p_n, h)`` at the iterate, the one
+    path to a certificate: the solves with its factor check only their
+    right-hand sides.  ``R_limit`` is the data matrix of the limiting
     instance (``p_n.quad.R`` in the batch case); the Hessian floor is
     measured against it.  A zero gradient raises NumericError.
     """
     hess, L = hessian
-    floor_ok = _floor_holds(hess - R_limit + epsilon * np.eye(len(grad)))
+    # bitwise H - R_limit + eps I, built in place: adding 0.0 turns a -0.0 into
+    # the +0.0 that adding an off-diagonal eps * 0.0 gave
+    F = hess - R_limit
+    F += 0.0
+    F.ravel()[::len(grad) + 1] += epsilon
+    floor_ok = _floor_holds(F)
     g_form = _gradient_form(L, grad)
     theta_tilde = _subspace_form(grad, A, D) / g_form
     theta = 1.0 - theta_tilde / (1.0 + epsilon)
@@ -218,9 +228,10 @@ def check_subspace_ordering(grad, A, hessian: tuple[np.ndarray, np.ndarray]) -> 
     The gradient-only direction is the slowest and the full space the
     fastest, so every strategy's theta_tilde lies between the two.  The full
     space gives ``g' A^{-1} g / g' H^{-1} g``; ``A`` dominates ``H``, so its
-    Cholesky factor exists whenever the Hessian's does.  ``hessian`` is
+    Cholesky factor exists whenever the Hessian's does.  ``hessian`` must be
     ``factor_hessian(p_n, h)`` at the iterate, the pair its certificate
-    takes.  A zero gradient raises NumericError.
+    takes: the solves with its factor check only their right-hand sides.  A
+    zero gradient raises NumericError.
     """
     _, L = hessian
     g_form = _gradient_form(L, grad)

@@ -300,10 +300,15 @@ def _run(stream: EstimateStream, h1, strategy, opts: SolveOptions, mode: str) ->
     n = 1
     while True:
         f, g = eval_objective_and_gradient(p_n, h)
-        if not (math.isfinite(f) and np.isfinite(g).all()):
+        # g @ g, which vdot lets overflow to inf without a RuntimeWarning; a
+        # finite sum implies a finite g, and math.sqrt of it is what
+        # np.linalg.norm computes for a 1-D float vector
+        gg = np.vdot(g, g)
+        if not (math.isfinite(f) and math.isfinite(gg)):
+            if math.isfinite(f) and np.isfinite(g).all():
+                raise NumericError(f"the gradient norm overflows the float range at iteration {n}")
             raise NumericError(f"non-finite objective or gradient at iteration {n}")
-        # math.sqrt(v @ v) is what np.linalg.norm computes for a 1-D float vector
-        gn = math.sqrt(g @ g)
+        gn = math.sqrt(gg)
         if gn <= opts.grad_tol or n > opts.max_iters:
             trace.records.append(TraceRecord(n, h.copy(), f, gn, None, None, None, None))
             trace.converged = gn <= opts.grad_tol

@@ -7,6 +7,7 @@ online run converges to the minimizer of the limit instance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,11 @@ import numpy as np
 from .errors import InputError, StreamExhausted, parse_json, read_text, require_fields
 from .linalg import as_vector, check_symmetric, min_eig
 from .model import Penalty, ProblemInstance, QuadraticData, ZeroPenalty
+
+# A snapshot R + w E with 0 < w < 1 has Frobenius norm at most |R|_F + |E|_F;
+# at most this much keeps its sum of squares, rounding included, far below the
+# float range, which a norm of 1.3e154 reaches.
+_TRUSTED_NORM = 1e150
 
 
 class EstimateStream:
@@ -55,6 +61,13 @@ class GeometricPerturbationStream(EstimateStream):
 
     E is symmetrized and, if necessary, scaled down so every snapshot stays
     nonnegative definite (the worst case is n = 1).
+
+    The snapshots are validated once, here.  E is bitwise symmetric by its
+    symmetrization, so when R is too, E is finite and ``|R|_F + |E|_F`` is
+    at most ``_TRUSTED_NORM``, every ``R + w E`` is bitwise symmetric with a
+    finite sum of squares and passes ``check_symmetric`` by construction;
+    ``instance`` then skips that check and only flushes the subnormals.  Any
+    other stream validates each snapshot.
     """
 
     def __init__(self, quad: QuadraticData, rho: float, E_R, e_r, penalty: Penalty | None = None):
@@ -74,12 +87,20 @@ class GeometricPerturbationStream(EstimateStream):
             E = scale * E
         self.E_R = E
         self.e_r = as_vector(e_r, quad.dim)
+        R = quad.R
+        self._trusted = (np.array_equal(R, R.T) and bool(np.isfinite(E).all())
+                         and math.sqrt(np.vdot(R, R)) + math.sqrt(np.vdot(E, E)) <= _TRUSTED_NORM)
 
     def next_estimate(self, n):
         if n < 1:
             raise InputError("iteration index must be >= 1")
         w = self.rho**n
         return self.limit.R + w * self.E_R, self.limit.r + w * self.e_r
+
+    def instance(self, n):
+        if not self._trusted:
+            return super().instance(n)
+        return ProblemInstance(QuadraticData._of_symmetric(*self.next_estimate(n)), self.penalty)
 
 
 class RunningAverageStream(EstimateStream):

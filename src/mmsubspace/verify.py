@@ -20,6 +20,7 @@ so the eq6 row counts the certified regime; eq7 is the test made there.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 
@@ -137,7 +138,7 @@ def verify_trace(
     if any(len(rec.h) != p.dim for rec in recs):
         raise InputError("trace/problem dimension mismatch")
     for rec in recs:
-        if not (np.isfinite(rec.obj) and np.isfinite(rec.grad_norm) and np.isfinite(rec.h).all()):
+        if not (math.isfinite(rec.obj) and math.isfinite(rec.grad_norm) and np.isfinite(rec.h).all()):
             raise InputError(f"trace record n={rec.n} has a non-finite iterate, objective or gradient norm")
     mode = trace.meta.get("mode", "batch")
     if stream is None:
@@ -220,7 +221,8 @@ def verify_trace(
             check("eq72_kantorovich_floor", cert.theta_tilde >= floor - rt)
             check("eq74_cap", cert.theta_tilde <= 1.0 / cert.kappa_lo + rt)
             check("kappa_lo_ge_1", cert.kappa_lo >= 1.0 - rt)
-            certified_recs.append(replace(rec, cert=cert))
+            if mode == "batch":  # only the batch summary reads the certified records
+                certified_recs.append(replace(rec, cert=cert))
 
             try:
                 if mode != "batch":

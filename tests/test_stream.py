@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mmsubspace.cli import build_stream
 from mmsubspace.errors import InputError, StreamExhausted
-from mmsubspace.linalg import min_eig
-from mmsubspace.model import HyperbolicPenalty, QuadraticData
+from mmsubspace.linalg import check_symmetric, min_eig
+from mmsubspace.model import HyperbolicPenalty, ProblemInstance, QuadraticData
+from mmsubspace.problems import random_spd
 from mmsubspace.solver import SolveOptions, reference_minimizer, run_online
 from mmsubspace.stream import (
     ConstantStream,
@@ -12,7 +16,7 @@ from mmsubspace.stream import (
     RunningAverageStream,
     summability_report,
 )
-from conftest import write_replay_file
+from conftest import instance_grid, write_replay_file
 
 
 def test_constant_stream_repeats_limit():
@@ -134,3 +138,48 @@ def test_online_replay_exhaustion_stops_cleanly(tmp_path):
     trace = run_online(s, h1=np.ones(2), opts=SolveOptions(max_iters=100, grad_tol=1e-300))
     assert trace.stream_exhausted
     assert not trace.converged
+
+
+@st.composite
+def geometric_streams(draw):
+    """A geometric stream on R that is bitwise symmetric, within 1e-13 of it, or of a huge norm."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    R = random_spd(n, 10.0 ** draw(st.floats(0.0, 6.0)), rng)
+    R = 0.5 * (R + R.T)
+    if draw(st.booleans()):  # subnormal entries, which every snapshot flushes
+        R[np.triu_indices(n, 1)] = 1e-310
+        R[np.tril_indices(n, -1)] = 1e-310
+    kind = draw(st.sampled_from(["symmetric", "asymmetric", "huge"]))
+    if kind == "asymmetric" and n > 1:  # one ulp off in one corner, still symmetric to check_symmetric
+        R[0, -1] = R[-1, 0] = 1e-9 * R[0, 0]
+        R[0, -1] = np.nextafter(R[0, -1], np.inf)
+    elif kind == "huge":  # a norm above the trusted bound, far inside the float range
+        R *= 1e152 / np.linalg.norm(R)
+    E = rng.standard_normal((n, n)) * 10.0 ** draw(st.floats(-320.0, 2.0))
+    quad = QuadraticData(R, rng.standard_normal(n))
+    return GeometricPerturbationStream(quad, draw(st.floats(0.05, 0.99)), E, rng.standard_normal(n)), kind
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometric_streams())
+def test_trusted_geometric_snapshots_are_the_validated_ones(case):
+    stream, kind = case
+    R = stream.limit.R
+    assert stream._trusted == (kind != "huge" and np.array_equal(R, R.T))
+    if kind == "asymmetric" and len(R) > 1:
+        assert not stream._trusted
+    for n in range(1, 301):
+        quad = stream.instance(n).quad
+        ref = QuadraticData(*stream.next_estimate(n))
+        assert quad.dim == ref.dim
+        assert quad.R.tobytes() == ref.R.tobytes() and quad.r.tobytes() == ref.r.tobytes()
+        if stream._trusted:
+            check_symmetric(stream.next_estimate(n)[0], rtol=1e-12, name="R")
+
+
+def test_the_cli_geometric_stream_is_trusted_on_symmetric_data():
+    p = instance_grid(seed=3, dims=(6,), kinds=["hyperbolic"])[0]
+    R = p.quad.R
+    p = ProblemInstance(QuadraticData(0.5 * (R + R.T), p.quad.r), p.penalty)
+    assert build_stream("geometric:0.9", p, seed=1)._trusted

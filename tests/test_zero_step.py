@@ -2,6 +2,7 @@
 iterate, above the gradient tolerance is an error."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -65,3 +66,25 @@ def test_cli_exits_one_on_two_cycle(tmp_path, capsys):
     save_problem(_far_minimizer(), path)
     assert main(["solve", "--problem", str(path)]) == 1
     assert "numeric error: 2-cycle at iteration 8" in capsys.readouterr().err
+
+
+BIG_GRADIENT = {"dim": 2, "R": {"diag": [1, 2]}, "r": [1e200, 1e200]}
+
+
+def test_a_gradient_whose_norm_overflows_is_named_without_a_warning():
+    """g = -r is finite, but g'g overflows: not a zero step, and no RuntimeWarning."""
+    p = ProblemInstance(QuadraticData(np.diag([1.0, 2.0]), np.array([1e200, 1e200])), ZeroPenalty())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=r"^the gradient norm overflows the float range at iteration 1$"):
+            run_batch(p, strategy="3mg")
+
+
+def test_cli_exits_one_on_a_gradient_whose_norm_overflows(tmp_path, capsys):
+    path = tmp_path / "big-gradient.json"
+    path.write_text(json.dumps(BIG_GRADIENT))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--problem", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: the gradient norm overflows")
