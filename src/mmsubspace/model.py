@@ -48,6 +48,10 @@ from .errors import InputError, parse_json, read_text
 from .linalg import as_vector, check_symmetric, flush_subnormals
 
 
+# the smallest positive normal float
+_NORMAL_MIN = float(np.finfo(float).tiny)
+
+
 def _penalty_weight(lam) -> float:
     if not (np.isfinite(lam) and lam >= 0):
         raise InputError(f"penalty weight lambda must be finite and nonnegative, got {lam}")
@@ -112,6 +116,9 @@ class Penalty:
         if not (np.isfinite(delta) and delta > 0):
             raise InputError(f"smoothing scale delta must be finite and positive, got {delta}")
         self.delta = float(delta)
+        # the potentials are written in delta**2, which must neither overflow nor underflow
+        if not _NORMAL_MIN <= self.delta * self.delta < np.inf:
+            raise InputError(f"penalty.delta must have a square that is a normal float, got {self.delta!r}")
         self._first_diff = False
         if L is not None:
             L = np.atleast_2d(np.asarray(L, dtype=float))
@@ -395,10 +402,13 @@ def curvature_bound(p: ProblemInstance) -> np.ndarray:
 
 
 def _field(name: str, convert, value):
-    """``convert(value)``, with a malformed value reported as an ``InputError`` naming the field."""
+    """``convert(value)``, with a malformed value reported as an ``InputError`` naming the field.
+
+    An integer literal beyond the float range is malformed too.
+    """
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed {name!r} in the problem file: {exc}") from exc
 
 
@@ -440,7 +450,7 @@ def penalty_from_dict(spec: dict, dim: int) -> Penalty:
 def problem_from_dict(d: dict) -> ProblemInstance:
     try:
         dim = int(d["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError("problem file needs an integer 'dim'") from exc
     R = d.get("R")
     if isinstance(R, dict) and "diag" in R:

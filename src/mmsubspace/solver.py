@@ -158,7 +158,7 @@ class Trace:
             for key, convert in RECORD_FIELDS.items():
                 try:
                     fields[key] = convert(rd[key])
-                except (TypeError, ValueError) as exc:
+                except (TypeError, ValueError, OverflowError) as exc:  # an integer beyond the float range overflows
                     raise InputError(f"malformed {key!r} in {where}: {exc}") from exc
             cert = None
             if "theta" in rd:

@@ -27,6 +27,9 @@ class EstimateStream:
 
     limit: QuadraticData
     penalty: Penalty
+    # whether ``instance(n)`` may be drawn for any n in any order, as a
+    # verify that checks its records in two processes does
+    random_access = False
 
     def next_estimate(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -38,6 +41,8 @@ class EstimateStream:
 
 class ConstantStream(EstimateStream):
     """R_n = R and r_n = r for every n: the batch case in online clothing."""
+
+    random_access = True
 
     def __init__(self, quad: QuadraticData, penalty: Penalty | None = None):
         self.limit = quad
@@ -69,6 +74,8 @@ class GeometricPerturbationStream(EstimateStream):
     ``instance`` then skips that check and only flushes the subnormals.  Any
     other stream validates each snapshot.
     """
+
+    random_access = True
 
     def __init__(self, quad: QuadraticData, rho: float, E_R, e_r, penalty: Penalty | None = None):
         if not 0.0 < rho < 1.0:
@@ -133,6 +140,8 @@ class RunningAverageStream(EstimateStream):
 class FileReplayStream(EstimateStream):
     """Replays stored snapshots from a JSON-lines file, one object per line."""
 
+    random_access = True
+
     def __init__(self, path, quad: QuadraticData | None = None, penalty: Penalty | None = None):
         self.snapshots = []
         for lineno, line in enumerate(read_text(path, "replay file").split("\n"), 1):
@@ -144,7 +153,7 @@ class FileReplayStream(EstimateStream):
             try:
                 R = check_symmetric(np.asarray(d["R"], dtype=float), rtol=1e-12, name="replayed R")
                 r = as_vector(d["r"], R.shape[0])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:  # an integer beyond the float range overflows
                 raise InputError(f"{where}: {exc}") from exc
             self.snapshots.append((R, r))
         if not self.snapshots:

@@ -16,11 +16,28 @@ evaluated at every record, the last included, so an iterate that overflows
 them is refused as input.  The eq6 gap bound holds by construction at every
 ``n >= n_eps``: ``n_eps`` is found by the same predicate over the same rows,
 so the eq6 row counts the certified regime; eq7 is the test made there.
+
+No record's checks read another record's results, so a large trace is
+checked in two processes: where ``os.fork`` exists, the affinity mask holds
+at least 2 CPUs, no other Python thread is alive, the stream's snapshots can
+be drawn in any order and (records - 1) * dim**2 reaches
+``TWO_PROCESS_WORK``, a forked child checks the first part of the records
+and pipes its verdicts back while the parent checks the rest.  The merge
+records them in record order, and the online oracle chain continues from
+the child's last minimizer, so the report, the printed output and the
+first exception are those of one process.  Wall time falls; CPU time rises
+by the fork, the page faults of both processes and the parts that run
+twice.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import threading
+import warnings
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 
@@ -31,6 +48,7 @@ from .majorant import build_majorant, check_majorization
 from .model import ProblemInstance, eval_objective, eval_objective_and_gradient
 from .rates import (
     BatchRateSummary,
+    RateCertificate,
     batch_rate_summary,
     certified_regime_start,
     certify_iteration,
@@ -131,6 +149,9 @@ def verify_trace(
     (``rates.certified_regime_start``), checked only from ``n_eps`` on, so
     it cannot fail and its count is the certified regime; ``eq7_decay`` is
     the inequality tested there.
+
+    A large enough trace is checked by two processes (``_two_processes``);
+    the report, and the first exception raised, are those of one.
     """
     recs = trace.records
     if not recs:
@@ -150,90 +171,36 @@ def verify_trace(
 
     # a stored 0 or null means the default
     epsilon = _resolve_epsilon(trace.meta.get("epsilon") or None, p.quad.R)
+    checker = _RecordChecker(p, recs, stream, mode, strategy, epsilon, seed)
+
+    # F* of the batch problem, or the last online snapshot's, which warm-starts the next
+    ref = reference_minimizer(p, tol=1e-12) if mode == "batch" else None
+
+    if _two_processes(p, recs, stream):
+        verdicts = _check_in_two_processes(checker, ref)
+    else:
+        verdicts, _ = checker.check(0, len(recs) - 1, ref)
 
     results = {name: EqResult(name) for name in EQ_NAMES}
     rows = []
+    certified_recs = []
+    gap_checks = []
+    skipped = Counter()
+    for rec, v in zip(recs, verdicts):
+        for name, ok in v.row.items():
+            results[name].record(v.n, ok)
+        if v.skipped is not None:
+            skipped[v.skipped] += 1
+        if v.cert is not None and mode == "batch":  # only the batch summary reads the certified records
+            certified_recs.append(replace(rec, cert=v.cert))
+        if v.inf_F is not None:
+            gap_checks.append((v.n, v.cert, v.f, v.f_next, v.inf_F, v.row))
+        rows.append((v.n, v.row))
 
     def check(name: str, ok: bool) -> None:
         """Record one verdict for iteration ``n`` in its ``row`` and in the totals."""
         row[name] = ok
         results[name].record(n, ok)
-
-    def snapshot_at(rec):
-        """The snapshot of ``rec`` with F and its gradient at the record's iterate.
-
-        A huge finite iterate can overflow them; that is refused as input,
-        naming the record, and not warned about.
-        """
-        p_n = stream.instance(rec.n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            f, g = eval_objective_and_gradient(p_n, rec.h)
-        if not (np.isfinite(f) and np.isfinite(g).all()):
-            raise InputError(f"the objective or its gradient at the iterate of trace record n={rec.n} "
-                             "is not finite")
-        return p_n, f, g
-
-    # F* of the batch problem, or the last online snapshot's, which warm-starts the next
-    ref = reference_minimizer(p, tol=1e-12) if mode == "batch" else None
-
-    certified_recs = []
-    gap_checks = []
-    skipped = Counter()
-    history = deque(maxlen=history_window(strategy))
-    snapshot_next = snapshot_at(recs[0])
-    for rec, rec_next in zip(recs, recs[1:]):
-        n = rec.n
-        p_n, f, g = snapshot_next
-        # the next record, the last one too, is checked before the step into it is measured
-        snapshot_next = snapshot_at(rec_next)
-        h, h_next = rec.h, rec_next.h
-        tol = 1e-10 * (1.0 + abs(f))
-        row = {}
-
-        m = build_majorant(p_n, h, f, g)
-        A = m.curvature
-        d = h_next - h
-        dAd = float(d @ (A @ d))
-
-        rep = check_majorization(p_n, m, samples=MAJORIZATION_SAMPLES, seed=seed + n)
-        check("eq3_majorization", rep.margin_ok)
-        f_next_same = rec_next.obj if mode == "batch" else eval_objective(p_n, h_next)
-        check("eq30_surrogate_decrease", f_next_same + 0.5 * dAd <= rec.obj + tol)
-        check("eq75_curvature_domination", rep.curvature_ok)
-
-        cert = None
-        if np.any(g):
-            check("eq41_gradient_step_domination", optimal_gradient_step(m) * float(g @ g) <= dAd + tol)
-            D = build_subspace(strategy, g, h, history)
-            try:
-                hessian = factor_hessian(p_n, h)
-                order = check_subspace_ordering(g, A, hessian)
-                cert = certify_iteration(n, g, D, A, epsilon, p.quad.R, hessian)
-            except NumericError as exc:  # the snapshot's Hessian is not positive definite
-                skipped[type(exc).__name__] += 1
-        if cert is not None:
-            rtol = 1e-10 * max(1.0, order.theta_full)
-            check("eq65_gradient_lower_bound", order.theta_gradient_ref <= cert.theta_tilde + rtol)
-            check("eq68_full_space_upper_bound", cert.theta_tilde <= order.theta_full + rtol)
-            rt = 1e-10
-            check("eq9_eq10_sandwich", cert.theta_lo <= cert.theta + rt and cert.theta <= cert.theta_hi + rt)
-            floor = (1.0 - sigma_spread(cert.sigma_lo, cert.sigma_hi)**2) / cert.kappa_hi
-            check("eq72_kantorovich_floor", cert.theta_tilde >= floor - rt)
-            check("eq74_cap", cert.theta_tilde <= 1.0 / cert.kappa_lo + rt)
-            check("kappa_lo_ge_1", cert.kappa_lo >= 1.0 - rt)
-            if mode == "batch":  # only the batch summary reads the certified records
-                certified_recs.append(replace(rec, cert=cert))
-
-            try:
-                if mode != "batch":
-                    ref = reference_minimizer(p_n, tol=1e-12, h0=None if ref is None else ref.h)
-            except OracleError as exc:
-                skipped[type(exc).__name__] += 1
-            else:
-                gap_checks.append((n, cert, f, f_next_same, ref.value, row))
-
-        rows.append((n, row))
-        history.appendleft(h)
 
     # the gap bound and the decay inequality are asserted only from the
     # first index where the Hessian floor and the gap bound hold for good
@@ -264,3 +231,204 @@ def verify_trace(
             results["eq17_iterate_bound"].record(summary.n_eps, lin.strong_convexity_ok)
     return VerificationReport(results=results, n_eps=n_eps, certified=certified, rows=rows,
                               summary=summary, certificates_skipped=skipped)
+
+
+@dataclass
+class _Verdict:
+    """The per-iteration checks of the step out of one record, as the merge records them."""
+
+    n: int
+    row: dict  # {eq: bool} in check order
+    f: float  # F of the record's snapshot at its iterate
+    f_next: float  # the same snapshot's F at the next iterate
+    cert: RateCertificate | None = None
+    skipped: str | None = None  # class name of the error that skipped the certificate or oracle
+    inf_F: float | None = None  # the oracle's F*, once it ran for a certificate
+    p_n: ProblemInstance | None = None  # the snapshot, until the oracle has run
+
+
+class _RecordChecker:
+    """Every per-iteration check of one trace, over any contiguous range of its records.
+
+    No record's checks read another record's results: the subspace history
+    of a range comes from the stored iterates before it.  Only the online
+    oracle's warm starts chain from one certified record to the next.
+    """
+
+    def __init__(self, p, recs, stream, mode, strategy, epsilon, seed):
+        self.p, self.recs, self.stream, self.mode = p, recs, stream, mode
+        self.strategy, self.epsilon, self.seed = strategy, epsilon, seed
+
+    def snapshot_at(self, rec):
+        """The snapshot of ``rec`` with F and its gradient at the record's iterate.
+
+        A huge finite iterate can overflow them; that is refused as input,
+        naming the record, and not warned about.
+        """
+        p_n = self.stream.instance(rec.n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            f, g = eval_objective_and_gradient(p_n, rec.h)
+        if not (np.isfinite(f) and np.isfinite(g).all()):
+            raise InputError(f"the objective or its gradient at the iterate of trace record n={rec.n} "
+                             "is not finite")
+        return p_n, f, g
+
+    def check(self, lo: int, hi: int, ref, oracle: bool = True):
+        """Verdicts for the steps out of records ``lo`` to ``hi - 1``, in record order.
+
+        With ``oracle``, each certified verdict gets its F* as it is made, the
+        online chain starting from ``ref``; without, ``chain`` adds them
+        later.  Returns the verdicts and the last reference solution.
+        """
+        recs, mode, strategy = self.recs, self.mode, self.strategy
+        history = deque(maxlen=history_window(strategy))
+        for rec in recs[max(0, lo - history.maxlen):lo]:
+            history.appendleft(rec.h)
+        verdicts = []
+        snapshot_next = self.snapshot_at(recs[lo])
+        for rec, rec_next in zip(recs[lo:hi], recs[lo + 1:hi + 1]):
+            n = rec.n
+            p_n, f, g = snapshot_next
+            # the next record, the last one too, is checked before the step into it is measured
+            snapshot_next = self.snapshot_at(rec_next)
+            h, h_next = rec.h, rec_next.h
+            tol = 1e-10 * (1.0 + abs(f))
+            row = {}
+
+            m = build_majorant(p_n, h, f, g)
+            A = m.curvature
+            d = h_next - h
+            dAd = float(d @ (A @ d))
+
+            rep = check_majorization(p_n, m, samples=MAJORIZATION_SAMPLES, seed=self.seed + n)
+            row["eq3_majorization"] = rep.margin_ok
+            f_next_same = rec_next.obj if mode == "batch" else eval_objective(p_n, h_next)
+            row["eq30_surrogate_decrease"] = f_next_same + 0.5 * dAd <= rec.obj + tol
+            row["eq75_curvature_domination"] = rep.curvature_ok
+            v = _Verdict(n, row, f, f_next_same)
+
+            if np.any(g):
+                row["eq41_gradient_step_domination"] = optimal_gradient_step(m) * float(g @ g) <= dAd + tol
+                D = build_subspace(strategy, g, h, history)
+                try:
+                    hessian = factor_hessian(p_n, h)
+                    order = check_subspace_ordering(g, A, hessian)
+                    v.cert = cert = certify_iteration(n, g, D, A, self.epsilon, self.p.quad.R, hessian)
+                except NumericError as exc:  # the snapshot's Hessian is not positive definite
+                    v.skipped = type(exc).__name__
+            if v.cert is not None:
+                rtol = 1e-10 * max(1.0, order.theta_full)
+                row["eq65_gradient_lower_bound"] = order.theta_gradient_ref <= cert.theta_tilde + rtol
+                row["eq68_full_space_upper_bound"] = cert.theta_tilde <= order.theta_full + rtol
+                rt = 1e-10
+                row["eq9_eq10_sandwich"] = cert.theta_lo <= cert.theta + rt and cert.theta <= cert.theta_hi + rt
+                floor = (1.0 - sigma_spread(cert.sigma_lo, cert.sigma_hi)**2) / cert.kappa_hi
+                row["eq72_kantorovich_floor"] = cert.theta_tilde >= floor - rt
+                row["eq74_cap"] = cert.theta_tilde <= 1.0 / cert.kappa_lo + rt
+                row["kappa_lo_ge_1"] = cert.kappa_lo >= 1.0 - rt
+                v.p_n = p_n
+                if oracle:
+                    ref = self._oracle(v, ref)
+
+            verdicts.append(v)
+            history.appendleft(h)
+        return verdicts, ref
+
+    def chain(self, verdicts, ref):
+        """The oracle for each certified verdict of ``check(..., oracle=False)``, in order."""
+        for v in verdicts:
+            if v.p_n is not None:
+                ref = self._oracle(v, ref)
+        return ref
+
+    def _oracle(self, v: _Verdict, ref):
+        """Give a certified verdict its F*; online, from the snapshot's minimizer warm-started at ``ref``."""
+        p_n, v.p_n = v.p_n, None
+        if self.mode != "batch":
+            try:
+                ref = reference_minimizer(p_n, tol=1e-12, h0=None if ref is None else ref.h)
+            except OracleError as exc:
+                v.skipped = type(exc).__name__
+                return ref
+        v.inf_F = ref.value
+        return ref
+
+
+# A second process costs a fork, page faults in both processes and a reap,
+# about 8 ms on a 2-core 2.0 GHz Xeon, and saves about a third of the
+# checking time.  At n = 90 that broke even at about 15 checked steps, the
+# 120,000 below in (records - 1) * dim**2; at smaller n, where Python work
+# makes up more of each step, the threshold asks for more than break-even.
+TWO_PROCESS_WORK = 120_000
+# the share of the steps that the child checks; online, the parent also runs
+# its part's oracle chain after the child's has ended
+CHILD_SHARE = {"batch": 0.5, "online": 0.45}
+
+
+def _two_processes(p: ProblemInstance, recs, stream: EstimateStream) -> bool:
+    """Whether verify checks its records in two processes; never decided from a timing.
+
+    It takes ``os.fork``, at least 2 CPUs in the affinity mask, no other
+    Python thread alive (a fork copies only the calling thread), a stream
+    whose snapshots can be drawn in any order, and a trace whose
+    (records - 1) * dim**2 reaches ``TWO_PROCESS_WORK``.
+    """
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2
+            and threading.active_count() == 1
+            and stream.random_access
+            and (len(recs) - 1) * p.dim**2 >= TWO_PROCESS_WORK)
+
+
+def _check_in_two_processes(checker: _RecordChecker, ref) -> list:
+    """``checker.check(0, steps, ref)[0]``, with a forked child checking the first part.
+
+    The child pickles its verdicts and its last reference solution back
+    over a pipe; the parent checks the rest meanwhile, then continues the
+    online oracle chain from the child's last minimizer, so every oracle call
+    gets the warm start of a one-process run.  Each part is kept only if it
+    ran without an exception or a warning; otherwise the parent checks it
+    itself, in record order, so the first exception and every warning are
+    those of one process.  The child is reaped on every path.
+    """
+    steps = len(checker.recs) - 1
+    split = int(steps * CHILD_SHARE[checker.mode])
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: never returns
+        status = 1
+        try:
+            os.close(r)
+            with warnings.catch_warnings(record=True) as caught:
+                out = checker.check(0, split, ref)
+            if not caught:
+                with os.fdopen(w, "wb") as pipe:
+                    pickle.dump(out, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+                status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    try:
+        with os.fdopen(r, "rb") as pipe:
+            with warnings.catch_warnings(record=True) as caught:
+                try:
+                    mine, _ = checker.check(split, steps, ref, oracle=False)
+                except Exception:
+                    mine = None
+            if caught:
+                mine = None
+            try:
+                theirs, ref = pickle.load(pipe)
+            except Exception:  # the child ended before it sent its verdicts
+                theirs = None
+        if theirs is None:
+            theirs, ref = checker.check(0, split, ref)
+        if mine is None:
+            mine, _ = checker.check(split, steps, ref)
+        else:
+            checker.chain(mine, ref)
+    finally:
+        # once its pipe is read or abandoned, the child has nothing left to do
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    return theirs + mine
