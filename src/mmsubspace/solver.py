@@ -7,6 +7,19 @@ majorant curvature with the columns of ``D`` gives; the dense curvature is
 built only for the certificates.  Batch runs are online runs on a constant
 stream.  An independent damped-Newton oracle provides the reference minimizer
 against which the rate certificates are checked.
+
+A certified run certifies its iterations after the loop.  No certificate
+reads another's, so each iteration waits with only its iterate, F and
+gradient, plus its snapshot where the stream cannot draw it again; the
+direction matrix is rebuilt from the recorded iterates.  Where
+``processes.two_processes`` says so for (iterations) * dim**2, a forked child
+certifies the first half while this process certifies the rest, and the
+results merge in iteration order.  The trace, the skip counts and their
+order, and the first exception are those of one process; when the loop
+raises, the iterations before its error are certified first, so an error of
+theirs still comes first.  The warnings are the same, but a certificate's
+now follows every warning of the loop.  Wall time falls; CPU time rises by
+the fork and the page faults of both processes.
 """
 
 from __future__ import annotations
@@ -16,7 +29,7 @@ import json
 import math
 import operator
 from collections import Counter, deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -27,6 +40,7 @@ from .errors import (
 from .linalg import as_vector, cholesky_lower, min_eig, pd_solve, psd_pinv
 from .majorant import MajorantAtPoint, build_majorant
 from .model import ProblemInstance, eval_hessian, eval_objective_and_gradient
+from .processes import TWO_PROCESS_WORK, in_two_processes, two_processes
 from .rates import RateCertificate, certify_iteration, factor_hessian
 from .stream import ConstantStream, EstimateStream
 from .subspace import (
@@ -294,6 +308,30 @@ def _run(stream: EstimateStream, h1, strategy, opts: SolveOptions, mode: str) ->
         "epsilon": epsilon,
     })
 
+    # each iteration to certify waits as (n, iterate, F, gradient, snapshot or None)
+    pending = [] if opts.certify else None
+    try:
+        _iterate(stream, h, strategy, opts, trace, pending)
+    except Exception as exc:
+        error = exc
+    else:
+        error = None
+    # the iterations certified before a loop error come first, so an error of
+    # theirs surfaces before it, as in a loop that certified as it went
+    results = _certify(trace.records, pending, stream, strategy, epsilon) if pending else []
+    if error is not None:
+        raise error
+    for (n, *_), out in zip(pending or (), results):
+        if isinstance(out, str):
+            trace.certificates_skipped[out] += 1
+        else:
+            trace.records[n - 1] = replace(trace.records[n - 1], cert=out)
+    return trace
+
+
+def _iterate(stream: EstimateStream, h, strategy, opts: SolveOptions, trace: Trace, pending) -> None:
+    """The MM loop: appends a record per iteration to ``trace`` and, when
+    ``pending`` is a list, what certifying the iteration takes to it."""
     history = deque(maxlen=history_window(strategy))
     stream_exhausted = False
     p_n = stream.instance(1)
@@ -330,12 +368,10 @@ def _run(stream: EstimateStream, h1, strategy, opts: SolveOptions, mode: str) ->
             raise NumericError(f"2-cycle at iteration {n} with gradient norm {gn:.3e} above "
                                "grad_tol: the step returns to the previous iterate")
 
-        cert = None
-        if opts.certify:
-            try:
-                cert = certify_iteration(n, g, D, m.curvature, epsilon, limit.R, factor_hessian(p_n, h))
-            except NumericError as exc:
-                trace.certificates_skipped[type(exc).__name__] += 1
+        h_rec = h.copy()
+        if pending is not None:
+            # a snapshot is kept only where the stream cannot draw it again
+            pending.append((n, h_rec, f, g, None if stream.random_access else p_n))
 
         chi = None
         try:
@@ -353,7 +389,7 @@ def _run(stream: EstimateStream, h1, strategy, opts: SolveOptions, mode: str) ->
         c = Ah - g
         c_norm = math.sqrt(c @ c)
         trace.records.append(TraceRecord(
-            n, h.copy(), f, gn, step_norm, chi, c_norm, cert,
+            n, h_rec, f, gn, step_norm, chi, c_norm, None,
         ))
 
         if stream_exhausted:
@@ -363,4 +399,41 @@ def _run(stream: EstimateStream, h1, strategy, opts: SolveOptions, mode: str) ->
         h = h_next
         p_n = p_next
         n += 1
-    return trace
+
+
+def _certify(recs: list, pending: list, stream: EstimateStream, strategy: SubspaceStrategy,
+             epsilon: float) -> list:
+    """The certificate of each pending iteration, or the class name of the
+    NumericError that skipped it, in iteration order.
+
+    Each certificate is computed from what the loop had: the snapshot,
+    drawn again from a random-access stream; the direction matrix, rebuilt
+    from the recorded iterates; the dense curvature, built and dropped per
+    certificate.  Where ``processes.two_processes`` says so for
+    (iterations) * dim**2, a forked child certifies the first half.
+    """
+    window = history_window(strategy)
+    R_limit = stream.limit.R
+
+    def part(lo: int, hi: int) -> list:
+        out = []
+        for n, h, f, g, p_n in pending[lo:hi]:
+            if p_n is None:
+                p_n = stream.instance(n)
+            # the iterates before record n - 1, most recent first, as the loop's history held them
+            history = [recs[k].h for k in range(n - 2, max(n - 1 - window, 0) - 1, -1)]
+            D = build_subspace(strategy, g, h, history)
+            try:
+                out.append(certify_iteration(n, g, D, build_majorant(p_n, h, f, g).curvature, epsilon,
+                                             R_limit, factor_hessian(p_n, h)))
+            except NumericError as exc:
+                out.append(type(exc).__name__)
+        return out
+
+    total = len(pending)
+    if not two_processes(total * stream.limit.dim**2, TWO_PROCESS_WORK):
+        return part(0, total)
+    split = total // 2
+    first, rest = in_two_processes(lambda: part(0, split), lambda: part(split, total))
+    first = first if first is not None else part(0, split)
+    return first + (rest if rest is not None else part(split, total))

@@ -18,7 +18,8 @@ them is refused as input.  The eq6 gap bound holds by construction at every
 so the eq6 row counts the certified regime; eq7 is the test made there.
 
 No record's checks read another record's results, so a large trace is
-checked in two processes: where ``os.fork`` exists, the affinity mask holds
+checked in two processes, through ``processes``, the helper that also splits
+a solve's certification: where ``os.fork`` exists, the affinity mask holds
 at least 2 CPUs, no other Python thread is alive, the stream's snapshots can
 be drawn in any order and (records - 1) * dim**2 reaches
 ``TWO_PROCESS_WORK``, a forked child checks the first part of the records
@@ -27,17 +28,13 @@ records them in record order, and the online oracle chain continues from
 the child's last minimizer, so the report, the printed output and the
 first exception are those of one process.  Wall time falls; CPU time rises
 by the fork, the page faults of both processes and the parts that run
-twice.
+twice.  Records must be numbered 1, 2, ... in order; any other numbering is
+refused as input.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
-import threading
-import warnings
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 
@@ -46,6 +43,7 @@ import numpy as np
 from .errors import InputError, NumericError, OracleError
 from .majorant import build_majorant, check_majorization
 from .model import ProblemInstance, eval_objective, eval_objective_and_gradient
+from .processes import TWO_PROCESS_WORK, in_two_processes, two_processes
 from .rates import (
     BatchRateSummary,
     RateCertificate,
@@ -139,9 +137,10 @@ def verify_trace(
 
     ``stream`` gives the instance active at each iteration, as in
     ``run_online``; ``None`` means the batch case, a ``ConstantStream`` on
-    ``p``.  Raises InputError when the trace does not match the problem,
-    when a record's iterate, objective or gradient is not finite, or when a
-    batch trace gets a drifting stream or an online trace a constant one.
+    ``p``.  Raises InputError when the records are not numbered 1, 2, ...
+    in order, when the trace does not match the problem, when a record's
+    iterate, objective or gradient is not finite, or when a batch trace gets
+    a drifting stream or an online trace a constant one.
     The certificates use the margin ε stored in ``trace.meta``, or the
     solver's default rule when none is stored.
 
@@ -156,6 +155,10 @@ def verify_trace(
     recs = trace.records
     if not recs:
         raise InputError("empty trace")
+    for i, rec in enumerate(recs, 1):
+        if rec.n != i:
+            raise InputError(f"trace record {i} is numbered n={rec.n}: records must be numbered 1, 2, ... "
+                             "in order")
     if any(len(rec.h) != p.dim for rec in recs):
         raise InputError("trace/problem dimension mismatch")
     for rec in recs:
@@ -354,81 +357,35 @@ class _RecordChecker:
         return ref
 
 
-# A second process costs a fork, page faults in both processes and a reap,
-# about 8 ms on a 2-core 2.0 GHz Xeon, and saves about a third of the
-# checking time.  At n = 90 that broke even at about 15 checked steps, the
-# 120,000 below in (records - 1) * dim**2; at smaller n, where Python work
-# makes up more of each step, the threshold asks for more than break-even.
-TWO_PROCESS_WORK = 120_000
 # the share of the steps that the child checks; online, the parent also runs
 # its part's oracle chain after the child's has ended
 CHILD_SHARE = {"batch": 0.5, "online": 0.45}
 
 
 def _two_processes(p: ProblemInstance, recs, stream: EstimateStream) -> bool:
-    """Whether verify checks its records in two processes; never decided from a timing.
-
-    It takes ``os.fork``, at least 2 CPUs in the affinity mask, no other
-    Python thread alive (a fork copies only the calling thread), a stream
-    whose snapshots can be drawn in any order, and a trace whose
-    (records - 1) * dim**2 reaches ``TWO_PROCESS_WORK``.
-    """
-    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2
-            and threading.active_count() == 1
-            and stream.random_access
-            and (len(recs) - 1) * p.dim**2 >= TWO_PROCESS_WORK)
+    """Whether verify checks its records in two processes: ``processes.two_processes``
+    for (records - 1) * dim**2, and a stream whose snapshots can be drawn in
+    any order."""
+    return stream.random_access and two_processes((len(recs) - 1) * p.dim**2, TWO_PROCESS_WORK)
 
 
 def _check_in_two_processes(checker: _RecordChecker, ref) -> list:
     """``checker.check(0, steps, ref)[0]``, with a forked child checking the first part.
 
-    The child pickles its verdicts and its last reference solution back
-    over a pipe; the parent checks the rest meanwhile, then continues the
-    online oracle chain from the child's last minimizer, so every oracle call
-    gets the warm start of a one-process run.  Each part is kept only if it
-    ran without an exception or a warning; otherwise the parent checks it
-    itself, in record order, so the first exception and every warning are
-    those of one process.  The child is reaped on every path.
+    The child sends its verdicts and its last reference solution; the
+    parent checks the rest meanwhile, then continues the online oracle
+    chain from the child's last minimizer, so every oracle call gets the
+    warm start of a one-process run.  A part that ``in_two_processes`` did
+    not keep is checked again here, in record order, the parent's part then
+    with its oracle calls in place.
     """
     steps = len(checker.recs) - 1
     split = int(steps * CHILD_SHARE[checker.mode])
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child: never returns
-        status = 1
-        try:
-            os.close(r)
-            with warnings.catch_warnings(record=True) as caught:
-                out = checker.check(0, split, ref)
-            if not caught:
-                with os.fdopen(w, "wb") as pipe:
-                    pickle.dump(out, pipe, protocol=pickle.HIGHEST_PROTOCOL)
-                status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    try:
-        with os.fdopen(r, "rb") as pipe:
-            with warnings.catch_warnings(record=True) as caught:
-                try:
-                    mine, _ = checker.check(split, steps, ref, oracle=False)
-                except Exception:
-                    mine = None
-            if caught:
-                mine = None
-            try:
-                theirs, ref = pickle.load(pipe)
-            except Exception:  # the child ended before it sent its verdicts
-                theirs = None
-        if theirs is None:
-            theirs, ref = checker.check(0, split, ref)
-        if mine is None:
-            mine, _ = checker.check(split, steps, ref)
-        else:
-            checker.chain(mine, ref)
-    finally:
-        # once its pipe is read or abandoned, the child has nothing left to do
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+    theirs, mine = in_two_processes(lambda: checker.check(0, split, ref),
+                                    lambda: checker.check(split, steps, ref, oracle=False)[0])
+    theirs, ref = theirs if theirs is not None else checker.check(0, split, ref)
+    if mine is None:
+        mine, _ = checker.check(split, steps, ref)
+    else:
+        checker.chain(mine, ref)
     return theirs + mine
