@@ -4,7 +4,8 @@
 records this way: no part reads another part's results, and a forked
 child sidesteps the GIL that scipy's LAPACK wrappers hold.  Each caller
 states its work; ``two_processes`` decides from it and the host, never from
-a timing, and ``in_two_processes`` runs the parts.
+a timing, and ``in_two_processes`` runs the parts, re-running here a part
+whose result it did not keep, so that a caller always gets both results.
 """
 
 from __future__ import annotations
@@ -42,10 +43,10 @@ def in_two_processes(first, second) -> tuple:
 
     The child pickles its result back over a pipe.  A part's result is kept
     only if it ran without an exception or a warning, and the child's only
-    if it arrived; otherwise its place holds None, and the caller runs that
-    part again itself, the first part before the second, so the first
-    exception and every warning are those of one process.  The child is
-    reaped on every path.
+    if it arrived.  A part not kept runs again here, the first before the
+    second, so both results are always returned, and the first exception
+    and every warning are those of one process.  The child is reaped on
+    every path.
     """
     r, w = os.pipe()
     pid = os.fork()
@@ -62,21 +63,21 @@ def in_two_processes(first, second) -> tuple:
         finally:
             os._exit(status)
     os.close(w)
-    try:
+    try:  # a part's result is kept as a 1-element list
         with os.fdopen(r, "rb") as pipe:
             with warnings.catch_warnings(record=True) as caught:
                 try:
-                    mine = second()
+                    mine = [second()]
                 except Exception:
-                    mine = None
+                    mine = []
             if caught:
-                mine = None
+                mine = []
             try:
-                theirs = pickle.load(pipe)
+                theirs = [pickle.load(pipe)]
             except Exception:  # the child ended before it sent its result
-                theirs = None
+                theirs = []
     finally:
         # once its pipe is read or abandoned, the child has nothing left to do
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
-    return theirs, mine
+    return theirs[0] if theirs else first(), mine[0] if mine else second()

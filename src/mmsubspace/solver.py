@@ -9,17 +9,18 @@ stream.  An independent damped-Newton oracle provides the reference minimizer
 against which the rate certificates are checked.
 
 A certified run certifies its iterations after the loop.  No certificate
-reads another's, so each iteration waits with only its iterate, F and
-gradient, plus its snapshot where the stream cannot draw it again; the
-direction matrix is rebuilt from the recorded iterates.  Where
+reads another's, so each iteration waits with only its gradient, plus its
+snapshot where the stream cannot draw it again; its iterate and F are read
+from its record, and its past iterates by ``_history``, the one history rule
+of the loop, the certificates and ``verify``.  Where
 ``processes.two_processes`` says so for (iterations) * dim**2, a forked child
 certifies the first half while this process certifies the rest, and the
 results merge in iteration order.  The trace, the skip counts and their
 order, and the first exception are those of one process; when the loop
-raises, the iterations before its error are certified first, so an error of
-theirs still comes first.  The warnings are the same, but a certificate's
-now follows every warning of the loop.  Wall time falls; CPU time rises by
-the fork and the page faults of both processes.
+raises, the iterations recorded before its error are certified first, so an
+error of theirs still comes first.  The warnings are the same, but a
+certificate's now follows every warning of the loop.  Wall time falls; CPU
+time rises by the fork and the page faults of both processes.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import csv
 import json
 import math
 import operator
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
@@ -308,7 +309,8 @@ def _run(stream: EstimateStream, h1, strategy, opts: SolveOptions, mode: str) ->
         "epsilon": epsilon,
     })
 
-    # each iteration to certify waits as (n, iterate, F, gradient, snapshot or None)
+    # the iteration of each record before the last waits to be certified as
+    # (gradient, snapshot or None)
     pending = [] if opts.certify else None
     try:
         _iterate(stream, h, strategy, opts, trace, pending)
@@ -316,23 +318,29 @@ def _run(stream: EstimateStream, h1, strategy, opts: SolveOptions, mode: str) ->
         error = exc
     else:
         error = None
-    # the iterations certified before a loop error come first, so an error of
-    # theirs surfaces before it, as in a loop that certified as it went
+    # the iterations recorded before a loop error are certified first, so an
+    # error of theirs surfaces before it, as in a loop that certified as it went
     results = _certify(trace.records, pending, stream, strategy, epsilon) if pending else []
     if error is not None:
         raise error
-    for (n, *_), out in zip(pending or (), results):
+    for k, out in enumerate(results):
         if isinstance(out, str):
             trace.certificates_skipped[out] += 1
         else:
-            trace.records[n - 1] = replace(trace.records[n - 1], cert=out)
+            trace.records[k] = replace(trace.records[k], cert=out)
     return trace
+
+
+def _history(recs: list, k: int, window: int) -> list:
+    """The iterates of the ``window`` records before ``recs[k]``, most recent
+    first: the history ``build_subspace`` reads for the step out of record ``k``."""
+    return [rec.h for rec in reversed(recs[max(k - window, 0):k])]
 
 
 def _iterate(stream: EstimateStream, h, strategy, opts: SolveOptions, trace: Trace, pending) -> None:
     """The MM loop: appends a record per iteration to ``trace`` and, when
     ``pending`` is a list, what certifying the iteration takes to it."""
-    history = deque(maxlen=history_window(strategy))
+    window = history_window(strategy)
     stream_exhausted = False
     p_n = stream.instance(1)
     n = 1
@@ -353,7 +361,7 @@ def _iterate(stream: EstimateStream, h, strategy, opts: SolveOptions, trace: Tra
             break
 
         m = build_majorant(p_n, h, f, g)
-        D = build_subspace(strategy, g, h, history)
+        D = build_subspace(strategy, g, h, _history(trace.records, n - 1, window))
         trace.fallback_used = trace.fallback_used or D.fallback
         u, h_next, Ah = subspace_step(m, D)
         if (h_next == h).all():
@@ -364,14 +372,9 @@ def _iterate(stream: EstimateStream, h, strategy, opts: SolveOptions, trace: Tra
         dh = h_next - h
         step_norm = math.sqrt(dh @ dh)
         # a step back to the previous iterate repeats the previous step length exactly
-        if history and step_norm == trace.records[-1].step_norm and (h_next == history[0]).all():
+        if trace.records and step_norm == trace.records[-1].step_norm and (h_next == trace.records[-1].h).all():
             raise NumericError(f"2-cycle at iteration {n} with gradient norm {gn:.3e} above "
                                "grad_tol: the step returns to the previous iterate")
-
-        h_rec = h.copy()
-        if pending is not None:
-            # a snapshot is kept only where the stream cannot draw it again
-            pending.append((n, h_rec, f, g, None if stream.random_access else p_n))
 
         chi = None
         try:
@@ -389,13 +392,15 @@ def _iterate(stream: EstimateStream, h, strategy, opts: SolveOptions, trace: Tra
         c = Ah - g
         c_norm = math.sqrt(c @ c)
         trace.records.append(TraceRecord(
-            n, h_rec, f, gn, step_norm, chi, c_norm, None,
+            n, h.copy(), f, gn, step_norm, chi, c_norm, None,
         ))
+        if pending is not None:
+            # a snapshot is kept only where the stream cannot draw it again
+            pending.append((g, None if stream.random_access else p_n))
 
         if stream_exhausted:
             trace.stream_exhausted = True
             break
-        history.appendleft(h.copy())
         h = h_next
         p_n = p_next
         n += 1
@@ -403,29 +408,29 @@ def _iterate(stream: EstimateStream, h, strategy, opts: SolveOptions, trace: Tra
 
 def _certify(recs: list, pending: list, stream: EstimateStream, strategy: SubspaceStrategy,
              epsilon: float) -> list:
-    """The certificate of each pending iteration, or the class name of the
-    NumericError that skipped it, in iteration order.
+    """The certificate of the iteration of each pending record, or the class
+    name of the NumericError that skipped it, in iteration order.
 
-    Each certificate is computed from what the loop had: the snapshot,
-    drawn again from a random-access stream; the direction matrix, rebuilt
-    from the recorded iterates; the dense curvature, built and dropped per
-    certificate.  Where ``processes.two_processes`` says so for
-    (iterations) * dim**2, a forked child certifies the first half.
+    Each certificate is computed from what the loop had: the record's
+    iterate and F; the snapshot, drawn again from a random-access stream;
+    the direction matrix, rebuilt by ``_history`` from the recorded
+    iterates; the dense curvature, built and dropped per certificate.  Where
+    ``processes.two_processes`` says so for (iterations) * dim**2, a forked
+    child certifies the first half.
     """
     window = history_window(strategy)
     R_limit = stream.limit.R
 
     def part(lo: int, hi: int) -> list:
         out = []
-        for n, h, f, g, p_n in pending[lo:hi]:
+        for k, (g, p_n) in enumerate(pending[lo:hi], lo):
+            rec = recs[k]
             if p_n is None:
-                p_n = stream.instance(n)
-            # the iterates before record n - 1, most recent first, as the loop's history held them
-            history = [recs[k].h for k in range(n - 2, max(n - 1 - window, 0) - 1, -1)]
-            D = build_subspace(strategy, g, h, history)
+                p_n = stream.instance(rec.n)
+            D = build_subspace(strategy, g, rec.h, _history(recs, k, window))
             try:
-                out.append(certify_iteration(n, g, D, build_majorant(p_n, h, f, g).curvature, epsilon,
-                                             R_limit, factor_hessian(p_n, h)))
+                out.append(certify_iteration(rec.n, g, D, build_majorant(p_n, rec.h, rec.obj, g).curvature,
+                                             epsilon, R_limit, factor_hessian(p_n, rec.h)))
             except NumericError as exc:
                 out.append(type(exc).__name__)
         return out
@@ -435,5 +440,4 @@ def _certify(recs: list, pending: list, stream: EstimateStream, strategy: Subspa
         return part(0, total)
     split = total // 2
     first, rest = in_two_processes(lambda: part(0, split), lambda: part(split, total))
-    first = first if first is not None else part(0, split)
-    return first + (rest if rest is not None else part(split, total))
+    return first + rest

@@ -20,6 +20,10 @@ from .model import Penalty, ProblemInstance, QuadraticData, ZeroPenalty
 # at most this much keeps its sum of squares, rounding included, far below the
 # float range, which a norm of 1.3e154 reaches.
 _TRUSTED_NORM = 1e150
+# A limit R whose smallest eigenvalue lies below -_PSD_RTOL * |R|_F is refused;
+# above, a negative one is taken for the rounding of eigvalsh, a small
+# multiple of n * 2.2e-16 * |R|_2.
+_PSD_RTOL = 1e-12
 
 
 class EstimateStream:
@@ -65,7 +69,9 @@ class GeometricPerturbationStream(EstimateStream):
     """Snapshots ``(R + rho^n E, r + rho^n e)`` with geometrically decaying drift.
 
     E is symmetrized and, if necessary, scaled down so every snapshot stays
-    nonnegative definite (the worst case is n = 1).
+    nonnegative definite (the worst case is n = 1), never flipped or
+    enlarged.  A limit R with a negative eigenvalue beyond rounding is
+    refused as input.
 
     The snapshots are validated once, here.  E is bitwise symmetric by its
     symmetrization, so when R is too, E is finite and ``|R|_F + |E|_F`` is
@@ -83,18 +89,20 @@ class GeometricPerturbationStream(EstimateStream):
         self.limit = quad
         self.penalty = penalty if penalty is not None else ZeroPenalty()
         self.rho = float(rho)
+        R = quad.R
+        base = min_eig(R)
+        if base < -_PSD_RTOL * math.sqrt(np.vdot(R, R)):
+            raise InputError(f"the limit R of a geometric stream has the negative eigenvalue {base:.6g}")
         E = np.asarray(E_R, dtype=float)
         E = 0.5 * (E + E.T)
-        lo = min_eig(quad.R + rho * E)
+        lo = min_eig(R + rho * E)
         if lo < 0.0:
             # shrink until R + rho*E is PSD; preserves the perturbation direction
-            base = min_eig(quad.R)
             denom = min_eig(rho * E)
-            scale = 0.999 * base / max(-denom, 1e-300)
+            scale = min(0.999 * max(base, 0.0) / max(-denom, 1e-300), 1.0)
             E = scale * E
         self.E_R = E
         self.e_r = as_vector(e_r, quad.dim)
-        R = quad.R
         self._trusted = (np.array_equal(R, R.T) and bool(np.isfinite(E).all())
                          and math.sqrt(np.vdot(R, R)) + math.sqrt(np.vdot(E, E)) <= _TRUSTED_NORM)
 

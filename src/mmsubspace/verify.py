@@ -7,15 +7,18 @@ caught there.  A batch trace reads both sides of the decrease from the
 column; an online trace reads the current one, since the next record's
 value belongs to the next snapshot.  Each verified iteration builds its
 direction matrix and factors its Hessian once, for the subspace ordering and
-one certificate.  The Newton oracle for ``F* = inf F`` gates only the gap bound
+one certificate, with the past iterates of ``solver._history``, the one
+history rule.  The Newton oracle for ``F* = inf F`` gates only the gap bound
 and decay (eq6/eq7) and the batch summary.  It runs once for a batch trace
-and once per online snapshot, from the previous snapshot's minimizer, never
-from an MM iterate.  An iteration whose certificate or oracle raises counts
-as skipped once, by the class of its first error.  F and its gradient are
-evaluated at every record, the last included, so an iterate that overflows
-them is refused as input.  The eq6 gap bound holds by construction at every
-``n >= n_eps``: ``n_eps`` is found by the same predicate over the same rows,
-so the eq6 row counts the certified regime; eq7 is the test made there.
+and once per certified online snapshot, from the previous snapshot's
+minimizer, never from an MM iterate, in a chain after the checks of the
+records it serves, drawing each snapshot again unless the stream cannot.
+An iteration whose certificate or oracle raises counts as skipped once, by
+the class of its first error.  F and its gradient are evaluated at every
+record, the last included, so an iterate that overflows them is refused as
+input.  The eq6 gap bound holds by construction at every ``n >= n_eps``:
+``n_eps`` is found by the same predicate over the same rows, so the eq6 row
+counts the certified regime; eq7 is the test made there.
 
 No record's checks read another record's results, so a large trace is
 checked in two processes, through ``processes``, the helper that also splits
@@ -23,19 +26,20 @@ a solve's certification: where ``os.fork`` exists, the affinity mask holds
 at least 2 CPUs, no other Python thread is alive, the stream's snapshots can
 be drawn in any order and (records - 1) * dim**2 reaches
 ``TWO_PROCESS_WORK``, a forked child checks the first part of the records
-and pipes its verdicts back while the parent checks the rest.  The merge
-records them in record order, and the online oracle chain continues from
-the child's last minimizer, so the report, the printed output and the
-first exception are those of one process.  Wall time falls; CPU time rises
-by the fork, the page faults of both processes and the parts that run
-twice.  Records must be numbered 1, 2, ... in order; any other numbering is
-refused as input.
+and runs their chain, piping its verdicts back while the parent checks the
+rest; the parent's chain continues from the child's last minimizer, and the
+verdicts merge in record order.  The report, the output, the first
+exception and the warnings are those of one process, except that the child's
+oracle errors and warnings precede the parent's checks'.  Wall time falls;
+CPU time rises by the fork, the page faults of both processes and the parts
+that run twice.  Records must be numbered 1, 2, ... in order; any other
+numbering is refused as input.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -56,7 +60,7 @@ from .rates import (
     factor_hessian,
     sigma_spread,
 )
-from .solver import Trace, _resolve_epsilon, optimal_gradient_step, reference_minimizer
+from .solver import Trace, _history, _resolve_epsilon, optimal_gradient_step, reference_minimizer
 from .stream import ConstantStream, EstimateStream
 from .subspace import build_subspace, history_window, parse_strategy
 
@@ -149,8 +153,8 @@ def verify_trace(
     it cannot fail and its count is the certified regime; ``eq7_decay`` is
     the inequality tested there.
 
-    A large enough trace is checked by two processes (``_two_processes``);
-    the report, and the first exception raised, are those of one.
+    A large enough trace is checked by two processes (``_two_processes``),
+    with the report, errors and warnings of one but for one order (see above).
     """
     recs = trace.records
     if not recs:
@@ -182,12 +186,11 @@ def verify_trace(
     if _two_processes(p, recs, stream):
         verdicts = _check_in_two_processes(checker, ref)
     else:
-        verdicts, _ = checker.check(0, len(recs) - 1, ref)
+        verdicts = checker.check(0, len(recs) - 1)
+        checker.chain(verdicts, ref)
 
     results = {name: EqResult(name) for name in EQ_NAMES}
-    rows = []
     certified_recs = []
-    gap_checks = []
     skipped = Counter()
     for rec, v in zip(recs, verdicts):
         for name, ok in v.row.items():
@@ -196,25 +199,17 @@ def verify_trace(
             skipped[v.skipped] += 1
         if v.cert is not None and mode == "batch":  # only the batch summary reads the certified records
             certified_recs.append(replace(rec, cert=v.cert))
-        if v.inf_F is not None:
-            gap_checks.append((v.n, v.cert, v.f, v.f_next, v.inf_F, v.row))
-        rows.append((v.n, v.row))
-
-    def check(name: str, ok: bool) -> None:
-        """Record one verdict for iteration ``n`` in its ``row`` and in the totals."""
-        row[name] = ok
-        results[name].record(n, ok)
 
     # the gap bound and the decay inequality are asserted only from the
     # first index where the Hessian floor and the gap bound hold for good
-    n_eps_detect = certified_regime_start(
-        (n, cert, f, inf_Fn) for n, cert, f, _, inf_Fn, _ in gap_checks
-    )
-    for n, cert, f, f_next, inf_Fn, row in gap_checks:
-        if n_eps_detect is not None and n >= n_eps_detect:
-            dec = check_decay_inequality(cert, f, f_next, inf_Fn)
-            check("eq6_gap_bound", dec.gap_bound_ok)
-            check("eq7_decay", dec.decay_ok)
+    n_eps_detect = certified_regime_start((v.n, v.cert, v.f, v.inf_F) for v in verdicts if v.inf_F is not None)
+    for v in verdicts:
+        if v.inf_F is not None and n_eps_detect is not None and v.n >= n_eps_detect:
+            dec = check_decay_inequality(v.cert, v.f, v.f_next, v.inf_F)
+            for name, ok in (("eq6_gap_bound", dec.gap_bound_ok), ("eq7_decay", dec.decay_ok)):
+                v.row[name] = ok
+                results[name].record(v.n, ok)
+    rows = [(v.n, v.row) for v in verdicts]
 
     # whole-run rate bounds: batch case only
     n_eps = n_eps_detect
@@ -247,7 +242,7 @@ class _Verdict:
     cert: RateCertificate | None = None
     skipped: str | None = None  # class name of the error that skipped the certificate or oracle
     inf_F: float | None = None  # the oracle's F*, once it ran for a certificate
-    p_n: ProblemInstance | None = None  # the snapshot, until the oracle has run
+    p_n: ProblemInstance | None = None  # a snapshot the stream cannot draw again, until the oracle ran
 
 
 class _RecordChecker:
@@ -255,7 +250,7 @@ class _RecordChecker:
 
     No record's checks read another record's results: the subspace history
     of a range comes from the stored iterates before it.  Only the online
-    oracle's warm starts chain from one certified record to the next.
+    oracle's warm starts chain from one certified record to the next (``chain``).
     """
 
     def __init__(self, p, recs, stream, mode, strategy, epsilon, seed):
@@ -276,20 +271,15 @@ class _RecordChecker:
                              "is not finite")
         return p_n, f, g
 
-    def check(self, lo: int, hi: int, ref, oracle: bool = True):
-        """Verdicts for the steps out of records ``lo`` to ``hi - 1``, in record order.
-
-        With ``oracle``, each certified verdict gets its F* as it is made, the
-        online chain starting from ``ref``; without, ``chain`` adds them
-        later.  Returns the verdicts and the last reference solution.
-        """
+    def check(self, lo: int, hi: int) -> list:
+        """Verdicts for the steps out of records ``lo`` to ``hi - 1``, in record
+        order, without F*: ``chain`` adds it."""
         recs, mode, strategy = self.recs, self.mode, self.strategy
-        history = deque(maxlen=history_window(strategy))
-        for rec in recs[max(0, lo - history.maxlen):lo]:
-            history.appendleft(rec.h)
+        window = history_window(strategy)
         verdicts = []
         snapshot_next = self.snapshot_at(recs[lo])
-        for rec, rec_next in zip(recs[lo:hi], recs[lo + 1:hi + 1]):
+        for k in range(lo, hi):
+            rec, rec_next = recs[k], recs[k + 1]
             n = rec.n
             p_n, f, g = snapshot_next
             # the next record, the last one too, is checked before the step into it is measured
@@ -312,7 +302,7 @@ class _RecordChecker:
 
             if np.any(g):
                 row["eq41_gradient_step_domination"] = optimal_gradient_step(m) * float(g @ g) <= dAd + tol
-                D = build_subspace(strategy, g, h, history)
+                D = build_subspace(strategy, g, h, _history(recs, k, window))
                 try:
                     hessian = factor_hessian(p_n, h)
                     order = check_subspace_ordering(g, A, hessian)
@@ -329,31 +319,28 @@ class _RecordChecker:
                 row["eq72_kantorovich_floor"] = cert.theta_tilde >= floor - rt
                 row["eq74_cap"] = cert.theta_tilde <= 1.0 / cert.kappa_lo + rt
                 row["kappa_lo_ge_1"] = cert.kappa_lo >= 1.0 - rt
-                v.p_n = p_n
-                if oracle:
-                    ref = self._oracle(v, ref)
+                if not self.stream.random_access:
+                    v.p_n = p_n
 
             verdicts.append(v)
-            history.appendleft(h)
-        return verdicts, ref
+        return verdicts
 
     def chain(self, verdicts, ref):
-        """The oracle for each certified verdict of ``check(..., oracle=False)``, in order."""
+        """Give each certified verdict its F*, in order: ``ref.value`` for a
+        batch trace; online, the minimizer of the record's snapshot,
+        warm-started at the previous one's, from ``ref`` on.  Returns the last
+        reference solution."""
         for v in verdicts:
-            if v.p_n is not None:
-                ref = self._oracle(v, ref)
-        return ref
-
-    def _oracle(self, v: _Verdict, ref):
-        """Give a certified verdict its F*; online, from the snapshot's minimizer warm-started at ``ref``."""
-        p_n, v.p_n = v.p_n, None
-        if self.mode != "batch":
-            try:
-                ref = reference_minimizer(p_n, tol=1e-12, h0=None if ref is None else ref.h)
-            except OracleError as exc:
-                v.skipped = type(exc).__name__
-                return ref
-        v.inf_F = ref.value
+            if v.cert is None:
+                continue
+            if self.mode != "batch":
+                p_n, v.p_n = self.stream.instance(v.n) if v.p_n is None else v.p_n, None
+                try:
+                    ref = reference_minimizer(p_n, tol=1e-12, h0=None if ref is None else ref.h)
+                except OracleError as exc:
+                    v.skipped = type(exc).__name__
+                    continue
+            v.inf_F = ref.value
         return ref
 
 
@@ -370,22 +357,20 @@ def _two_processes(p: ProblemInstance, recs, stream: EstimateStream) -> bool:
 
 
 def _check_in_two_processes(checker: _RecordChecker, ref) -> list:
-    """``checker.check(0, steps, ref)[0]``, with a forked child checking the first part.
+    """``checker.check(0, steps)`` and its ``chain``, with a forked child taking the first part.
 
     The child sends its verdicts and its last reference solution; the
-    parent checks the rest meanwhile, then continues the online oracle
-    chain from the child's last minimizer, so every oracle call gets the
-    warm start of a one-process run.  A part that ``in_two_processes`` did
-    not keep is checked again here, in record order, the parent's part then
-    with its oracle calls in place.
+    parent checks the rest meanwhile, then continues the oracle chain from
+    the child's last minimizer, so every oracle call gets the warm start of
+    a one-process run.
     """
     steps = len(checker.recs) - 1
     split = int(steps * CHILD_SHARE[checker.mode])
-    theirs, mine = in_two_processes(lambda: checker.check(0, split, ref),
-                                    lambda: checker.check(split, steps, ref, oracle=False)[0])
-    theirs, ref = theirs if theirs is not None else checker.check(0, split, ref)
-    if mine is None:
-        mine, _ = checker.check(split, steps, ref)
-    else:
-        checker.chain(mine, ref)
+
+    def first():
+        theirs = checker.check(0, split)
+        return theirs, checker.chain(theirs, ref)
+
+    (theirs, ref), mine = in_two_processes(first, lambda: checker.check(split, steps))
+    checker.chain(mine, ref)
     return theirs + mine

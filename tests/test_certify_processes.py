@@ -76,14 +76,14 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _batch():
+def _batch(strategy="3mg"):
     p = _instance()
-    return lambda: run_batch(p, h1=np.ones(p.dim), strategy="3mg", opts=CERTIFIED)
+    return lambda: run_batch(p, h1=np.ones(p.dim), strategy=strategy, opts=CERTIFIED)
 
 
-def _online():
+def _online(strategy="3mg"):
     p = _instance()
-    return lambda: run_online(_drifting(p), strategy="3mg", opts=CERTIFIED)
+    return lambda: run_online(_drifting(p), strategy=strategy, opts=CERTIFIED)
 
 
 def _replay(tmp_path):
@@ -128,10 +128,16 @@ def test_the_trace_is_the_one_process_trace(make, forks, monkeypatch):
     _assert_no_child_left()
 
 
-@pytest.mark.parametrize("make", [_batch, _online, _replay], ids=["batch", "geometric", "replay"])
-def test_each_certificate_is_the_one_of_the_loop_s_own_step(make, tmp_path, forks, monkeypatch):
+@pytest.mark.parametrize("make, strategy", [
+    pytest.param(_batch, "3mg", id="batch"), pytest.param(_online, "3mg", id="geometric"),
+    pytest.param(_replay, "3mg", id="replay"),
+    # memory:5 reads the 3 past iterates of its window, full none
+    *(pytest.param(make, strategy, id=f"{name}-{strategy}") for strategy in ("memory:5", "full")
+      for make, name in ((_batch, "batch"), (_online, "geometric"))),
+])
+def test_each_certificate_is_the_one_of_the_loop_s_own_step(make, strategy, tmp_path, forks, monkeypatch):
     """The certificate pass gives what the loop's own majorant and direction matrix give."""
-    run = make(tmp_path) if make is _replay else make()
+    run = make(tmp_path) if make is _replay else make(strategy)
     steps = []
     step = solver.subspace_step
 

@@ -97,3 +97,12 @@ def test_a_delta_at_the_ends_of_the_normal_range_is_accepted(cls):
         with pytest.raises(InputError, match="penalty.delta"):
             cls(1.0, delta)
     assert np.isfinite(cls(1.0, 1.3e154).value(np.ones(3)))
+
+
+def test_a_geometric_stream_on_an_indefinite_limit_r_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text('{"dim": 2, "R": [[1, 0], [0, -0.5]], "r": [1, 1]}')
+    code, err = _run(["solve", "--problem", str(path), "--stream", "geometric:0.9", "--seed", "1",
+                      "--max-iters", "50"], capsys)
+    assert code == 1
+    assert err.startswith("error: the limit R of a geometric stream has the negative eigenvalue -0.5")

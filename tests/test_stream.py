@@ -48,6 +48,17 @@ def test_geometric_stream_symmetrizes_and_keeps_psd():
         GeometricPerturbationStream(q, rho=1.5, E_R=np.eye(2), e_r=np.zeros(2))
 
 
+def test_geometric_stream_refuses_an_indefinite_limit_and_never_flips_or_enlarges_e():
+    E = np.array([[-1.0, 0.3], [0.3, 2.0]])
+    with pytest.raises(InputError, match=r"limit R of a geometric stream has the negative eigenvalue -0\.5$"):
+        GeometricPerturbationStream(QuadraticData(np.diag([1.0, -0.5]), np.ones(2)), 0.9, E, np.ones(2))
+    # a negative eigenvalue at rounding level is taken as 0: E shrinks to 0, for a tiny E too
+    for scale in (1.0, 1e-290):
+        q = QuadraticData(np.diag([1.0, -1e-16]), np.ones(2))
+        s = GeometricPerturbationStream(q, 0.9, scale * E, np.ones(2))
+        assert (s.E_R * E >= 0.0).all() and (np.abs(s.E_R) <= scale * np.abs(E)).all()
+
+
 def test_running_average_stream():
     q = QuadraticData(np.eye(1), np.zeros(1))
     samples = {1: ([1.0], 1.0), 2: ([0.0], 0.0)}
@@ -152,7 +163,7 @@ def geometric_streams(draw):
         R[np.tril_indices(n, -1)] = 1e-310
     kind = draw(st.sampled_from(["symmetric", "asymmetric", "huge"]))
     if kind == "asymmetric" and n > 1:  # one ulp off in one corner, still symmetric to check_symmetric
-        R[0, -1] = R[-1, 0] = 1e-9 * R[0, 0]
+        R[0, -1] = R[-1, 0] = R[0, -1] + 1e-9 * R[0, 0]
         R[0, -1] = np.nextafter(R[0, -1], np.inf)
     elif kind == "huge":  # a norm above the trusted bound, far inside the float range
         R *= 1e152 / np.linalg.norm(R)

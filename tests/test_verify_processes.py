@@ -1,6 +1,7 @@
 """verify_trace checked in two processes gives the one-process report, errors and warnings."""
 
 import dataclasses
+import hashlib
 import os
 import threading
 import warnings
@@ -8,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mmsubspace import cli, verify
+from mmsubspace import cli, solver, verify
 from mmsubspace.errors import InputError
 from mmsubspace.linalg import min_eig
 from mmsubspace.model import ProblemInstance, QuadraticData, save_problem
@@ -198,6 +199,69 @@ def test_a_child_that_ends_early_leaves_its_part_to_the_parent(forks, monkeypatc
     monkeypatch.setattr(verify._RecordChecker, "check", dying)
     got = verify_trace(p, trace, stream=stream())
     assert forks == [1]
+    _assert_same_report(got, want)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+@pytest.mark.parametrize("stream", ["constant", "geometric"])
+def test_each_direction_matrix_is_the_one_the_loop_stepped_with(stream, processes, tmp_path, forks, monkeypatch):
+    """At memory:5, verify rebuilds bitwise the direction matrix of each of the loop's steps."""
+    p = _instance()
+    new_stream = (lambda: None) if stream == "constant" else (lambda: _drifting(p))
+    steps = []
+    step = solver.subspace_step
+    monkeypatch.setattr(solver, "subspace_step", lambda m, D: steps.append((m.anchor, D.cols)) or step(m, D))
+    opts = SolveOptions(max_iters=300, grad_tol=1e-10)
+    trace = (run_batch(p, h1=np.ones(p.dim), strategy="memory:5", opts=opts) if stream == "constant"
+             else run_online(new_stream(), strategy="memory:5", opts=opts))
+    build = verify.build_subspace
+
+    def saving(strategy, g, h, history):
+        """Save the direction matrix under its iterate's bytes, from whichever process builds it."""
+        D = build(strategy, g, h, history)
+        np.save(tmp_path / f"{hashlib.sha1(h.tobytes()).hexdigest()}.npy", D.cols)
+        return D
+
+    monkeypatch.setattr(verify, "build_subspace", saving)
+    if processes == 1:
+        _one_process(monkeypatch, lambda: verify_trace(p, trace, stream=new_stream()))
+    else:
+        verify_trace(p, trace, stream=new_stream())
+    assert forks == [1] * (processes - 1)
+    assert len(steps) == len(trace.records) - 1 == len(list(tmp_path.glob("*.npy")))
+    assert max(D.shape[1] for _, D in steps) == 5
+    for h, D in steps:
+        assert np.load(tmp_path / f"{hashlib.sha1(h.tobytes()).hexdigest()}.npy").tobytes() == D.tobytes()
+    _assert_no_child_left()
+
+
+def test_oracle_warnings_are_those_of_one_process(forks, monkeypatch):
+    p, trace, stream = _online()
+    split = int((len(trace.records) - 1) * verify.CHILD_SHARE["online"])
+    # a certified record in each part, known to the oracle by its snapshot's r
+    warned = {rec.n: stream().instance(rec.n).quad.r.tobytes() for rec in (trace.records[2], trace.records[-3])}
+    assert 3 < split < len(trace.records) - 3
+    oracle = verify.reference_minimizer
+
+    def warning(q, tol=1e-12, h0=None):
+        for n, r in warned.items():
+            if q.quad.r.tobytes() == r:
+                warnings.warn(f"oracle at n={n}", RuntimeWarning)
+        return oracle(q, tol, h0=h0)
+
+    monkeypatch.setattr(verify, "reference_minimizer", warning)
+
+    def run():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = verify_trace(p, trace, stream=stream())
+        return report, [str(w.message) for w in caught]
+
+    want, want_warnings = _one_process(monkeypatch, run)
+    got, got_warnings = run()
+    assert forks == [1]
+    assert got_warnings == want_warnings == [f"oracle at n={n}" for n in sorted(warned)]
     _assert_same_report(got, want)
     _assert_no_child_left()
 
