@@ -40,6 +40,7 @@ majorization check takes the smallest eigenvalue of the dense difference.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -449,8 +450,8 @@ def penalty_from_dict(spec: dict, dim: int) -> Penalty:
 
 def problem_from_dict(d: dict) -> ProblemInstance:
     try:
-        dim = int(d["dim"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        dim = operator.index(d["dim"])
+    except (KeyError, TypeError) as exc:
         raise InputError("problem file needs an integer 'dim'") from exc
     R = d.get("R")
     if isinstance(R, dict) and "diag" in R:

@@ -9,18 +9,19 @@ stream.  An independent damped-Newton oracle provides the reference minimizer
 against which the rate certificates are checked.
 
 A certified run certifies its iterations after the loop.  No certificate
-reads another's, so each iteration waits with only its gradient, plus its
-snapshot where the stream cannot draw it again; its iterate and F are read
-from its record, and its past iterates by ``_history``, the one history rule
-of the loop, the certificates and ``verify``.  Where
-``processes.two_processes`` says so for (iterations) * dim**2, a forked child
-certifies the first half while this process certifies the rest, and the
-results merge in iteration order.  The trace, the skip counts and their
-order, and the first exception are those of one process; when the loop
-raises, the iterations recorded before its error are certified first, so an
-error of theirs still comes first.  The warnings are the same, but a
-certificate's now follows every warning of the loop.  Wall time falls; CPU
-time rises by the fork and the page faults of both processes.
+reads another's, so each iteration waits with only its gradient: every
+stream draws any snapshot n >= 1 again (a running average from its kept
+samples, O(N * d), not O(N * d**2) in snapshots, calling ``sample_fn`` once
+per k), its iterate and F are read from its record, and its past iterates
+by ``_history``, the one history rule of the loop, the certificates and
+``verify``.  Where ``processes.two_processes`` says so for (iterations) *
+dim**2, a forked child certifies the first half while this process
+certifies the rest, and the results merge in iteration order.  The trace,
+the skip counts and their order, and the first exception are those of one
+process; when the loop raises, the iterations recorded before its error are
+certified first, so an error of theirs still comes first.  The warnings are
+the same, but a certificate's now follows every warning of the loop.  Wall
+time falls; CPU time rises by the fork and the page faults of both processes.
 """
 
 from __future__ import annotations
@@ -160,12 +161,18 @@ class Trace:
     def from_json(cls, path) -> "Trace":
         where = f"trace file {path}"
         d = require_fields(parse_json(read_text(path, "trace file"), where), ["records"], where)
+        meta, skips = d.get("meta", {}), d.get(TRACE_SKIPS, {})
         if not isinstance(d["records"], list):
             raise InputError(f"'records' of trace file {path} is not a list")
-        if not isinstance(d.get("meta", {}), dict):
+        if not isinstance(meta, dict):
             raise InputError(f"'meta' of trace file {path} is not an object")
-        trace = cls(meta=d.get("meta", {}), certificates_skipped=Counter(d.get(TRACE_SKIPS, {})),
-                    **{k: d.get(k, False) for k in TRACE_FLAGS})
+        for key, ok in ((TRACE_SKIPS, isinstance(skips, dict) and all(type(c) is int for c in skips.values())),
+                        ("meta.mode", meta.get("mode", "batch") in ("batch", "online")),
+                        ("meta.strategy", isinstance(meta.get("strategy", ""), str)),
+                        ("meta.epsilon", type(meta.get("epsilon")) in (int, float, type(None)))):
+            if not ok:
+                raise InputError(f"malformed {key!r} in trace file {path}")
+        trace = cls(meta=meta, certificates_skipped=Counter(skips), **{k: d.get(k, False) for k in TRACE_FLAGS})
         for i, rd in enumerate(d["records"]):
             where = f"record {i} of trace file {path}"
             require_fields(rd, RECORD_FIELDS, where)
@@ -264,8 +271,10 @@ def reference_minimizer(p: ProblemInstance, tol: float = 1e-12, h0=None) -> Refe
 
 
 def _resolve_epsilon(epsilon: Optional[float], R_limit: np.ndarray) -> float:
-    """The certificate margin: ``epsilon``, or 0.1 * min-eig(R_limit) for None."""
+    """The certificate margin ``epsilon``, or 0.1 * min-eig(R_limit) for None, of a positive definite R_limit."""
     lo = min_eig(R_limit)
+    if lo <= 0.0:
+        raise InputError(f"the limit R is not positive definite: its smallest eigenvalue is {lo:.6g}")
     eps = 0.1 * lo if epsilon is None else epsilon
     if not (0.0 < eps < lo):
         raise InputError(f"epsilon must lie in (0, {lo:.6g}), got {eps}")
@@ -309,8 +318,7 @@ def _run(stream: EstimateStream, h1, strategy, opts: SolveOptions, mode: str) ->
         "epsilon": epsilon,
     })
 
-    # the iteration of each record before the last waits to be certified as
-    # (gradient, snapshot or None)
+    # the iteration of each record before the last waits to be certified, with its gradient
     pending = [] if opts.certify else None
     try:
         _iterate(stream, h, strategy, opts, trace, pending)
@@ -339,9 +347,8 @@ def _history(recs: list, k: int, window: int) -> list:
 
 def _iterate(stream: EstimateStream, h, strategy, opts: SolveOptions, trace: Trace, pending) -> None:
     """The MM loop: appends a record per iteration to ``trace`` and, when
-    ``pending`` is a list, what certifying the iteration takes to it."""
+    ``pending`` is a list, the iteration's gradient, which its certificate takes."""
     window = history_window(strategy)
-    stream_exhausted = False
     p_n = stream.instance(1)
     n = 1
     while True:
@@ -380,7 +387,7 @@ def _iterate(stream: EstimateStream, h, strategy, opts: SolveOptions, trace: Tra
         try:
             p_next = stream.instance(n + 1)
         except StreamExhausted:
-            stream_exhausted = True
+            trace.stream_exhausted = True
         else:
             if p_next is p_n:
                 chi = 0.0
@@ -395,11 +402,9 @@ def _iterate(stream: EstimateStream, h, strategy, opts: SolveOptions, trace: Tra
             n, h.copy(), f, gn, step_norm, chi, c_norm, None,
         ))
         if pending is not None:
-            # a snapshot is kept only where the stream cannot draw it again
-            pending.append((g, None if stream.random_access else p_n))
+            pending.append(g)
 
-        if stream_exhausted:
-            trace.stream_exhausted = True
+        if trace.stream_exhausted:
             break
         h = h_next
         p_n = p_next
@@ -412,7 +417,7 @@ def _certify(recs: list, pending: list, stream: EstimateStream, strategy: Subspa
     name of the NumericError that skipped it, in iteration order.
 
     Each certificate is computed from what the loop had: the record's
-    iterate and F; the snapshot, drawn again from a random-access stream;
+    iterate and F; the snapshot, drawn again from the stream;
     the direction matrix, rebuilt by ``_history`` from the recorded
     iterates; the dense curvature, built and dropped per certificate.  Where
     ``processes.two_processes`` says so for (iterations) * dim**2, a forked
@@ -423,10 +428,9 @@ def _certify(recs: list, pending: list, stream: EstimateStream, strategy: Subspa
 
     def part(lo: int, hi: int) -> list:
         out = []
-        for k, (g, p_n) in enumerate(pending[lo:hi], lo):
+        for k, g in enumerate(pending[lo:hi], lo):
             rec = recs[k]
-            if p_n is None:
-                p_n = stream.instance(rec.n)
+            p_n = stream.instance(rec.n)
             D = build_subspace(strategy, g, rec.h, _history(recs, k, window))
             try:
                 out.append(certify_iteration(rec.n, g, D, build_majorant(p_n, rec.h, rec.obj, g).curvature,

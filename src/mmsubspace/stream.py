@@ -2,7 +2,9 @@
 
 Every stream exposes the limiting instance data and produces per-iteration
 snapshots ``(R_n, r_n)`` whose successive differences are summable, so an
-online run converges to the minimizer of the limit instance.
+online run converges to the minimizer of the limit instance.  Every stream
+draws any snapshot n >= 1 again, bitwise, so certify and verify hold none;
+a running average keeps its samples for that.
 """
 
 from __future__ import annotations
@@ -31,22 +33,17 @@ class EstimateStream:
 
     limit: QuadraticData
     penalty: Penalty
-    # whether ``instance(n)`` may be drawn for any n in any order, as a
-    # verify that checks its records in two processes does
-    random_access = False
 
     def next_estimate(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
     def instance(self, n: int) -> ProblemInstance:
-        """The problem active at iteration ``n``: the validated snapshot plus the penalty."""
+        """The validated snapshot of iteration ``n``, any n >= 1 in any order, plus the penalty."""
         return ProblemInstance(QuadraticData(*self.next_estimate(n)), self.penalty)
 
 
 class ConstantStream(EstimateStream):
     """R_n = R and r_n = r for every n: the batch case in online clothing."""
-
-    random_access = True
 
     def __init__(self, quad: QuadraticData, penalty: Penalty | None = None):
         self.limit = quad
@@ -80,8 +77,6 @@ class GeometricPerturbationStream(EstimateStream):
     ``instance`` then skips that check and only flushes the subnormals.  Any
     other stream validates each snapshot.
     """
-
-    random_access = True
 
     def __init__(self, quad: QuadraticData, rho: float, E_R, e_r, penalty: Penalty | None = None):
         if not 0.0 < rho < 1.0:
@@ -123,32 +118,45 @@ class RunningAverageStream(EstimateStream):
 
     Snapshots are symmetric nonnegative definite by construction.  The
     summability assumption holds only almost surely here, so this stream is
-    kept out of strict certification acceptance.
+    kept out of strict certification acceptance.  ``sample_fn`` is called
+    once per k and its samples are kept, O(N * d) where kept snapshots would
+    take O(N * d**2); ``instance(n)`` of an earlier n sums them again from
+    the first, bitwise as in order.
     """
 
     def __init__(self, quad: QuadraticData, sample_fn, penalty: Penalty | None = None):
         self.limit = quad
         self.penalty = penalty if penalty is not None else ZeroPenalty()
         self.sample_fn = sample_fn  # k -> (x_k, y_k)
+        self._samples = []  # (x_k, y_k) for k = 1, 2, ...
         self._sum_R = np.zeros((quad.dim, quad.dim))
         self._sum_r = np.zeros(quad.dim)
-        self._count = 0
+        self._count = 0  # the last n drawn, whose sums these are
 
     def next_estimate(self, n):
         if n != self._count + 1:
             raise InputError("running-average stream must be consumed in order")
-        x, y = self.sample_fn(n)
-        x = as_vector(x, self.limit.dim)
+        if n > len(self._samples):
+            x, y = self.sample_fn(n)
+            self._samples.append((as_vector(x, self.limit.dim), float(y)))
+        x, y = self._samples[n - 1]
         self._sum_R += np.outer(x, x)
-        self._sum_r += float(y) * x
+        self._sum_r += y * x
         self._count = n
         return self._sum_R / n, self._sum_r / n
+
+    def instance(self, n):
+        if n <= self._count:  # sum again from the first sample
+            self._sum_R.fill(0.0)
+            self._sum_r.fill(0.0)
+            self._count = 0
+        while self._count < n - 1:
+            self.next_estimate(self._count + 1)
+        return super().instance(n)
 
 
 class FileReplayStream(EstimateStream):
     """Replays stored snapshots from a JSON-lines file, one object per line."""
-
-    random_access = True
 
     def __init__(self, path, quad: QuadraticData | None = None, penalty: Penalty | None = None):
         self.snapshots = []
@@ -204,13 +212,11 @@ def summability_report(s: EstimateStream, horizon: int) -> SummabilityReport:
         raise InputError("horizon must be >= 2")
     d_R, d_r = [], []
     prev = s.next_estimate(1)
-    last = prev
     for n in range(2, horizon + 1):
         cur = s.next_estimate(n)
         d_R.append(float(np.linalg.norm(cur[0] - prev[0])))
         d_r.append(float(np.linalg.norm(cur[1] - prev[1])))
         prev = cur
-        last = cur
     sum_dR, sum_dr = float(np.sum(d_R)), float(np.sum(d_r))
     tail = max(1, len(d_R) // 10)
 
@@ -230,6 +236,6 @@ def summability_report(s: EstimateStream, horizon: int) -> SummabilityReport:
         tail_ratio_dr=tail_ratio(d_r, sum_dr),
         closed_form_dR=cf_R,
         closed_form_dr=cf_r,
-        converged_dR=float(np.linalg.norm(last[0] - s.limit.R)),
-        converged_dr=float(np.linalg.norm(last[1] - s.limit.r)),
+        converged_dR=float(np.linalg.norm(prev[0] - s.limit.R)),
+        converged_dr=float(np.linalg.norm(prev[1] - s.limit.r)),
     )

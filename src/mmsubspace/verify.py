@@ -12,7 +12,9 @@ history rule.  The Newton oracle for ``F* = inf F`` gates only the gap bound
 and decay (eq6/eq7) and the batch summary.  It runs once for a batch trace
 and once per certified online snapshot, from the previous snapshot's
 minimizer, never from an MM iterate, in a chain after the checks of the
-records it serves, drawing each snapshot again unless the stream cannot.
+records it serves.  Every stream draws any snapshot n >= 1 again, so no
+verdict holds one: a running average keeps its samples, O(N * d), not its
+snapshots, O(N * d**2), and calls ``sample_fn`` once per k.
 An iteration whose certificate or oracle raises counts as skipped once, by
 the class of its first error.  F and its gradient are evaluated at every
 record, the last included, so an iterate that overflows them is refused as
@@ -23,17 +25,16 @@ counts the certified regime; eq7 is the test made there.
 No record's checks read another record's results, so a large trace is
 checked in two processes, through ``processes``, the helper that also splits
 a solve's certification: where ``os.fork`` exists, the affinity mask holds
-at least 2 CPUs, no other Python thread is alive, the stream's snapshots can
-be drawn in any order and (records - 1) * dim**2 reaches
-``TWO_PROCESS_WORK``, a forked child checks the first part of the records
-and runs their chain, piping its verdicts back while the parent checks the
-rest; the parent's chain continues from the child's last minimizer, and the
-verdicts merge in record order.  The report, the output, the first
-exception and the warnings are those of one process, except that the child's
-oracle errors and warnings precede the parent's checks'.  Wall time falls;
-CPU time rises by the fork, the page faults of both processes and the parts
-that run twice.  Records must be numbered 1, 2, ... in order; any other
-numbering is refused as input.
+at least 2 CPUs, no other Python thread is alive and (records - 1) * dim**2
+reaches ``TWO_PROCESS_WORK``, whatever the stream, a forked child checks the
+first part of the records and runs their chain, piping its verdicts back
+while the parent checks the rest; the parent's chain continues from the
+child's last minimizer, and the verdicts merge in record order.  The
+report, the output, the first exception and the warnings are those of one
+process, except that the child's oracle errors and warnings precede the
+parent's checks'.  Wall time falls; CPU time rises by the fork, the page
+faults of both processes and the parts that run twice.  Records must be
+numbered 1, 2, ... in order; any other numbering is refused as input.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ def verify_trace(
     # F* of the batch problem, or the last online snapshot's, which warm-starts the next
     ref = reference_minimizer(p, tol=1e-12) if mode == "batch" else None
 
-    if _two_processes(p, recs, stream):
+    if _two_processes(p, recs):
         verdicts = _check_in_two_processes(checker, ref)
     else:
         verdicts = checker.check(0, len(recs) - 1)
@@ -242,7 +243,6 @@ class _Verdict:
     cert: RateCertificate | None = None
     skipped: str | None = None  # class name of the error that skipped the certificate or oracle
     inf_F: float | None = None  # the oracle's F*, once it ran for a certificate
-    p_n: ProblemInstance | None = None  # a snapshot the stream cannot draw again, until the oracle ran
 
 
 class _RecordChecker:
@@ -319,8 +319,6 @@ class _RecordChecker:
                 row["eq72_kantorovich_floor"] = cert.theta_tilde >= floor - rt
                 row["eq74_cap"] = cert.theta_tilde <= 1.0 / cert.kappa_lo + rt
                 row["kappa_lo_ge_1"] = cert.kappa_lo >= 1.0 - rt
-                if not self.stream.random_access:
-                    v.p_n = p_n
 
             verdicts.append(v)
         return verdicts
@@ -334,9 +332,9 @@ class _RecordChecker:
             if v.cert is None:
                 continue
             if self.mode != "batch":
-                p_n, v.p_n = self.stream.instance(v.n) if v.p_n is None else v.p_n, None
                 try:
-                    ref = reference_minimizer(p_n, tol=1e-12, h0=None if ref is None else ref.h)
+                    ref = reference_minimizer(self.stream.instance(v.n), tol=1e-12,
+                                              h0=None if ref is None else ref.h)
                 except OracleError as exc:
                     v.skipped = type(exc).__name__
                     continue
@@ -349,11 +347,10 @@ class _RecordChecker:
 CHILD_SHARE = {"batch": 0.5, "online": 0.45}
 
 
-def _two_processes(p: ProblemInstance, recs, stream: EstimateStream) -> bool:
+def _two_processes(p: ProblemInstance, recs) -> bool:
     """Whether verify checks its records in two processes: ``processes.two_processes``
-    for (records - 1) * dim**2, and a stream whose snapshots can be drawn in
-    any order."""
-    return stream.random_access and two_processes((len(recs) - 1) * p.dim**2, TWO_PROCESS_WORK)
+    for (records - 1) * dim**2, whatever the stream."""
+    return two_processes((len(recs) - 1) * p.dim**2, TWO_PROCESS_WORK)
 
 
 def _check_in_two_processes(checker: _RecordChecker, ref) -> list:

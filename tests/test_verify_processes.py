@@ -45,7 +45,7 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counting)
     monkeypatch.setattr(verify, "TWO_PROCESS_WORK", 0)
-    if not verify._two_processes(_instance(), [None, None], _drifting(_instance())):
+    if not verify._two_processes(_instance(), [None, None]):
         pytest.skip("this host cannot take the two-process path")
     return made
 
@@ -330,7 +330,7 @@ def test_another_thread_keeps_one_process(forks):
     assert forks == []
 
 
-def test_a_running_average_stream_keeps_one_process(forks):
+def test_a_running_average_stream_is_checked_in_two_processes(forks, monkeypatch):
     p = _instance(4)
     rng = np.random.default_rng(3)
     xs = rng.standard_normal((400, p.dim))
@@ -344,6 +344,10 @@ def test_a_running_average_stream_keeps_one_process(forks):
     p = ProblemInstance(limit, p.penalty)
     trace = run_online(stream(), strategy="3mg", opts=SolveOptions(max_iters=60, certify=True))
     assert len(trace.records) > 10
-    report = verify_trace(p, trace, stream=stream())
+    want = _one_process(monkeypatch, lambda: verify_trace(p, trace, stream=stream()))
     assert forks == []
+    report = verify_trace(p, trace, stream=stream())
+    assert forks == [1]
+    _assert_same_report(report, want)
     assert report.results["eq3_majorization"].checked == len(trace.records) - 1
+    _assert_no_child_left()
