@@ -42,7 +42,7 @@ def main():
                 opts = SolveOptions(max_iters=args.max_iters,
                                     grad_tol=args.grad_tol, certify=True)
                 trace = run_batch(p, h1=h1, strategy=parse_strategy(name), opts=opts)
-                s = batch_rate_summary(p, trace, trace.meta["epsilon"], ref)
+                s = batch_rate_summary(p, trace, trace.setting("epsilon"), ref)
                 vt = f"{s.vartheta:.6f}"
                 ne = str(s.n_eps) if s.certified else "-"
                 print(f"{dim:5d} {kind:10s} {name:10s} {trace.n_steps:6d} "

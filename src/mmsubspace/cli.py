@@ -13,9 +13,10 @@ from .errors import InputError, NumericError, OracleError
 from .model import ProblemInstance, load_problem, save_problem
 from .problems import demo_instances
 from .rates import batch_rate_summary
-from .solver import SolveOptions, Trace, reference_minimizer, run_batch, run_online
+from .solver import SolveOptions, reference_minimizer, run_batch, run_online
 from .stream import ConstantStream, FileReplayStream, GeometricPerturbationStream
 from .subspace import parse_strategy
+from .trace import Trace
 from .verify import verify_trace
 
 
@@ -67,7 +68,7 @@ def _summary_dict(p: ProblemInstance, trace: Trace, stream, seed: int) -> dict:
         "all_inequalities_pass": report.passed,
     }
     s = report.summary
-    if trace.meta.get("mode") != "batch":
+    if trace.setting("mode") != "batch":
         out["message"] = "online run: rate constants certified per iteration only"
     elif s is None:
         out["message"] = "no certified iterations"
@@ -143,7 +144,7 @@ def cmd_demo(args) -> int:
             trace = run_batch(p, None, parse_strategy(sname), opts)
             _write_trace(trace, str(out / f"{name}-{sname}"))
             try:
-                s = batch_rate_summary(p, trace, trace.meta["epsilon"], ref)
+                s = batch_rate_summary(p, trace, trace.setting("epsilon"), ref)
                 vt, ne = f"{s.vartheta:.6f}", (str(s.n_eps) if s.certified else "-")
             except InputError:
                 vt, ne = "-", "-"

@@ -47,8 +47,9 @@ def read_text(path, what: str) -> str:
 
 
 def parse_json(text: str, where: str):
-    """``json.loads(text)``; text that is not JSON is an ``InputError`` naming ``where``."""
+    """``json.loads(text)``; text that is not JSON, or holds an integer literal
+    beyond Python's int-string conversion limit, is an ``InputError`` naming ``where``."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # json.JSONDecodeError is a ValueError
         raise InputError(f"{where} is not JSON: {exc}") from exc

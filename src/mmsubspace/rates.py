@@ -52,7 +52,7 @@ from .subspace import DirectionMatrix, column_scaled
 @dataclass(frozen=True)
 class RateCertificate:
     """One iteration's certificate.  The fields after ``n``, in this order,
-    are the trace schema's certificate keys and columns (``solver.CERT_FIELDS``)."""
+    are the trace schema's certificate keys (the ``trace.CERTIFICATE`` table)."""
     n: int
     theta_tilde: float
     theta: float

@@ -1,4 +1,4 @@
-"""Batch and online MM subspace iterations with trace recording.
+"""Batch and online MM subspace iterations, each recorded as a ``trace.Trace``.
 
 Each step minimizes the quadratic tangent majorant over the span of the
 direction matrix, in closed form via a pseudo-inverse, so the surrogate
@@ -26,28 +26,23 @@ time falls; CPU time rises by the fork and the page faults of both processes.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-import operator
-from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    InputError, NumericError, OracleError, StreamExhausted, parse_json, read_text, require_fields,
-)
+from .errors import InputError, NumericError, OracleError, StreamExhausted
 from .linalg import as_vector, cholesky_lower, min_eig, pd_solve, psd_pinv
 from .majorant import MajorantAtPoint, build_majorant
 from .model import ProblemInstance, eval_hessian, eval_objective_and_gradient
 from .processes import TWO_PROCESS_WORK, in_two_processes, two_processes
-from .rates import RateCertificate, certify_iteration, factor_hessian
+from .rates import certify_iteration, factor_hessian
 from .stream import ConstantStream, EstimateStream
 from .subspace import (
     DirectionMatrix, SubspaceStrategy, build_subspace, column_scaled, history_window, parse_strategy,
 )
+from .trace import Trace, TraceRecord
 
 
 @dataclass(frozen=True)
@@ -62,135 +57,6 @@ class SolveOptions:
             raise InputError("max_iters must be positive")
         if self.grad_tol <= 0:
             raise InputError("grad_tol must be positive")
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    n: int
-    h: np.ndarray
-    obj: float
-    grad_norm: float
-    step_norm: Optional[float]
-    chi: Optional[float]
-    c_norm: Optional[float]
-    cert: Optional[RateCertificate]
-
-
-# the trace schema: certificate fields in column and key order, of which the
-# CSV holds the first eight, and the run-level flags stored next to the records
-CERT_FIELDS = [f.name for f in fields(RateCertificate) if f.name != "n"]
-CSV_CERT_FIELDS = CERT_FIELDS[:8]
-CSV_COLUMNS = ["n", "obj", "grad_norm", "step_norm", *CSV_CERT_FIELDS, "chi_n"]
-TRACE_FLAGS = ["converged", "stream_exhausted", "fallback_used"]
-# the keys a record must hold to be read back, each with the conversion it must pass
-RECORD_FIELDS = {"n": operator.index, "h": lambda v: np.asarray(v, dtype=float), "obj": float, "grad_norm": float}
-# certificates not recorded because computing them raised, counted by the
-# error's class name; a certified run stores the counts under this key
-TRACE_SKIPS = "certificates_skipped"
-
-
-@dataclass
-class Trace:
-    records: list = field(default_factory=list)
-    converged: bool = False
-    stream_exhausted: bool = False
-    fallback_used: bool = False
-    certificates_skipped: Counter = field(default_factory=Counter)
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def n_steps(self) -> int:
-        return max(len(self.records) - 1, 0)
-
-    @property
-    def final(self) -> TraceRecord:
-        return self.records[-1]
-
-    def _row(self, rec: TraceRecord) -> list:
-        def fmt(x):
-            return "" if x is None else f"{x:.17g}"
-
-        c = rec.cert
-        cert_vals = [None if c is None else getattr(c, k) for k in CSV_CERT_FIELDS]
-        return [str(rec.n), fmt(rec.obj), fmt(rec.grad_norm), fmt(rec.step_norm)] + \
-            [fmt(v) for v in cert_vals] + [fmt(rec.chi)]
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(CSV_COLUMNS)
-            for rec in self.records:
-                w.writerow(self._row(rec))
-
-    def to_json(self, path) -> None:
-        """Write ``as_dict()`` as one JSON object: the run-level keys on the
-        first line, then one record per line.
-
-        ``json.dumps`` without ``indent`` runs CPython's C encoder, where
-        ``json.dump`` to a file always runs the pure-Python one.  The layout
-        is not part of the schema: ``from_json`` reads any JSON layout.
-        """
-        d = self.as_dict()
-        records = d.pop("records")
-        with open(path, "w") as f:
-            f.write(json.dumps(d)[:-1] + ', "records": [\n')
-            f.write(",\n".join(map(json.dumps, records)))
-            f.write("\n]}\n")
-
-    def as_dict(self) -> dict:
-        out = {"meta": self.meta, **{k: getattr(self, k) for k in TRACE_FLAGS}}
-        if self.meta.get("certify"):
-            out[TRACE_SKIPS] = dict(self.certificates_skipped)
-        out["records"] = []
-        for rec in self.records:
-            d = {
-                "n": rec.n,
-                "h": rec.h.tolist(),
-                "obj": rec.obj,
-                "grad_norm": rec.grad_norm,
-                "step_norm": rec.step_norm,
-                "chi_n": rec.chi,
-                "c_norm": rec.c_norm,
-            }
-            if rec.cert is not None:
-                d.update((k, getattr(rec.cert, k)) for k in CERT_FIELDS)
-            out["records"].append(d)
-        return out
-
-    @classmethod
-    def from_json(cls, path) -> "Trace":
-        where = f"trace file {path}"
-        d = require_fields(parse_json(read_text(path, "trace file"), where), ["records"], where)
-        meta, skips = d.get("meta", {}), d.get(TRACE_SKIPS, {})
-        if not isinstance(d["records"], list):
-            raise InputError(f"'records' of trace file {path} is not a list")
-        if not isinstance(meta, dict):
-            raise InputError(f"'meta' of trace file {path} is not an object")
-        for key, ok in ((TRACE_SKIPS, isinstance(skips, dict) and all(type(c) is int for c in skips.values())),
-                        ("meta.mode", meta.get("mode", "batch") in ("batch", "online")),
-                        ("meta.strategy", isinstance(meta.get("strategy", ""), str)),
-                        ("meta.epsilon", type(meta.get("epsilon")) in (int, float, type(None)))):
-            if not ok:
-                raise InputError(f"malformed {key!r} in trace file {path}")
-        trace = cls(meta=meta, certificates_skipped=Counter(skips), **{k: d.get(k, False) for k in TRACE_FLAGS})
-        for i, rd in enumerate(d["records"]):
-            where = f"record {i} of trace file {path}"
-            require_fields(rd, RECORD_FIELDS, where)
-            fields = {}
-            for key, convert in RECORD_FIELDS.items():
-                try:
-                    fields[key] = convert(rd[key])
-                except (TypeError, ValueError, OverflowError) as exc:  # an integer beyond the float range overflows
-                    raise InputError(f"malformed {key!r} in {where}: {exc}") from exc
-            cert = None
-            if "theta" in rd:
-                require_fields(rd, CERT_FIELDS, where)
-                cert = RateCertificate(n=fields["n"], **{k: rd[k] for k in CERT_FIELDS})
-            trace.records.append(TraceRecord(
-                **fields, step_norm=rd.get("step_norm"),
-                chi=rd.get("chi_n"), c_norm=rd.get("c_norm"), cert=cert,
-            ))
-        return trace
 
 
 def subspace_step(m: MajorantAtPoint, D: DirectionMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

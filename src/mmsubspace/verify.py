@@ -61,9 +61,10 @@ from .rates import (
     factor_hessian,
     sigma_spread,
 )
-from .solver import Trace, _history, _resolve_epsilon, optimal_gradient_step, reference_minimizer
+from .solver import _history, _resolve_epsilon, optimal_gradient_step, reference_minimizer
 from .stream import ConstantStream, EstimateStream
 from .subspace import build_subspace, history_window, parse_strategy
+from .trace import Trace
 
 # sampled points per iteration in the majorization check
 MAJORIZATION_SAMPLES = 20
@@ -169,16 +170,14 @@ def verify_trace(
     for rec in recs:
         if not (math.isfinite(rec.obj) and math.isfinite(rec.grad_norm) and np.isfinite(rec.h).all()):
             raise InputError(f"trace record n={rec.n} has a non-finite iterate, objective or gradient norm")
-    mode = trace.meta.get("mode", "batch")
+    mode = trace.setting("mode")
     if stream is None:
         stream = ConstantStream(p.quad, p.penalty)
     if isinstance(stream, ConstantStream) != (mode == "batch"):
         raise InputError(f"a {type(stream).__name__} does not match this {mode} trace: "
                          "pass the --stream and --seed it was solved with")
-    strategy = parse_strategy(trace.meta.get("strategy", "3mg"))
-
-    # a stored 0 or null means the default
-    epsilon = _resolve_epsilon(trace.meta.get("epsilon") or None, p.quad.R)
+    strategy = parse_strategy(trace.setting("strategy"))
+    epsilon = _resolve_epsilon(trace.setting("epsilon"), p.quad.R)
     checker = _RecordChecker(p, recs, stream, mode, strategy, epsilon, seed)
 
     # F* of the batch problem, or the last online snapshot's, which warm-starts the next

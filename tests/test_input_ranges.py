@@ -106,3 +106,28 @@ def test_a_geometric_stream_on_an_indefinite_limit_r_is_an_input_error(tmp_path,
                       "--max-iters", "50"], capsys)
     assert code == 1
     assert err.startswith("error: the limit R of a geometric stream has the negative eigenvalue -0.5")
+
+
+# an integer literal beyond Python's int-string conversion limit of 4300 digits
+OVERLONG = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("case", ["problem", "trace", "replay"])
+def test_an_integer_beyond_the_conversion_limit_names_its_file(case, tmp_path, capsys):
+    problem = tmp_path / "p.json"
+    problem.write_text('{"dim": 2, "R": {"diag": [1, 2]}, "r": [1, 1]}')
+    bad = tmp_path / "bad.json"
+    argv = {
+        "problem": ["solve", "--problem", str(bad)],
+        "trace": ["verify", "--problem", str(problem), "--trace", str(bad)],
+        "replay": ["solve", "--problem", str(problem), "--stream", f"replay:{bad}"],
+    }[case]
+    bad.write_text({
+        "problem": '{"dim": 2, "R": {"diag": [1, 2]}, "r": [1, %s]}',
+        "trace": '{"records": [{"n": %s, "h": [0, 0], "obj": 0, "grad_norm": 1}]}',
+        "replay": '{"R": [[1, 0], [0, 1]], "r": [1, %s]}\n',
+    }[case] % OVERLONG)
+    code, err = _run(argv, capsys)
+    where = f"line 1 of replay file {bad}" if case == "replay" else f"{case} file {bad}"
+    assert code == 1
+    assert err.splitlines()[0].startswith(f"error: {where} is not JSON: Exceeds the limit")
