@@ -1,11 +1,20 @@
 """Two parts of one computation run side by side in a forked child and this process.
 
 ``solver`` certifies a run's iterations and ``verify`` checks a trace's
-records this way: no part reads another part's results, and a forked
-child sidesteps the GIL that scipy's LAPACK wrappers hold.  Each caller
-states its work; ``two_processes`` decides from it and the host, never from
-a timing, and ``in_two_processes`` runs the parts, re-running here a part
-whose result it did not keep, so that a caller always gets both results.
+steps this way, each through ``in_parts``: no part reads another part's
+results, and a forked child sidesteps the GIL that scipy's LAPACK wrappers
+hold.  The rule, for both: where ``os.fork`` exists, the CPU affinity mask
+holds at least 2 CPUs, no other Python thread is alive (a fork copies only
+the calling thread), steps * dim**2 reaches ``TWO_PROCESS_WORK`` and the
+caller's share of the steps holds at least one, a forked child runs that
+first part of the steps and pipes its results back while this process runs
+the rest, and the results merge in step order.  The decision comes from
+the work and the host, never from a timing.  A part that raises or warns,
+or a child that ends before it sends its results, runs again here, the
+first part before the second, so the results, the first exception and the
+warnings are those of one process.  Wall time falls; CPU time rises by the
+fork, the page faults of both processes, the reap and the parts that run
+twice.
 """
 
 from __future__ import annotations
@@ -25,17 +34,23 @@ import warnings
 TWO_PROCESS_WORK = 120_000
 
 
-def two_processes(work: int, threshold: float) -> bool:
-    """Whether a computation of ``work`` (steps * dim**2) runs in two processes.
-
-    It takes ``os.fork``, at least 2 CPUs in the affinity mask, no other
-    Python thread alive (a fork copies only the calling thread), and
-    ``work >= threshold``.
-    """
+def two_processes(work: int) -> bool:
+    """Whether a computation of ``work`` (steps * dim**2) runs in two processes, by the rule above."""
     return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2
             and threading.active_count() == 1
-            and work >= threshold)
+            and work >= TWO_PROCESS_WORK)
+
+
+def in_parts(part, steps: int, dim: int, share: float) -> tuple:
+    """``(part(0, steps),)``, or, where ``two_processes`` says so for
+    steps * dim**2, ``(part(0, split), part(split, steps))`` with a forked
+    child running the first; ``split`` is ``int(steps * share)``, and a
+    split of 0 keeps one process, so that only the first part starts at 0."""
+    split = int(steps * share)
+    if not (split and two_processes(steps * dim**2)):
+        return (part(0, steps),)
+    return in_two_processes(lambda: part(0, split), lambda: part(split, steps))
 
 
 def in_two_processes(first, second) -> tuple:

@@ -12,16 +12,13 @@ A certified run certifies its iterations after the loop.  No certificate
 reads another's, so each iteration waits with only its gradient: every
 stream draws any snapshot n >= 1 again (a running average from its kept
 samples, O(N * d), not O(N * d**2) in snapshots, calling ``sample_fn`` once
-per k), its iterate and F are read from its record, and its past iterates
-by ``_history``, the one history rule of the loop, the certificates and
-``verify``.  Where ``processes.two_processes`` says so for (iterations) *
-dim**2, a forked child certifies the first half while this process
-certifies the rest, and the results merge in iteration order.  The trace,
-the skip counts and their order, and the first exception are those of one
-process; when the loop raises, the iterations recorded before its error are
-certified first, so an error of theirs still comes first.  The warnings are
-the same, but a certificate's now follows every warning of the loop.  Wall
-time falls; CPU time rises by the fork and the page faults of both processes.
+per k), its iterate and F are read from its record, and ``_replay_step``,
+the one replay of a recorded step that ``verify`` also runs, rebuilds its
+direction matrix by ``_history``, the one history rule, and factors its
+Hessian.  The iterations are certified in halves by ``processes.in_parts``,
+under the rule stated there.  When the loop raises, the iterations recorded
+before its error are certified first, so an error of theirs still comes
+first; a certificate's warnings follow every warning of the loop.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from .errors import InputError, NumericError, OracleError, StreamExhausted
 from .linalg import as_vector, cholesky_lower, min_eig, pd_solve, psd_pinv
 from .majorant import MajorantAtPoint, build_majorant
 from .model import ProblemInstance, eval_hessian, eval_objective_and_gradient
-from .processes import TWO_PROCESS_WORK, in_two_processes, two_processes
+from .processes import in_parts
 from .rates import certify_iteration, factor_hessian
 from .stream import ConstantStream, EstimateStream
 from .subspace import (
@@ -211,6 +208,19 @@ def _history(recs: list, k: int, window: int) -> list:
     return [rec.h for rec in reversed(recs[max(k - window, 0):k])]
 
 
+def _replay_step(m: MajorantAtPoint, recs: list, k: int, strategy: SubspaceStrategy, epsilon: float,
+            R_limit: np.ndarray) -> tuple:
+    """The factored Hessian and the certificate of the step out of ``recs[k]``,
+    whose majorant ``m`` holds the step's snapshot and gradient; the direction
+    matrix is rebuilt by ``_history`` from the recorded iterates.  Raises
+    NumericError where the Hessian is not positive definite or the
+    certificate breaks down."""
+    rec, g = recs[k], m.gradient_at_anchor
+    D = build_subspace(strategy, g, rec.h, _history(recs, k, history_window(strategy)))
+    hessian = factor_hessian(m.problem, rec.h)
+    return hessian, certify_iteration(rec.n, g, D, m.curvature, epsilon, R_limit, hessian)
+
+
 def _iterate(stream: EstimateStream, h, strategy, opts: SolveOptions, trace: Trace, pending) -> None:
     """The MM loop: appends a record per iteration to ``trace`` and, when
     ``pending`` is a list, the iteration's gradient, which its certificate takes."""
@@ -282,14 +292,11 @@ def _certify(recs: list, pending: list, stream: EstimateStream, strategy: Subspa
     """The certificate of the iteration of each pending record, or the class
     name of the NumericError that skipped it, in iteration order.
 
-    Each certificate is computed from what the loop had: the record's
-    iterate and F; the snapshot, drawn again from the stream;
-    the direction matrix, rebuilt by ``_history`` from the recorded
-    iterates; the dense curvature, built and dropped per certificate.  Where
-    ``processes.two_processes`` says so for (iterations) * dim**2, a forked
-    child certifies the first half.
+    Each certificate is ``_replay_step`` of the record with its snapshot drawn
+    again from the stream and the loop's gradient; the dense curvature is
+    built and dropped per certificate.  A forked child may certify the first
+    half (``processes.in_parts``).
     """
-    window = history_window(strategy)
     R_limit = stream.limit.R
 
     def part(lo: int, hi: int) -> list:
@@ -297,17 +304,10 @@ def _certify(recs: list, pending: list, stream: EstimateStream, strategy: Subspa
         for k, g in enumerate(pending[lo:hi], lo):
             rec = recs[k]
             p_n = stream.instance(rec.n)
-            D = build_subspace(strategy, g, rec.h, _history(recs, k, window))
             try:
-                out.append(certify_iteration(rec.n, g, D, build_majorant(p_n, rec.h, rec.obj, g).curvature,
-                                             epsilon, R_limit, factor_hessian(p_n, rec.h)))
+                out.append(_replay_step(build_majorant(p_n, rec.h, rec.obj, g), recs, k, strategy, epsilon, R_limit)[1])
             except NumericError as exc:
                 out.append(type(exc).__name__)
         return out
 
-    total = len(pending)
-    if not two_processes(total * stream.limit.dim**2, TWO_PROCESS_WORK):
-        return part(0, total)
-    split = total // 2
-    first, rest = in_two_processes(lambda: part(0, split), lambda: part(split, total))
-    return first + rest
+    return [out for outs in in_parts(part, len(pending), stream.limit.dim, 0.5) for out in outs]

@@ -66,8 +66,9 @@ class DirectionMatrix:
 
 
 def history_window(strategy: SubspaceStrategy) -> int:
-    """Past iterates the solve and verify loops keep: the last one, or the
-    ``memory - 2`` that ``build_subspace`` reads for a memory strategy."""
+    """Past iterates a step's direction matrix reads from the records before
+    it: the last one, or the ``memory - 2`` that ``build_subspace`` reads for
+    a memory strategy."""
     return max(1, strategy.memory - 2)
 
 

@@ -5,36 +5,32 @@ solver's own stream type; only the surrogate decrease check reuses the
 recorded objective column, so a corrupted objective value in the file is
 caught there.  A batch trace reads both sides of the decrease from the
 column; an online trace reads the current one, since the next record's
-value belongs to the next snapshot.  Each verified iteration builds its
-direction matrix and factors its Hessian once, for the subspace ordering and
-one certificate, with the past iterates of ``solver._history``, the one
-history rule.  The Newton oracle for ``F* = inf F`` gates only the gap bound
-and decay (eq6/eq7) and the batch summary.  It runs once for a batch trace
-and once per certified online snapshot, from the previous snapshot's
-minimizer, never from an MM iterate, in a chain after the checks of the
-records it serves.  Every stream draws any snapshot n >= 1 again, so no
-verdict holds one: a running average keeps its samples, O(N * d), not its
-snapshots, O(N * d**2), and calls ``sample_fn`` once per k.
-An iteration whose certificate or oracle raises counts as skipped once, by
-the class of its first error.  F and its gradient are evaluated at every
-record, the last included, so an iterate that overflows them is refused as
-input.  The eq6 gap bound holds by construction at every ``n >= n_eps``:
+value belongs to the next snapshot.  Each verified iteration replays its
+step by ``solver._replay_step``, the one replay that certify also runs: the
+direction matrix, rebuilt by ``solver._history``, and the Hessian, factored
+once for the subspace ordering and the certificate.  The Newton oracle for
+``F* = inf F`` gates only the gap bound and decay (eq6/eq7) and the batch
+summary.  It runs once for a batch trace and once per certified online
+snapshot, from the previous snapshot's minimizer, never from an MM iterate,
+in a chain after the checks of the records it serves.  Every stream draws
+any snapshot n >= 1 again, so no verdict holds one: a running average keeps
+its samples, O(N * d), not its snapshots, O(N * d**2), and calls
+``sample_fn`` once per k.  An iteration whose certificate or oracle raises
+counts as skipped once, by the class of its first error.  F and its
+gradient are evaluated at every record, the last included, so an iterate
+that overflows them is refused as input.  The eq6 gap bound holds by construction at every ``n >= n_eps``:
 ``n_eps`` is found by the same predicate over the same rows, so the eq6 row
 counts the certified regime; eq7 is the test made there.
 
-No record's checks read another record's results, so a large trace is
-checked in two processes, through ``processes``, the helper that also splits
-a solve's certification: where ``os.fork`` exists, the affinity mask holds
-at least 2 CPUs, no other Python thread is alive and (records - 1) * dim**2
-reaches ``TWO_PROCESS_WORK``, whatever the stream, a forked child checks the
-first part of the records and runs their chain, piping its verdicts back
-while the parent checks the rest; the parent's chain continues from the
-child's last minimizer, and the verdicts merge in record order.  The
-report, the output, the first exception and the warnings are those of one
-process, except that the child's oracle errors and warnings precede the
-parent's checks'.  Wall time falls; CPU time rises by the fork, the page
-faults of both processes and the parts that run twice.  Records must be
-numbered 1, 2, ... in order; any other numbering is refused as input.
+A large trace is checked in two parts by ``processes.in_parts``, under the
+rule stated there.  The child checks the first part of the steps, half of
+a batch trace's and 0.45 of an online one's, since the parent runs its
+part's oracle chain after the child's has ended, and the child runs its
+part's chain; the parent's chain continues from the child's last
+minimizer, so every oracle call gets the warm start of one process.  The
+child's oracle errors and warnings precede the parent's checks'.  Records
+must be numbered 1, 2, ... in order; any other numbering is refused as
+input.
 """
 
 from __future__ import annotations
@@ -48,22 +44,20 @@ import numpy as np
 from .errors import InputError, NumericError, OracleError
 from .majorant import build_majorant, check_majorization
 from .model import ProblemInstance, eval_objective, eval_objective_and_gradient
-from .processes import TWO_PROCESS_WORK, in_two_processes, two_processes
+from .processes import in_parts
 from .rates import (
     BatchRateSummary,
     RateCertificate,
     batch_rate_summary,
     certified_regime_start,
-    certify_iteration,
     check_decay_inequality,
     check_linear_iterate_convergence,
     check_subspace_ordering,
-    factor_hessian,
     sigma_spread,
 )
-from .solver import _history, _resolve_epsilon, optimal_gradient_step, reference_minimizer
+from .solver import _replay_step, _resolve_epsilon, optimal_gradient_step, reference_minimizer
 from .stream import ConstantStream, EstimateStream
-from .subspace import build_subspace, history_window, parse_strategy
+from .subspace import parse_strategy
 from .trace import Trace
 
 # sampled points per iteration in the majorization check
@@ -155,8 +149,8 @@ def verify_trace(
     it cannot fail and its count is the certified regime; ``eq7_decay`` is
     the inequality tested there.
 
-    A large enough trace is checked by two processes (``_two_processes``),
-    with the report, errors and warnings of one but for one order (see above).
+    A large enough trace is checked in two processes, with the report,
+    errors and warnings of one but for one order (see above).
     """
     recs = trace.records
     if not recs:
@@ -165,6 +159,9 @@ def verify_trace(
         if rec.n != i:
             raise InputError(f"trace record {i} is numbered n={rec.n}: records must be numbered 1, 2, ... "
                              "in order")
+    dim = trace.setting("dim")
+    if dim is not None and dim != p.dim:
+        raise InputError(f"the trace's 'dim' is {dim}, the problem's is {p.dim}")
     if any(len(rec.h) != p.dim for rec in recs):
         raise InputError("trace/problem dimension mismatch")
     for rec in recs:
@@ -183,11 +180,17 @@ def verify_trace(
     # F* of the batch problem, or the last online snapshot's, which warm-starts the next
     ref = reference_minimizer(p, tol=1e-12) if mode == "batch" else None
 
-    if _two_processes(p, recs):
-        verdicts = _check_in_two_processes(checker, ref)
-    else:
-        verdicts = checker.check(0, len(recs) - 1)
-        checker.chain(verdicts, ref)
+    # the first part runs its oracle chain from ref, and a later part's chain
+    # continues here from the last reference solution of the part before
+    def part(lo: int, hi: int) -> tuple:
+        checked = checker.check(lo, hi)
+        return checked, (checker.chain(checked, ref) if lo == 0 else None)
+
+    # online, the parent runs its part's oracle chain after the child's has ended
+    (verdicts, last), *rest = in_parts(part, len(recs) - 1, p.dim, 0.5 if mode == "batch" else 0.45)
+    for checked, _ in rest:
+        last = checker.chain(checked, last)
+        verdicts += checked
 
     results = {name: EqResult(name) for name in EQ_NAMES}
     certified_recs = []
@@ -273,8 +276,7 @@ class _RecordChecker:
     def check(self, lo: int, hi: int) -> list:
         """Verdicts for the steps out of records ``lo`` to ``hi - 1``, in record
         order, without F*: ``chain`` adds it."""
-        recs, mode, strategy = self.recs, self.mode, self.strategy
-        window = history_window(strategy)
+        recs, mode = self.recs, self.mode
         verdicts = []
         snapshot_next = self.snapshot_at(recs[lo])
         for k in range(lo, hi):
@@ -301,23 +303,22 @@ class _RecordChecker:
 
             if np.any(g):
                 row["eq41_gradient_step_domination"] = optimal_gradient_step(m) * float(g @ g) <= dAd + tol
-                D = build_subspace(strategy, g, h, _history(recs, k, window))
                 try:
-                    hessian = factor_hessian(p_n, h)
+                    hessian, cert = _replay_step(m, recs, k, self.strategy, self.epsilon, self.p.quad.R)
                     order = check_subspace_ordering(g, A, hessian)
-                    v.cert = cert = certify_iteration(n, g, D, A, self.epsilon, self.p.quad.R, hessian)
                 except NumericError as exc:  # the snapshot's Hessian is not positive definite
                     v.skipped = type(exc).__name__
-            if v.cert is not None:
-                rtol = 1e-10 * max(1.0, order.theta_full)
-                row["eq65_gradient_lower_bound"] = order.theta_gradient_ref <= cert.theta_tilde + rtol
-                row["eq68_full_space_upper_bound"] = cert.theta_tilde <= order.theta_full + rtol
-                rt = 1e-10
-                row["eq9_eq10_sandwich"] = cert.theta_lo <= cert.theta + rt and cert.theta <= cert.theta_hi + rt
-                floor = (1.0 - sigma_spread(cert.sigma_lo, cert.sigma_hi)**2) / cert.kappa_hi
-                row["eq72_kantorovich_floor"] = cert.theta_tilde >= floor - rt
-                row["eq74_cap"] = cert.theta_tilde <= 1.0 / cert.kappa_lo + rt
-                row["kappa_lo_ge_1"] = cert.kappa_lo >= 1.0 - rt
+                else:
+                    v.cert = cert
+                    rtol = 1e-10 * max(1.0, order.theta_full)
+                    row["eq65_gradient_lower_bound"] = order.theta_gradient_ref <= cert.theta_tilde + rtol
+                    row["eq68_full_space_upper_bound"] = cert.theta_tilde <= order.theta_full + rtol
+                    rt = 1e-10
+                    row["eq9_eq10_sandwich"] = cert.theta_lo <= cert.theta + rt and cert.theta <= cert.theta_hi + rt
+                    floor = (1.0 - sigma_spread(cert.sigma_lo, cert.sigma_hi)**2) / cert.kappa_hi
+                    row["eq72_kantorovich_floor"] = cert.theta_tilde >= floor - rt
+                    row["eq74_cap"] = cert.theta_tilde <= 1.0 / cert.kappa_lo + rt
+                    row["kappa_lo_ge_1"] = cert.kappa_lo >= 1.0 - rt
 
             verdicts.append(v)
         return verdicts
@@ -339,34 +340,3 @@ class _RecordChecker:
                     continue
             v.inf_F = ref.value
         return ref
-
-
-# the share of the steps that the child checks; online, the parent also runs
-# its part's oracle chain after the child's has ended
-CHILD_SHARE = {"batch": 0.5, "online": 0.45}
-
-
-def _two_processes(p: ProblemInstance, recs) -> bool:
-    """Whether verify checks its records in two processes: ``processes.two_processes``
-    for (records - 1) * dim**2, whatever the stream."""
-    return two_processes((len(recs) - 1) * p.dim**2, TWO_PROCESS_WORK)
-
-
-def _check_in_two_processes(checker: _RecordChecker, ref) -> list:
-    """``checker.check(0, steps)`` and its ``chain``, with a forked child taking the first part.
-
-    The child sends its verdicts and its last reference solution; the
-    parent checks the rest meanwhile, then continues the oracle chain from
-    the child's last minimizer, so every oracle call gets the warm start of
-    a one-process run.
-    """
-    steps = len(checker.recs) - 1
-    split = int(steps * CHILD_SHARE[checker.mode])
-
-    def first():
-        theirs = checker.check(0, split)
-        return theirs, checker.chain(theirs, ref)
-
-    (theirs, ref), mine = in_two_processes(first, lambda: checker.check(split, steps))
-    checker.chain(mine, ref)
-    return theirs + mine

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mmsubspace import cli, processes, solver
+from mmsubspace import cli, processes, solver, verify
 from mmsubspace.errors import InputError, NumericError
 from mmsubspace.linalg import min_eig
 from mmsubspace.model import QuadraticData, save_problem
@@ -47,8 +47,8 @@ def forks(monkeypatch):
         return fork()
 
     monkeypatch.setattr(os, "fork", counting)
-    monkeypatch.setattr(solver, "TWO_PROCESS_WORK", 0)
-    if not processes.two_processes(1, 0):
+    monkeypatch.setattr(processes, "TWO_PROCESS_WORK", 0)
+    if not processes.two_processes(1):
         pytest.skip("this host cannot take the two-process path")
     return made
 
@@ -56,7 +56,7 @@ def forks(monkeypatch):
 def _one_process(monkeypatch, call):
     """``call()`` with the two-process certify switched off."""
     with monkeypatch.context() as m:
-        m.setattr(solver, "TWO_PROCESS_WORK", float("inf"))
+        m.setattr(processes, "TWO_PROCESS_WORK", float("inf"))
         return call()
 
 
@@ -363,6 +363,6 @@ def test_a_small_solve_keeps_one_process_at_the_shared_threshold(monkeypatch):
     made = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: made.append(1) or fork())
-    assert solver.TWO_PROCESS_WORK == processes.TWO_PROCESS_WORK
+    assert "TWO_PROCESS_WORK" not in vars(solver) and "TWO_PROCESS_WORK" not in vars(verify)
     assert _batch()().records[0].cert is not None
     assert made == []

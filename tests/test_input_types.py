@@ -1,8 +1,10 @@
-"""A run-level trace key of the wrong type, a non-integer dim and a limit R that is
-not positive definite are input errors that name what is wrong, never a traceback."""
+"""A run-level trace key of the wrong type, a trace dim that is not the problem's, a
+non-integer dim and a limit R that is not positive definite are input errors that
+name what is wrong, never a traceback."""
 
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ import pytest
 from mmsubspace.cli import main
 from mmsubspace.model import ProblemInstance, QuadraticData, ZeroPenalty, save_problem
 from mmsubspace.solver import SolveOptions, Trace, run_batch
+
+DATA = Path(__file__).parent / "data"
 
 
 def _run(argv, capsys):
@@ -107,3 +111,26 @@ def test_an_epsilon_outside_the_margin_keeps_its_message(tmp_path, capsys):
     path.write_text(json.dumps({"dim": 2, "R": {"diag": [1, 2]}, "r": [1, 1]}))
     code, err = _run(["solve", "--problem", str(path), "--certify", "--epsilon", "3"], capsys)
     assert (code, err) == (1, "error: epsilon must lie in (0, 1), got 3.0")
+
+
+@pytest.mark.parametrize("dim", [7, 3, None], ids=["seven", "three", "absent"])
+def test_a_trace_whose_dim_is_not_the_problem_s_is_refused(dim, tmp_path, capsys):
+    """The committed batch trace is 4-dimensional, as its problem; a trace without 'dim' still verifies."""
+    d = json.loads((DATA / "golden-batch.json").read_text())
+    assert d["meta"]["dim"] == 4
+    if dim is None:
+        del d["meta"]["dim"]
+    else:
+        d["meta"]["dim"] = dim
+    path = tmp_path / "dim.json"
+    path.write_text(json.dumps(d))
+    argv = ["verify", "--problem", str(DATA / "golden-problem.json"), "--trace", str(path)]
+    if dim is None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        assert "overall: PASS" in capsys.readouterr().out
+    else:
+        code, err = _run(argv, capsys)
+        assert code == 1
+        assert err == f"error: the trace's 'dim' is {dim}, the problem's is 4"

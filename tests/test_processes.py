@@ -3,9 +3,14 @@
 import os
 import warnings
 
+import numpy as np
 import pytest
 
+from mmsubspace import processes
+from mmsubspace.problems import random_instance
 from mmsubspace.processes import in_two_processes
+from mmsubspace.solver import SolveOptions, run_batch
+from mmsubspace.verify import verify_trace
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
@@ -68,3 +73,18 @@ def test_the_outcome_is_the_one_process_outcome(parts):
     assert got == want
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_the_one_threshold_sends_certify_and_verify_to_two_processes(monkeypatch):
+    """``processes.TWO_PROCESS_WORK`` alone decides for both; neither holds a copy of it."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("this host cannot take the two-process path")
+    made = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: made.append(1) or fork())
+    monkeypatch.setattr(processes, "TWO_PROCESS_WORK", 0)
+    p = random_instance(8, "hyperbolic", np.random.default_rng(41), cond=20.0, lam=0.7, delta=0.5)
+    trace = run_batch(p, h1=np.ones(p.dim), opts=SolveOptions(certify=True))
+    assert made == [1]
+    assert verify_trace(p, trace).passed
+    assert made == [1, 1]

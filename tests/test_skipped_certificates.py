@@ -1,10 +1,14 @@
 """A certificate that cannot be computed is counted in the trace, by reason, not dropped silently."""
 
 import json
+import os
 
 import numpy as np
+import pytest
 
-from mmsubspace import cli
+from mmsubspace import cli, processes, solver, verify
+from mmsubspace.errors import NumericError
+from mmsubspace.problems import random_instance
 from mmsubspace.model import HyperbolicPenalty, ProblemInstance, QuadraticData, ZeroPenalty, save_problem
 from mmsubspace.solver import SolveOptions, Trace, run_batch, run_online
 from mmsubspace.stream import FileReplayStream
@@ -99,3 +103,34 @@ def test_a_refused_oracle_skips_only_the_checks_that_need_f_star(tmp_path):
         assert row[name], name
         assert report.results[name].checked == len(trace.records) - 1
     assert "eq6_gap_bound" not in row and "eq7_decay" not in row
+
+
+@pytest.mark.parametrize("n", [3, 25], ids=["early", "late"])
+@pytest.mark.parametrize("count", [1, 2], ids=["one-process", "two-processes"])
+def test_a_replay_that_breaks_down_skips_its_record_in_certify_and_verify_alike(count, n, monkeypatch):
+    """``solver._replay_step``, the one replay of a recorded step, raising at record ``n``."""
+    if count == 2 and not (hasattr(os, "fork") and len(os.sched_getaffinity(0)) >= 2):
+        pytest.skip("this host cannot take the two-process path")
+    made = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: made.append(1) or fork())
+    monkeypatch.setattr(processes, "TWO_PROCESS_WORK", 0 if count == 2 else float("inf"))
+    replay = solver._replay_step
+
+    def breaking(m, recs, k, *args):
+        if recs[k].n == n:
+            raise NumericError(f"the replay of record {n} breaks down")
+        return replay(m, recs, k, *args)
+
+    monkeypatch.setattr(solver, "_replay_step", breaking)
+    monkeypatch.setattr(verify, "_replay_step", breaking)
+    p = random_instance(8, "hyperbolic", np.random.default_rng(41), cond=20.0, lam=0.7, delta=0.5)
+    trace = run_batch(p, h1=np.ones(p.dim), opts=SolveOptions(certify=True))
+    assert len(trace.records) > 30
+    assert trace.certificates_skipped == {"NumericError": 1}
+    assert [rec.n for rec in trace.records[:-1] if rec.cert is None] == [n]
+    report = verify_trace(p, trace)
+    assert report.certificates_skipped == {"NumericError": 1}
+    assert [k for k, row in report.rows if "eq41_gradient_step_domination" in row
+            and "eq9_eq10_sandwich" not in row] == [n]
+    assert made == [1] * 2 * (count - 1)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmsubspace import solver, verify
+from mmsubspace import processes
 from mmsubspace.model import ProblemInstance, QuadraticData
 from mmsubspace.problems import random_instance, random_spd
 from mmsubspace.solver import SolveOptions, run_online
@@ -81,8 +81,7 @@ def _running_average_problem(dim, samples, seed):
 
 
 def _one_process(monkeypatch):
-    monkeypatch.setattr(solver, "TWO_PROCESS_WORK", float("inf"))
-    monkeypatch.setattr(verify, "TWO_PROCESS_WORK", float("inf"))
+    monkeypatch.setattr(processes, "TWO_PROCESS_WORK", float("inf"))
 
 
 def test_a_certified_solve_and_its_verify_call_sample_fn_once_per_k(monkeypatch):

@@ -139,13 +139,13 @@ def test_verify_builds_each_hessian_once(monkeypatch):
 def test_verify_builds_each_direction_matrix_once(monkeypatch):
     p, trace = _certified_run()
     calls = []
-    build_subspace = verify.build_subspace
+    build_subspace = solver.build_subspace
 
     def counting(*args, **kwargs):
         calls.append(args)
         return build_subspace(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "build_subspace", counting)
+    monkeypatch.setattr(solver, "build_subspace", counting)
     report = verify_trace(p, trace)
     assert report.passed
     # the ordering check and the certificate share one direction matrix per iterate

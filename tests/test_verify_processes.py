@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mmsubspace import cli, solver, verify
+from mmsubspace import cli, processes, solver, verify
 from mmsubspace.errors import InputError
 from mmsubspace.linalg import min_eig
 from mmsubspace.model import ProblemInstance, QuadraticData, save_problem
@@ -20,6 +20,8 @@ from mmsubspace.verify import verify_trace
 from conftest import write_replay_file
 
 CERTIFIED = SolveOptions(max_iters=300, grad_tol=1e-10, certify=True)
+# the share of an online trace's steps that verify's child checks
+ONLINE_SHARE = 0.45
 
 
 def _instance(n=8):
@@ -44,16 +46,17 @@ def forks(monkeypatch):
         return fork()
 
     monkeypatch.setattr(os, "fork", counting)
-    monkeypatch.setattr(verify, "TWO_PROCESS_WORK", 0)
-    if not verify._two_processes(_instance(), [None, None]):
+    monkeypatch.setattr(processes, "TWO_PROCESS_WORK", 0)
+    if not processes.two_processes(1):
         pytest.skip("this host cannot take the two-process path")
     return made
 
 
-def _one_process(monkeypatch, call):
-    """``call()`` with the two-process path switched off."""
-    with monkeypatch.context() as m:
-        m.setattr(verify, "TWO_PROCESS_WORK", float("inf"))
+def _one_process(call):
+    """``call()`` with the two-process path switched off; the traces are
+    certified this way, so that only their verify forks."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(processes, "TWO_PROCESS_WORK", float("inf"))
         return call()
 
 
@@ -74,12 +77,12 @@ def _assert_no_child_left():
 
 def _batch():
     p = _instance()
-    return p, run_batch(p, h1=np.ones(p.dim), strategy="3mg", opts=CERTIFIED), lambda: None
+    return p, _one_process(lambda: run_batch(p, h1=np.ones(p.dim), strategy="3mg", opts=CERTIFIED)), lambda: None
 
 
 def _online():
     p = _instance()
-    return p, run_online(_drifting(p), strategy="3mg", opts=CERTIFIED), lambda: _drifting(p)
+    return p, _one_process(lambda: run_online(_drifting(p), strategy="3mg", opts=CERTIFIED)), lambda: _drifting(p)
 
 
 def _lowered_objective(make):
@@ -103,14 +106,14 @@ def _skipped(tmp_path):
     def stream():
         return FileReplayStream(path, quad=limit, penalty=p.penalty)
 
-    return p, run_online(stream(), strategy="3mg", opts=CERTIFIED), stream
+    return p, _one_process(lambda: run_online(stream(), strategy="3mg", opts=CERTIFIED)), stream
 
 
 @pytest.mark.parametrize("make", [_batch, _online, _lowered_objective(_batch), _lowered_objective(_online)],
                          ids=["batch", "online", "batch-lowered-objective", "online-lowered-objective"])
-def test_the_report_is_the_one_process_report(make, forks, monkeypatch):
+def test_the_report_is_the_one_process_report(make, forks):
     p, trace, stream = make()
-    want = _one_process(monkeypatch, lambda: verify_trace(p, trace, stream=stream()))
+    want = _one_process(lambda: verify_trace(p, trace, stream=stream()))
     assert forks == []
     got = verify_trace(p, trace, stream=stream())
     assert forks == [1]
@@ -124,12 +127,17 @@ def test_the_report_is_the_one_process_report(make, forks, monkeypatch):
 
 def test_skipped_certificates_are_counted_as_in_one_process(tmp_path, forks, monkeypatch):
     p, trace, stream = _skipped(tmp_path)
-    want = _one_process(monkeypatch, lambda: verify_trace(p, trace, stream=stream()))
+    want = _one_process(lambda: verify_trace(p, trace, stream=stream()))
+    parts = []
+    check = verify._RecordChecker.check
+    monkeypatch.setattr(verify._RecordChecker, "check",
+                        lambda self, lo, hi: parts.append((lo, hi)) or check(self, lo, hi))
     got = verify_trace(p, trace, stream=stream())
     assert forks == [1]
     assert want.certificates_skipped["NumericError"] == 2
-    # one skip lies in each part
-    split = int((len(trace.records) - 1) * verify.CHILD_SHARE["online"])
+    # one skip lies in each part; the parent checks from the online split on
+    split = int((len(trace.records) - 1) * ONLINE_SHARE)
+    assert parts == [(split, len(trace.records) - 1)]
     skips = [i for i, (_, row) in enumerate(want.rows)
              if "eq41_gradient_step_domination" in row and "eq65_gradient_lower_bound" not in row]
     assert skips[0] < split <= skips[1]
@@ -152,7 +160,7 @@ def test_the_online_oracle_chain_gets_the_one_process_warm_starts(forks, monkeyp
             verify_trace(p, trace, stream=stream())
         return calls
 
-    serial = _one_process(monkeypatch, recorded)
+    serial = _one_process(recorded)
     parent = recorded()  # the child's calls happen in the child
     assert forks == [1]
     assert 0 < len(parent) < len(serial)
@@ -161,12 +169,12 @@ def test_the_online_oracle_chain_gets_the_one_process_warm_starts(forks, monkeyp
 
 
 @pytest.mark.parametrize("part", ["child", "parent"])
-def test_a_non_finite_objective_raises_the_one_process_error(part, forks, monkeypatch):
+def test_a_non_finite_objective_raises_the_one_process_error(part, forks):
     p, trace, stream = _batch()
     k = 2 if part == "child" else len(trace.records) - 2
     trace.records[k] = dataclasses.replace(trace.records[k], h=np.full(p.dim, 1e200))
     with pytest.raises(InputError) as serial:
-        _one_process(monkeypatch, lambda: verify_trace(p, trace))
+        _one_process(lambda: verify_trace(p, trace))
     with pytest.raises(InputError) as split:
         verify_trace(p, trace)
     assert forks == [1]
@@ -175,7 +183,7 @@ def test_a_non_finite_objective_raises_the_one_process_error(part, forks, monkey
     _assert_no_child_left()
 
 
-def test_the_first_error_is_the_one_process_error(forks, monkeypatch):
+def test_the_first_error_is_the_one_process_error(forks):
     p, trace, stream = _batch()
     for k in (2, len(trace.records) - 2):  # a refused record in each part: the child's comes first
         trace.records[k] = dataclasses.replace(trace.records[k], h=np.full(p.dim, 1e200))
@@ -187,7 +195,7 @@ def test_the_first_error_is_the_one_process_error(forks, monkeypatch):
 
 def test_a_child_that_ends_early_leaves_its_part_to_the_parent(forks, monkeypatch):
     p, trace, stream = _online()
-    want = _one_process(monkeypatch, lambda: verify_trace(p, trace, stream=stream()))
+    want = _one_process(lambda: verify_trace(p, trace, stream=stream()))
     parent = os.getpid()
     check = verify._RecordChecker.check
 
@@ -215,7 +223,7 @@ def test_each_direction_matrix_is_the_one_the_loop_stepped_with(stream, processe
     opts = SolveOptions(max_iters=300, grad_tol=1e-10)
     trace = (run_batch(p, h1=np.ones(p.dim), strategy="memory:5", opts=opts) if stream == "constant"
              else run_online(new_stream(), strategy="memory:5", opts=opts))
-    build = verify.build_subspace
+    build = solver.build_subspace
 
     def saving(strategy, g, h, history):
         """Save the direction matrix under its iterate's bytes, from whichever process builds it."""
@@ -223,9 +231,9 @@ def test_each_direction_matrix_is_the_one_the_loop_stepped_with(stream, processe
         np.save(tmp_path / f"{hashlib.sha1(h.tobytes()).hexdigest()}.npy", D.cols)
         return D
 
-    monkeypatch.setattr(verify, "build_subspace", saving)
+    monkeypatch.setattr(solver, "build_subspace", saving)
     if processes == 1:
-        _one_process(monkeypatch, lambda: verify_trace(p, trace, stream=new_stream()))
+        _one_process(lambda: verify_trace(p, trace, stream=new_stream()))
     else:
         verify_trace(p, trace, stream=new_stream())
     assert forks == [1] * (processes - 1)
@@ -238,7 +246,7 @@ def test_each_direction_matrix_is_the_one_the_loop_stepped_with(stream, processe
 
 def test_oracle_warnings_are_those_of_one_process(forks, monkeypatch):
     p, trace, stream = _online()
-    split = int((len(trace.records) - 1) * verify.CHILD_SHARE["online"])
+    split = int((len(trace.records) - 1) * ONLINE_SHARE)
     # a certified record in each part, known to the oracle by its snapshot's r
     warned = {rec.n: stream().instance(rec.n).quad.r.tobytes() for rec in (trace.records[2], trace.records[-3])}
     assert 3 < split < len(trace.records) - 3
@@ -258,7 +266,7 @@ def test_oracle_warnings_are_those_of_one_process(forks, monkeypatch):
             report = verify_trace(p, trace, stream=stream())
         return report, [str(w.message) for w in caught]
 
-    want, want_warnings = _one_process(monkeypatch, run)
+    want, want_warnings = _one_process(run)
     got, got_warnings = run()
     assert forks == [1]
     assert got_warnings == want_warnings == [f"oracle at n={n}" for n in sorted(warned)]
@@ -284,7 +292,7 @@ def test_warnings_are_those_of_one_process(forks, monkeypatch):
             report = verify_trace(p, trace)
         return report, [str(w.message) for w in caught]
 
-    want, want_warnings = _one_process(monkeypatch, run)
+    want, want_warnings = _one_process(run)
     got, got_warnings = run()
     assert forks == [1]
     assert got_warnings == want_warnings == [f"at seed {n}" for n in sorted(warned)]
@@ -292,15 +300,16 @@ def test_warnings_are_those_of_one_process(forks, monkeypatch):
     _assert_no_child_left()
 
 
-def test_cli_verify_prints_the_one_process_output(tmp_path, forks, monkeypatch, capsys):
+def test_cli_verify_prints_the_one_process_output(tmp_path, forks, capsys):
     p = _instance()
     problem = str(tmp_path / "p.json")
     save_problem(p, problem)
     stream = ["--stream", "geometric:0.9", "--seed", "1"]
-    cli.main(["solve", "--problem", problem, "--certify", "--trace-out", str(tmp_path / "t"), *stream])
+    solve = ["solve", "--problem", problem, "--certify", "--trace-out", str(tmp_path / "t"), *stream]
+    _one_process(lambda: cli.main(solve))
     capsys.readouterr()
     argv = ["verify", "--problem", problem, "--trace", str(tmp_path / "t.json"), *stream]
-    want_code = _one_process(monkeypatch, lambda: cli.main(argv))
+    want_code = _one_process(lambda: cli.main(argv))
     want = capsys.readouterr()
     got_code = cli.main(argv)
     got = capsys.readouterr()
@@ -330,7 +339,7 @@ def test_another_thread_keeps_one_process(forks):
     assert forks == []
 
 
-def test_a_running_average_stream_is_checked_in_two_processes(forks, monkeypatch):
+def test_a_running_average_stream_is_checked_in_two_processes(forks):
     p = _instance(4)
     rng = np.random.default_rng(3)
     xs = rng.standard_normal((400, p.dim))
@@ -342,12 +351,33 @@ def test_a_running_average_stream_is_checked_in_two_processes(forks, monkeypatch
         return RunningAverageStream(limit, lambda k: (xs[(k - 1) % 400], ys[(k - 1) % 400]), penalty=p.penalty)
 
     p = ProblemInstance(limit, p.penalty)
-    trace = run_online(stream(), strategy="3mg", opts=SolveOptions(max_iters=60, certify=True))
+    trace = _one_process(lambda: run_online(stream(), strategy="3mg", opts=SolveOptions(max_iters=60, certify=True)))
     assert len(trace.records) > 10
-    want = _one_process(monkeypatch, lambda: verify_trace(p, trace, stream=stream()))
+    want = _one_process(lambda: verify_trace(p, trace, stream=stream()))
     assert forks == []
     report = verify_trace(p, trace, stream=stream())
     assert forks == [1]
     _assert_same_report(report, want)
     assert report.results["eq3_majorization"].checked == len(trace.records) - 1
     _assert_no_child_left()
+
+
+@pytest.mark.parametrize("make, records", [(_batch, 2), (_online, 3)], ids=["batch", "online"])
+def test_a_split_that_leaves_the_child_no_step_keeps_one_process(make, records, forks, monkeypatch):
+    """One batch step or two online steps split at 0; each oracle still runs once."""
+    p, trace, stream = make()
+    trace.records = trace.records[:records]
+    calls = []
+    oracle = verify.reference_minimizer
+
+    def counting(q, tol=1e-12, h0=None):
+        calls.append(1)
+        return oracle(q, tol, h0=h0)
+
+    monkeypatch.setattr(verify, "reference_minimizer", counting)
+    want = _one_process(lambda: verify_trace(p, trace, stream=stream()))
+    serial = len(calls)
+    got = verify_trace(p, trace, stream=stream())
+    assert forks == []
+    assert len(calls) == 2 * serial > 0
+    _assert_same_report(got, want)
