@@ -28,6 +28,12 @@ the largest eigenvalue by Sturm-count bisection with ``stebz`` (Parlett,
 up, as it can on a tight cluster, ``sterf`` takes the whole spectrum of the
 same tridiagonal matrix instead.
 
+``proven_pd`` proves a shifted matrix ``M - s N`` positive definite in
+exact arithmetic with one ``potrf``, after subtracting Rump's slack for the
+rounding of forming and factoring it.  With ``lu_solve`` and ``svd_pinv``,
+kernels that no certificate runs, it is what ``proofs`` checks a recorded
+certificate with, with no eigensolver.
+
 The kernels are looked up once, on the first Cholesky factorization,
 triangular solve or extreme-eigenvalue call, not at import.  Importing
 ``scipy.linalg`` takes longer than a plain solve of a medium problem, and a
@@ -49,7 +55,13 @@ from .errors import InputError, NumericError
 PINV_RCOND = 1e-12
 
 # The smallest positive normal double; nonzero magnitudes below it are subnormal.
-TINY = np.finfo(float).tiny
+TINY = float(np.finfo(float).tiny)
+
+# The unit roundoff u of double precision, half the machine epsilon, the largest
+# double and the smallest positive one.
+UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
+MAX_FLOAT = float(np.finfo(float).max)
+SUBNORMAL_MIN = 5e-324
 
 # The order from which two bisections for the extreme eigenvalues beat the whole
 # spectrum of the tridiagonal matrix: bisection costs O(n) per eigenvalue and
@@ -261,6 +273,99 @@ def extreme_eigs(M: np.ndarray) -> tuple[float, float]:
     if info != 0:
         raise NumericError("tridiagonal eigenvalues did not converge")
     return float(w[0]), float(w[-1])
+
+
+def pd_sizes(M: np.ndarray) -> tuple[float, float]:
+    """``(||M||_F, sum |m_ii|)`` as ``pd_slack`` reads them.
+
+    The norm is ``sqrt(vdot(M, M))`` with the smallest subnormal added per
+    entry, since a square below it underflows to zero, so it bounds
+    ``||M||_F`` from above.  vdot lets a sum of squares overflow to inf, or a
+    NaN through, without a RuntimeWarning.
+    """
+    return math.sqrt(np.vdot(M, M) + M.size * SUBNORMAL_MIN), float(np.add.reduce(np.abs(M.diagonal())))
+
+
+def pd_slack(n: int, m_sizes: tuple[float, float], s: float, n_sizes: tuple[float, float] | None = None) -> float:
+    """The slack ``c`` that ``proven_pd`` subtracts from ``M - s N``, from the
+    ``pd_sizes`` of ``M`` and ``N``; ``N`` is the identity when None."""
+    m_norm, m_diag = m_sizes
+    n_norm, n_diag = (math.sqrt(n), float(n)) if n_sizes is None else n_sizes
+    gamma = (n + 1) * UNIT_ROUNDOFF / (1.0 - (n + 1) * UNIT_ROUNDOFF)
+    tiny = n * (n + 2) * TINY
+    d = m_diag + abs(s) * n_diag
+    return 3.0 * UNIT_ROUNDOFF * (m_norm + abs(s) * n_norm) + (2.0 * gamma + tiny) * d + tiny
+
+
+def proven_pd(M: np.ndarray, s: float, N: np.ndarray | None = None, slack: float | None = None) -> bool:
+    """Whether ``X = M - s N``, with ``N`` the identity when None, is proven
+    positive definite in exact arithmetic.
+
+    ``M`` and ``N`` must be symmetric: ``potrf`` reads one triangle.  The
+    proof factors ``fl(X) - c I`` once and succeeds when ``potrf`` does.
+    Rump ("Verification of positive definiteness", *BIT* 46, 2006), after
+    Demmel: a Cholesky factorization of a symmetric ``Y`` that runs to the
+    end in floating point gives ``G'G = Y + E`` with
+    ``|E| <= gamma' sqrt(y_ii y_jj)``, ``gamma' = gamma_{n+1} / (1 - gamma_{n+1})``
+    and ``gamma_k = k u / (1 - k u)``, so ``lambda_min(Y) > -gamma' tr(Y)``.
+    With the unit roundoff ``u`` and ``d = sum |m_ii| + |s| sum |n_ii|``,
+    which bounds the positive part of ``tr(fl(X))``, the slack (``pd_slack``) is
+
+        c = 3 u (||M||_F + |s| ||N||_F) + 2 gamma_{n+1} d + n (n + 2) (1 + d) TINY.
+
+    The first term covers the rounding in forming ``fl(X)``, two roundings
+    per entry; the second the factorization, with a factor 2 for the
+    rounding of ``fl(X)``'s diagonal, of ``d - c`` and of the slack itself;
+    the third underflow, which Rump bounds by a term smaller still.  So
+    success proves ``lambda_min(X) > 0``, and a failure proves nothing: the
+    proof cannot resolve ``lambda_min(X)`` below about ``c``.  A caller that
+    shifts one pair many times passes ``slack``, at least ``c``.  A
+    non-finite entry, a sum of squares beyond the float range (entries above
+    about 1e154), or a slack beyond ``0.75 u`` times it, which bounds
+    ``||M||_F + |s| ||N||_F`` by a quarter of it, so that no entry of
+    ``fl(X)`` overflows, raises ``NumericError``.
+    """
+    n = M.shape[0]
+    if slack is None:
+        slack = pd_slack(n, pd_sizes(M), s, None if N is None else pd_sizes(N))
+    if not slack <= 0.75 * UNIT_ROUNDOFF * MAX_FLOAT:
+        raise NumericError("the shifted matrix of a positive definiteness proof is not finite")
+    if N is None:
+        X = M.copy()
+        X.ravel()[::n + 1] -= s
+    else:
+        X = N * -s  # fl(m - s n), as M - s * N rounds it, with one temporary
+        X += M
+    X.ravel()[::n + 1] -= slack
+    _bind_kernels()
+    # X is symmetric, so its Fortran-ordered view is the same matrix and potrf
+    # factors it in place, with no copy; lower=1, clean=0 (the factor is not read), overwrite_a=1
+    return _potrf(X.T, 1, 0, 1)[1] == 0
+
+
+def lu_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``M x = b`` by LU with partial pivoting (``np.linalg.solve``); a
+    singular ``M`` raises ``NumericError``."""
+    try:
+        return np.linalg.solve(M, b)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"LU solve failed: {exc}") from exc
+
+
+def svd_pinv(M: np.ndarray) -> np.ndarray:
+    """Moore-Penrose pseudo-inverse through the SVD ``M = U S V'``.
+
+    Singular values at or below ``PINV_RCOND`` times the largest count as
+    zeros, as ``np.linalg.pinv`` drops them.  An SVD that fails, as it does
+    on a non-finite entry, raises ``NumericError``.
+    """
+    try:
+        U, s, Vt = np.linalg.svd(M)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"SVD failed: {exc}") from exc
+    inv = np.zeros_like(s)
+    np.divide(1.0, s, out=inv, where=s > PINV_RCOND * s[0])
+    return (Vt.T * inv) @ U.T
 
 
 def min_eig(M: np.ndarray) -> float:

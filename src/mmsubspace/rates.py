@@ -27,9 +27,14 @@ or by the tridiagonal spectrum for small n; no dense eigensolve.  There is
 one path to a certificate: the caller factors the Hessian once with
 ``factor_hessian`` and passes the pair ``(H, L)`` to ``certify_iteration``, and to
 ``check_subspace_ordering`` when it also runs that check on the iterate, as
-verification does.  The ordering check brackets the certified theta_tilde
-between that of the gradient reference and that of the full space; a
-strategy's own theta_tilde comes from ``compute_theta_tilde``.
+verification does for a record that holds no certificate.  A recorded
+certificate is not recomputed here: ``verify`` proves it with shifted
+Cholesky factorizations and its own LU solve and SVD, so a fault in this
+module is not repeated by the check, and runs the ordering check as
+``subspace_ordering`` on its own ``g' H^{-1} g``.  The ordering check
+brackets the certified theta_tilde between that of the gradient reference
+and that of the full space; a strategy's own theta_tilde comes from
+``compute_theta_tilde``.
 
 The batch summaries are stated against ``F* = inf F``; the caller solves
 for the reference solution once and passes it in.
@@ -234,7 +239,11 @@ def check_subspace_ordering(grad, A, hessian: tuple[np.ndarray, np.ndarray]) -> 
     zero gradient raises NumericError.
     """
     _, L = hessian
-    g_form = _gradient_form(L, grad)
+    return subspace_ordering(grad, A, _gradient_form(L, grad))
+
+
+def subspace_ordering(grad, A, g_form: float) -> OrderingReport:
+    """``check_subspace_ordering`` given ``g_form = g' H^{-1} g``, however it was solved for."""
     t_ref = _subspace_form(grad, A, gradient_reference(grad)) / g_form
     return OrderingReport(t_ref, _gradient_form(cholesky_lower(A), grad) / g_form)
 

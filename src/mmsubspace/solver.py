@@ -215,10 +215,16 @@ def _replay_step(m: MajorantAtPoint, recs: list, k: int, strategy: SubspaceStrat
     matrix is rebuilt by ``_history`` from the recorded iterates.  Raises
     NumericError where the Hessian is not positive definite or the
     certificate breaks down."""
-    rec, g = recs[k], m.gradient_at_anchor
-    D = build_subspace(strategy, g, rec.h, _history(recs, k, history_window(strategy)))
+    rec = recs[k]
+    D = _replay_subspace(m, recs, k, strategy)
     hessian = factor_hessian(m.problem, rec.h)
-    return hessian, certify_iteration(rec.n, g, D, m.curvature, epsilon, R_limit, hessian)
+    return hessian, certify_iteration(rec.n, m.gradient_at_anchor, D, m.curvature, epsilon, R_limit, hessian)
+
+
+def _replay_subspace(m: MajorantAtPoint, recs: list, k: int, strategy: SubspaceStrategy) -> DirectionMatrix:
+    """The direction matrix of the step out of ``recs[k]``, rebuilt by ``_history``
+    from the recorded iterates and the gradient that ``m`` holds."""
+    return build_subspace(strategy, m.gradient_at_anchor, recs[k].h, _history(recs, k, history_window(strategy)))
 
 
 def _iterate(stream: EstimateStream, h, strategy, opts: SolveOptions, trace: Trace, pending) -> None:

@@ -115,15 +115,39 @@ _CSV = sorted((key.column, name, key.attr or name, table is CERTIFICATE)
               for table in (RECORD, CERTIFICATE) for name, key in table.items() if key.column is not None)
 
 
-def _read(d, table: dict, where: str, prefix: str = "") -> dict:
-    """The keys of ``table`` in the JSON object ``d``, read by their kinds, by attribute."""
-    require_fields(d, [name for name, key in table.items() if key.default is REQUIRED], where)
+class _Layout(NamedTuple):
+    """A table as ``_read`` walks it, built once per table."""
+
+    keys: list  # (key, attribute, kind, accepted types, default) in table order
+    required: list  # the required keys, in table order
+    required_set: frozenset
+
+    @classmethod
+    def of(cls, table: dict) -> "_Layout":
+        required = [name for name, key in table.items() if key.default is REQUIRED]
+        return cls([(name, key.attr or name, key.kind, key.kind.types, key.default) for name, key in table.items()],
+                   required, frozenset(required))
+
+
+_LAYOUT = {name: _Layout.of(table) for name, table in
+           (("run", RUN), ("meta", META), ("record", RECORD), ("certificate", CERTIFICATE))}
+
+
+def _read(d, layout: _Layout, where: Callable[[], str], prefix: str = "") -> dict:
+    """The keys of ``layout``'s table in the JSON object ``d``, read by their
+    kinds, by attribute; ``where()`` names ``d`` in a refusal."""
+    if not (isinstance(d, dict) and d.keys() >= layout.required_set):
+        require_fields(d, layout.required, where())
     out = {}
-    for name, key in table.items():
-        try:
-            out[key.attr or name] = key.kind.check(d[name]) if name in d else key.kind.read(key.default)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"malformed {prefix + name!r} in {where}: {exc}") from exc
+    try:
+        for name, attr, kind, types, default in layout.keys:
+            if name in d:
+                v = d[name]
+                out[attr] = kind.read(v) if type(v) in types else kind.check(v)  # check raises the refusal
+            else:
+                out[attr] = kind.read(default)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"malformed {prefix + name!r} in {where()}: {exc}") from exc
     return out
 
 
@@ -208,11 +232,13 @@ class Trace:
             raise InputError(f"'records' of {where} is not a list")
         if not isinstance(meta, dict):
             raise InputError(f"'meta' of {where} is not an object")
-        trace = cls(meta=meta, **_read(d, RUN, where))
-        _read(meta, META, where, "meta.")
+        trace = cls(meta=meta, **_read(d, _LAYOUT["run"], lambda: where))
+        _read(meta, _LAYOUT["meta"], lambda: where, "meta.")
+        record, certificate = _LAYOUT["record"], _LAYOUT["certificate"]
         for i, rd in enumerate(d["records"]):
-            where = f"record {i} of trace file {path}"
-            fields = _read(rd, RECORD, where)
-            cert = RateCertificate(n=fields["n"], **_read(rd, CERTIFICATE, where)) if "theta" in rd else None
+            def where_record():
+                return f"record {i} of trace file {path}"
+            fields = _read(rd, record, where_record)
+            cert = RateCertificate(n=fields["n"], **_read(rd, certificate, where_record)) if "theta" in rd else None
             trace.records.append(TraceRecord(**fields, cert=cert))
         return trace

@@ -1,26 +1,40 @@
 """Offline re-checking of a recorded trace against every certified inequality.
 
-Everything is recomputed from the stored iterates, on the snapshots of the
-solver's own stream type; only the surrogate decrease check reuses the
-recorded objective column, so a corrupted objective value in the file is
-caught there.  A batch trace reads both sides of the decrease from the
-column; an online trace reads the current one, since the next record's
-value belongs to the next snapshot.  Each verified iteration replays its
-step by ``solver._replay_step``, the one replay that certify also runs: the
-direction matrix, rebuilt by ``solver._history``, and the Hessian, factored
-once for the subspace ordering and the certificate.  The Newton oracle for
-``F* = inf F`` gates only the gap bound and decay (eq6/eq7) and the batch
-summary.  It runs once for a batch trace and once per certified online
-snapshot, from the previous snapshot's minimizer, never from an MM iterate,
-in a chain after the checks of the records it serves.  Every stream draws
-any snapshot n >= 1 again, so no verdict holds one: a running average keeps
-its samples, O(N * d), not its snapshots, O(N * d**2), and calls
-``sample_fn`` once per k.  An iteration whose certificate or oracle raises
-counts as skipped once, by the class of its first error.  F and its
-gradient are evaluated at every record, the last included, so an iterate
-that overflows them is refused as input.  The eq6 gap bound holds by construction at every ``n >= n_eps``:
-``n_eps`` is found by the same predicate over the same rows, so the eq6 row
-counts the certified regime; eq7 is the test made there.
+The loop's quantities are recomputed from the stored iterates, on the
+snapshots of the solver's own stream type; only the surrogate decrease check
+reuses the recorded objective column, so a corrupted objective value in the
+file is caught there.  A batch trace reads both sides of the decrease from
+the column; an online trace reads the current one, since the next record's
+value belongs to the next snapshot.
+
+A recorded certificate is a witness that verify proves with
+``proofs.prove_certificate``, by kernels that certify does not run: shifted
+Cholesky factorizations for its spectral bounds and Hessian floor, an LU
+solve for ``g' H^{-1} g``, which the subspace ordering (eq65, eq68) shares,
+and an SVD for theta_tilde's numerator.  The ``certificate_proofs`` row
+counts the proven records and names the first failing field and its
+record; every later check reads the proven certificate.  A record without
+a certificate is certified by ``solver._replay_step``, the one replay that
+certify runs (the direction matrix rebuilt by ``solver._history``, the
+Hessian factored once for the ordering and the certificate), and counted
+as recomputed.
+
+The Newton oracle for ``F* = inf F`` gates only the gap bound and decay
+(eq6/eq7) and the batch summary.  It runs once for a batch trace and once
+per certified online snapshot, from the previous snapshot's minimizer,
+never from an MM iterate, in a chain after the checks of the records it
+serves.  Every stream draws any snapshot n >= 1 again, so no verdict holds
+one: a running average keeps its samples, O(N * d), not its snapshots,
+O(N * d**2), and calls ``sample_fn`` once per k.  An iteration whose
+certificate or oracle raises counts as skipped once, by the class of its
+first error.  F and its gradient are evaluated at every record, the last
+included, so an iterate that overflows them is refused as input.  The eq6
+gap bound holds by construction at every ``n >= n_eps``: ``n_eps`` is found
+by the same predicate over the same rows, so the eq6 row counts the
+certified regime; eq7 is the test made there.  A trace that breaks its own
+stopping rule, with more than ``max_iters + 1`` records, a record before
+the last within ``grad_tol``, or ``converged`` with a last gradient norm
+above it, is refused as input.
 
 A large trace is checked in two parts by ``processes.in_parts``, under the
 rule stated there.  The child checks the first part of the steps, half of
@@ -43,8 +57,9 @@ import numpy as np
 
 from .errors import InputError, NumericError, OracleError
 from .majorant import build_majorant, check_majorization
-from .model import ProblemInstance, eval_objective, eval_objective_and_gradient
+from .model import ProblemInstance, eval_hessian, eval_objective, eval_objective_and_gradient
 from .processes import in_parts
+from .proofs import prove_certificate
 from .rates import (
     BatchRateSummary,
     RateCertificate,
@@ -54,8 +69,9 @@ from .rates import (
     check_linear_iterate_convergence,
     check_subspace_ordering,
     sigma_spread,
+    subspace_ordering,
 )
-from .solver import _replay_step, _resolve_epsilon, optimal_gradient_step, reference_minimizer
+from .solver import _replay_step, _replay_subspace, _resolve_epsilon, optimal_gradient_step, reference_minimizer
 from .stream import ConstantStream, EstimateStream
 from .subspace import parse_strategy
 from .trace import Trace
@@ -69,6 +85,7 @@ class EqResult:
     name: str
     checked: int = 0
     failures: list = field(default_factory=list)
+    note: str = ""  # printed after the row
 
     def record(self, n: int, ok: bool):
         self.checked += 1
@@ -89,6 +106,7 @@ EQ_NAMES = [
     "eq75_curvature_domination",
     "eq6_gap_bound",
     "eq7_decay",
+    "certificate_proofs",
     "eq9_eq10_sandwich",
     "eq72_kantorovich_floor",
     "eq74_cap",
@@ -123,6 +141,8 @@ class VerificationReport:
             if r.failures:
                 shown = ", ".join(str(n) for n in r.failures[:8])
                 extra = f"  (at n = {shown}{', ...' if len(r.failures) > 8 else ''})"
+            if r.note:
+                extra += f"  ({r.note})"
             lines.append(f"{name:34s} {r.checked:8d} {len(r.failures):7d}  {status}{extra}")
         return "\n".join(lines)
 
@@ -139,8 +159,10 @@ def verify_trace(
     ``run_online``; ``None`` means the batch case, a ``ConstantStream`` on
     ``p``.  Raises InputError when the records are not numbered 1, 2, ...
     in order, when the trace does not match the problem, when a record's
-    iterate, objective or gradient is not finite, or when a batch trace gets
-    a drifting stream or an online trace a constant one.
+    iterate, objective or gradient is not finite, when the records break the
+    trace's own ``max_iters`` or ``grad_tol``, or when a batch trace gets a
+    drifting stream or an online trace a constant one.  A recorded
+    certificate is proven, not recomputed (see above).
     The certificates use the margin ε stored in ``trace.meta``, or the
     solver's default rule when none is stored.
 
@@ -167,6 +189,18 @@ def verify_trace(
     for rec in recs:
         if not (math.isfinite(rec.obj) and math.isfinite(rec.grad_norm) and np.isfinite(rec.h).all()):
             raise InputError(f"trace record n={rec.n} has a non-finite iterate, objective or gradient norm")
+    # the loop stops at the first record within grad_tol, or at record max_iters + 1
+    max_iters, grad_tol = trace.setting("max_iters"), trace.setting("grad_tol")
+    if max_iters is not None and len(recs) > max_iters + 1:
+        raise InputError(f"the trace has {len(recs)} records, more than its 'max_iters' of {max_iters} allows")
+    if grad_tol is not None:
+        for rec in recs[:-1]:
+            if rec.grad_norm <= grad_tol:
+                raise InputError(f"trace record n={rec.n} has a gradient norm of {rec.grad_norm:.6g}, within its "
+                                 f"'grad_tol' of {grad_tol:.6g}, but is not the last record")
+        if trace.converged and recs[-1].grad_norm > grad_tol:
+            raise InputError(f"the trace is converged, but its last gradient norm {recs[-1].grad_norm:.6g} is "
+                             f"above its 'grad_tol' of {grad_tol:.6g}")
     mode = trace.setting("mode")
     if stream is None:
         stream = ConstantStream(p.quad, p.penalty)
@@ -200,6 +234,8 @@ def verify_trace(
             results[name].record(v.n, ok)
         if v.skipped is not None:
             skipped[v.skipped] += 1
+        if v.proof is not None:
+            results["certificate_proofs"].record(v.n, not v.proof)
         if v.cert is not None and mode == "batch":  # only the batch summary reads the certified records
             certified_recs.append(replace(rec, cert=v.cert))
 
@@ -213,6 +249,11 @@ def verify_trace(
                 v.row[name] = ok
                 results[name].record(v.n, ok)
     rows = [(v.n, v.row) for v in verdicts]
+    first = next((v for v in verdicts if v.proof), None)
+    recomputed = sum(v.cert is not None and v.proof is None for v in verdicts)
+    results["certificate_proofs"].note = "; ".join(
+        ([f"first failing field: {first.proof} at n = {first.n}"] if first else [])
+        + ([f"{recomputed} recomputed"] if recomputed else []))
 
     # whole-run rate bounds: batch case only
     n_eps = n_eps_detect
@@ -245,6 +286,7 @@ class _Verdict:
     cert: RateCertificate | None = None
     skipped: str | None = None  # class name of the error that skipped the certificate or oracle
     inf_F: float | None = None  # the oracle's F*, once it ran for a certificate
+    proof: str | None = None  # a recorded certificate's first failing field, "" once proven, None if not recorded
 
 
 class _RecordChecker:
@@ -304,10 +346,18 @@ class _RecordChecker:
             if np.any(g):
                 row["eq41_gradient_step_domination"] = optimal_gradient_step(m) * float(g @ g) <= dAd + tol
                 try:
-                    hessian, cert = _replay_step(m, recs, k, self.strategy, self.epsilon, self.p.quad.R)
-                    order = check_subspace_ordering(g, A, hessian)
-                except NumericError as exc:  # the snapshot's Hessian is not positive definite
-                    v.skipped = type(exc).__name__
+                    if rec.cert is None:
+                        hessian, cert = _replay_step(m, recs, k, self.strategy, self.epsilon, self.p.quad.R)
+                        order = check_subspace_ordering(g, A, hessian)
+                        kappa_lo_ge_1 = cert.kappa_lo >= 1.0 - 1e-10
+                    else:
+                        cert = rec.cert
+                        g_form, v.proof, kappa_lo_ge_1 = prove_certificate(
+                            cert, g, A, eval_hessian(p_n, h), _replay_subspace(m, recs, k, self.strategy),
+                            self.epsilon, self.p.quad.R)
+                        order = subspace_ordering(g, A, g_form)
+                except NumericError as exc:  # the snapshot's Hessian is not positive definite, or a proof's
+                    v.skipped = type(exc).__name__  # shifted matrix is beyond the float range
                 else:
                     v.cert = cert
                     rtol = 1e-10 * max(1.0, order.theta_full)
@@ -318,7 +368,8 @@ class _RecordChecker:
                     floor = (1.0 - sigma_spread(cert.sigma_lo, cert.sigma_hi)**2) / cert.kappa_hi
                     row["eq72_kantorovich_floor"] = cert.theta_tilde >= floor - rt
                     row["eq74_cap"] = cert.theta_tilde <= 1.0 / cert.kappa_lo + rt
-                    row["kappa_lo_ge_1"] = cert.kappa_lo >= 1.0 - rt
+                    if kappa_lo_ge_1 is not None:
+                        row["kappa_lo_ge_1"] = kappa_lo_ge_1
 
             verdicts.append(v)
         return verdicts

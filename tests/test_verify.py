@@ -129,7 +129,9 @@ def test_verify_builds_each_hessian_once(monkeypatch):
         calls.append(h)
         return eval_hessian(q, h)
 
+    # a recorded certificate is proven with verify's own Hessian, a missing one recomputed with the replay's
     monkeypatch.setattr(rates, "eval_hessian", counting)
+    monkeypatch.setattr(verify, "eval_hessian", counting)
     report = verify_trace(p, trace)
     assert report.passed
     # the ordering check and the certificate share one Hessian per iterate with a nonzero gradient

@@ -366,7 +366,8 @@ def test_a_running_average_stream_is_checked_in_two_processes(forks):
 def test_a_split_that_leaves_the_child_no_step_keeps_one_process(make, records, forks, monkeypatch):
     """One batch step or two online steps split at 0; each oracle still runs once."""
     p, trace, stream = make()
-    trace.records = trace.records[:records]
+    # the cut trace stops short of grad_tol, so it no longer converged
+    trace.records, trace.converged = trace.records[:records], False
     calls = []
     oracle = verify.reference_minimizer
 
