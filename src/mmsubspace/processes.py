@@ -5,16 +5,15 @@ steps this way, each through ``in_parts``: no part reads another part's
 results, and a forked child sidesteps the GIL that scipy's LAPACK wrappers
 hold.  The rule, for both: where ``os.fork`` exists, the CPU affinity mask
 holds at least 2 CPUs, no other Python thread is alive (a fork copies only
-the calling thread), steps * dim**2 reaches ``TWO_PROCESS_WORK`` and the
-caller's share of the steps holds at least one, a forked child runs that
-first part of the steps and pipes its results back while this process runs
-the rest, and the results merge in step order.  The decision comes from
-the work and the host, never from a timing.  A part that raises or warns,
-or a child that ends before it sends its results, runs again here, the
-first part before the second, so the results, the first exception and the
-warnings are those of one process.  Wall time falls; CPU time rises by the
-fork, the page faults of both processes, the reap and the parts that run
-twice.
+the calling thread), steps * dim**2 reaches ``TWO_PROCESS_WORK`` and half
+the steps hold at least one, a forked child runs the first half of the
+steps and pipes its results back while this process runs the rest, and the
+results merge in step order.  The decision comes from the work and the
+host, never from a timing.  A part that raises or warns, or a child that
+ends before it sends its results, runs again here, the first part before
+the second, so the results, the first exception and the warnings are those
+of one process.  Wall time falls; CPU time rises by the fork, the page
+faults of both processes, the reap and the parts that run twice.
 """
 
 from __future__ import annotations
@@ -42,12 +41,12 @@ def two_processes(work: int) -> bool:
             and work >= TWO_PROCESS_WORK)
 
 
-def in_parts(part, steps: int, dim: int, share: float) -> tuple:
+def in_parts(part, steps: int, dim: int) -> tuple:
     """``(part(0, steps),)``, or, where ``two_processes`` says so for
     steps * dim**2, ``(part(0, split), part(split, steps))`` with a forked
-    child running the first; ``split`` is ``int(steps * share)``, and a
-    split of 0 keeps one process, so that only the first part starts at 0."""
-    split = int(steps * share)
+    child running the first; ``split`` is ``steps // 2``, and a split of 0
+    keeps one process, so that no child is forked with nothing to do."""
+    split = steps // 2
     if not (split and two_processes(steps * dim**2)):
         return (part(0, steps),)
     return in_two_processes(lambda: part(0, split), lambda: part(split, steps))

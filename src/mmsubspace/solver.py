@@ -316,4 +316,4 @@ def _certify(recs: list, pending: list, stream: EstimateStream, strategy: Subspa
                 out.append(type(exc).__name__)
         return out
 
-    return [out for outs in in_parts(part, len(pending), stream.limit.dim, 0.5) for out in outs]
+    return [out for outs in in_parts(part, len(pending), stream.limit.dim) for out in outs]

@@ -20,31 +20,27 @@ Hessian factored once for the ordering and the certificate), and counted
 as recomputed.
 
 The Newton oracle for ``F* = inf F`` gates only the gap bound and decay
-(eq6/eq7) and the batch summary.  It runs once for a batch trace and once
-per certified online snapshot, from the previous snapshot's minimizer,
-never from an MM iterate, in a chain after the checks of the records it
-serves.  Every stream draws any snapshot n >= 1 again, so no verdict holds
-one: a running average keeps its samples, O(N * d), not its snapshots,
-O(N * d**2), and calls ``sample_fn`` once per k.  An iteration whose
-certificate or oracle raises counts as skipped once, by the class of its
-first error.  F and its gradient are evaluated at every record, the last
-included, so an iterate that overflows them is refused as input.  The eq6
-gap bound holds by construction at every ``n >= n_eps``: ``n_eps`` is found
-by the same predicate over the same rows, so the eq6 row counts the
-certified regime; eq7 is the test made there.  A trace that breaks its own
-stopping rule, with more than ``max_iters + 1`` records, a record before
-the last within ``grad_tol``, or ``converged`` with a last gradient norm
-above it, is refused as input.
+(eq6/eq7) and the batch summary.  It runs once on the problem, before any
+check, and online once more per certified snapshot, in that record's
+checks, warm-started at the problem's minimizer, never at an MM iterate:
+the snapshots converge to the problem, so its minimizer is near each of
+theirs.  A verdict reads only its own record, the iterates of the records
+before it and the problem's minimizer.  Every stream draws any snapshot
+n >= 1 again, so no verdict holds one: a running average keeps its
+samples, O(N * d), not its snapshots, O(N * d**2), and calls ``sample_fn``
+once per k.  An iteration whose certificate or oracle raises counts as skipped once,
+by the class of its first error.  F and its gradient are evaluated at every
+record, the last included, so an iterate that overflows them is refused as
+input.  The eq6 gap bound holds by construction at every ``n >= n_eps``:
+``n_eps`` is found by the same predicate over the same rows, so the eq6 row
+counts the certified regime; eq7 is the test made there.  A trace that
+breaks its own stopping rule, with more than ``max_iters + 1`` records, a
+record before the last within ``grad_tol``, or ``converged`` with a last
+gradient norm above it, is refused as input.
 
-A large trace is checked in two parts by ``processes.in_parts``, under the
-rule stated there.  The child checks the first part of the steps, half of
-a batch trace's and 0.45 of an online one's, since the parent runs its
-part's oracle chain after the child's has ended, and the child runs its
-part's chain; the parent's chain continues from the child's last
-minimizer, so every oracle call gets the warm start of one process.  The
-child's oracle errors and warnings precede the parent's checks'.  Records
-must be numbered 1, 2, ... in order; any other numbering is refused as
-input.
+A large trace is checked in two halves by ``processes.in_parts``, under
+the rule stated there.  Records must be numbered 1, 2, ... in order; any
+other numbering is refused as input.
 """
 
 from __future__ import annotations
@@ -136,7 +132,7 @@ class VerificationReport:
         lines = [f"{'equation':34s} {'checked':>8s} {'failed':>7s}  status"]
         for name in EQ_NAMES:
             r = self.results[name]
-            status = "pass" if r.passed else ("skip" if r.checked == 0 else "FAIL")
+            status = "skip" if r.checked == 0 else ("pass" if r.passed else "FAIL")
             extra = ""
             if r.failures:
                 shown = ", ".join(str(n) for n in r.failures[:8])
@@ -172,7 +168,7 @@ def verify_trace(
     the inequality tested there.
 
     A large enough trace is checked in two processes, with the report,
-    errors and warnings of one but for one order (see above).
+    errors and warnings of one (see above).
     """
     recs = trace.records
     if not recs:
@@ -209,22 +205,10 @@ def verify_trace(
                          "pass the --stream and --seed it was solved with")
     strategy = parse_strategy(trace.setting("strategy"))
     epsilon = _resolve_epsilon(trace.setting("epsilon"), p.quad.R)
-    checker = _RecordChecker(p, recs, stream, mode, strategy, epsilon, seed)
-
-    # F* of the batch problem, or the last online snapshot's, which warm-starts the next
-    ref = reference_minimizer(p, tol=1e-12) if mode == "batch" else None
-
-    # the first part runs its oracle chain from ref, and a later part's chain
-    # continues here from the last reference solution of the part before
-    def part(lo: int, hi: int) -> tuple:
-        checked = checker.check(lo, hi)
-        return checked, (checker.chain(checked, ref) if lo == 0 else None)
-
-    # online, the parent runs its part's oracle chain after the child's has ended
-    (verdicts, last), *rest = in_parts(part, len(recs) - 1, p.dim, 0.5 if mode == "batch" else 0.45)
-    for checked, _ in rest:
-        last = checker.chain(checked, last)
-        verdicts += checked
+    # F* of the batch problem; online, its minimizer warm-starts every snapshot's oracle
+    ref = reference_minimizer(p, tol=1e-12)
+    checker = _RecordChecker(p, recs, stream, mode, strategy, epsilon, seed, ref)
+    verdicts = [v for part in in_parts(checker.check, len(recs) - 1, p.dim) for v in part]
 
     results = {name: EqResult(name) for name in EQ_NAMES}
     certified_recs = []
@@ -293,13 +277,13 @@ class _RecordChecker:
     """Every per-iteration check of one trace, over any contiguous range of its records.
 
     No record's checks read another record's results: the subspace history
-    of a range comes from the stored iterates before it.  Only the online
-    oracle's warm starts chain from one certified record to the next (``chain``).
+    of a range comes from the stored iterates before it, and every online
+    oracle starts at the minimizer ``ref`` of the problem.
     """
 
-    def __init__(self, p, recs, stream, mode, strategy, epsilon, seed):
+    def __init__(self, p, recs, stream, mode, strategy, epsilon, seed, ref):
         self.p, self.recs, self.stream, self.mode = p, recs, stream, mode
-        self.strategy, self.epsilon, self.seed = strategy, epsilon, seed
+        self.strategy, self.epsilon, self.seed, self.ref = strategy, epsilon, seed, ref
 
     def snapshot_at(self, rec):
         """The snapshot of ``rec`` with F and its gradient at the record's iterate.
@@ -317,7 +301,8 @@ class _RecordChecker:
 
     def check(self, lo: int, hi: int) -> list:
         """Verdicts for the steps out of records ``lo`` to ``hi - 1``, in record
-        order, without F*: ``chain`` adds it."""
+        order: F* is ``ref.value`` in batch and, online, the minimizer's value
+        of the record's snapshot."""
         recs, mode = self.recs, self.mode
         verdicts = []
         snapshot_next = self.snapshot_at(recs[lo])
@@ -360,6 +345,11 @@ class _RecordChecker:
                     v.skipped = type(exc).__name__  # shifted matrix is beyond the float range
                 else:
                     v.cert = cert
+                    try:
+                        v.inf_F = self.ref.value if mode == "batch" else reference_minimizer(
+                            p_n, tol=1e-12, h0=self.ref.h).value
+                    except OracleError as exc:
+                        v.skipped = type(exc).__name__
                     rtol = 1e-10 * max(1.0, order.theta_full)
                     row["eq65_gradient_lower_bound"] = order.theta_gradient_ref <= cert.theta_tilde + rtol
                     row["eq68_full_space_upper_bound"] = cert.theta_tilde <= order.theta_full + rtol
@@ -373,21 +363,3 @@ class _RecordChecker:
 
             verdicts.append(v)
         return verdicts
-
-    def chain(self, verdicts, ref):
-        """Give each certified verdict its F*, in order: ``ref.value`` for a
-        batch trace; online, the minimizer of the record's snapshot,
-        warm-started at the previous one's, from ``ref`` on.  Returns the last
-        reference solution."""
-        for v in verdicts:
-            if v.cert is None:
-                continue
-            if self.mode != "batch":
-                try:
-                    ref = reference_minimizer(self.stream.instance(v.n), tol=1e-12,
-                                              h0=None if ref is None else ref.h)
-                except OracleError as exc:
-                    v.skipped = type(exc).__name__
-                    continue
-            v.inf_F = ref.value
-        return ref

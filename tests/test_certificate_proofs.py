@@ -146,7 +146,7 @@ def test_a_trace_without_certificates_counts_them_recomputed(tmp_path):
     code, out = _run("verify", "--problem", PROBLEM, "--trace", tmp_path / "plain.json")
     assert code == 0
     row = next(line for line in out.splitlines() if line.startswith("certificate_proofs"))
-    assert row.split()[1:4] == ["0", "0", "pass"]
+    assert row.split()[1:4] == ["0", "0", "skip"]
     assert f"({trace.n_steps} recomputed)" in row
 
 

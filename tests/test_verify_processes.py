@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import os
 import threading
 import warnings
@@ -20,8 +21,6 @@ from mmsubspace.verify import verify_trace
 from conftest import write_replay_file
 
 CERTIFIED = SolveOptions(max_iters=300, grad_tol=1e-10, certify=True)
-# the share of an online trace's steps that verify's child checks
-ONLINE_SHARE = 0.45
 
 
 def _instance(n=8):
@@ -95,12 +94,12 @@ def _lowered_objective(make):
 
 
 def _skipped(tmp_path):
-    # snapshots 1 and 25 have an indefinite Hessian, so their certificates are skipped
+    # snapshots 1 and 30 have an indefinite Hessian, so their certificates are skipped
     p = _instance()
     limit = p.quad
     bad = limit.R - (min_eig(limit.R) + 2.0) * np.eye(p.dim)
     path = tmp_path / "snapshots.jsonl"
-    write_replay_file(path, [(bad, limit.r)] + [(limit.R, limit.r)] * 23 + [(bad, limit.r)]
+    write_replay_file(path, [(bad, limit.r)] + [(limit.R, limit.r)] * 28 + [(bad, limit.r)]
                       + [(limit.R, limit.r)] * 300)
 
     def stream():
@@ -135,8 +134,8 @@ def test_skipped_certificates_are_counted_as_in_one_process(tmp_path, forks, mon
     got = verify_trace(p, trace, stream=stream())
     assert forks == [1]
     assert want.certificates_skipped["NumericError"] == 2
-    # one skip lies in each part; the parent checks from the online split on
-    split = int((len(trace.records) - 1) * ONLINE_SHARE)
+    # one skip lies in each part; the parent checks the second half
+    split = (len(trace.records) - 1) // 2
     assert parts == [(split, len(trace.records) - 1)]
     skips = [i for i, (_, row) in enumerate(want.rows)
              if "eq41_gradient_step_domination" in row and "eq65_gradient_lower_bound" not in row]
@@ -145,27 +144,51 @@ def test_skipped_certificates_are_counted_as_in_one_process(tmp_path, forks, mon
     _assert_no_child_left()
 
 
-def test_the_online_oracle_chain_gets_the_one_process_warm_starts(forks, monkeypatch):
+def test_every_online_oracle_starts_at_the_problem_s_minimizer(tmp_path, forks, monkeypatch):
+    """In both processes, each certified snapshot's oracle runs once, warm-started at the problem's minimizer."""
     p, trace, stream = _online()
+    oracle = verify.reference_minimizer
+    numbers = itertools.count()
 
-    def recorded():
-        calls = []
+    def saving(q, tol=1e-12, h0=None):
+        """Save each call's start, NaN for none, under its process id, from whichever process calls."""
+        np.save(tmp_path / f"{os.getpid()}-{next(numbers)}.npy", np.full(q.dim, np.nan) if h0 is None else h0)
+        return oracle(q, tol, h0=h0)
 
-        def oracle(q, tol=1e-12, h0=None):
-            calls.append(None if h0 is None else h0.copy())
-            return reference_minimizer(q, tol, h0=h0)
-
-        with monkeypatch.context() as m:
-            m.setattr(verify, "reference_minimizer", oracle)
-            verify_trace(p, trace, stream=stream())
-        return calls
-
-    serial = _one_process(recorded)
-    parent = recorded()  # the child's calls happen in the child
+    monkeypatch.setattr(verify, "reference_minimizer", saving)
+    report = verify_trace(p, trace, stream=stream())
     assert forks == [1]
-    assert 0 < len(parent) < len(serial)
-    for got, want in zip(parent, serial[len(serial) - len(parent):]):
-        np.testing.assert_array_equal(got, want)
+    starts = {}
+    for path in tmp_path.glob("*.npy"):
+        starts.setdefault(path.name.split("-")[0], []).append(np.load(path))
+    assert len(starts) == 2  # the child's calls happen in the child
+    mine = starts[str(os.getpid())]
+    # the problem's own oracle, in this process, starts at zero
+    assert sum(np.isnan(h).all() for h in mine) == 1
+    calls = [h for h in sum(starts.values(), []) if not np.isnan(h).all()]
+    assert len(calls) == report.results["eq9_eq10_sandwich"].checked > 0
+    minimizer = reference_minimizer(p, tol=1e-12).h
+    for h in calls:
+        assert h.tobytes() == minimizer.tobytes()
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("make", [_online, _skipped], ids=["geometric", "replay"])
+def test_every_split_gives_the_verdicts_of_one_part(make, tmp_path):
+    """check(0, k) + check(k, N) is check(0, N), verdict for verdict and F* bitwise, for every split k."""
+    p, trace, stream = make(tmp_path) if make is _skipped else make()
+    recs = trace.records[:31]
+    strategy = verify.parse_strategy(trace.setting("strategy"))
+    epsilon = solver._resolve_epsilon(trace.setting("epsilon"), p.quad.R)
+    checker = verify._RecordChecker(p, recs, stream(), "online", strategy, epsilon, 0,
+                                    reference_minimizer(p, tol=1e-12))
+    steps = len(recs) - 1
+    whole = checker.check(0, steps)
+    assert sum(v.inf_F is not None for v in whole) > steps // 2
+    # repr shows every float to its last bit
+    want = [repr(v) for v in whole]
+    for k in range(steps + 1):
+        assert [repr(v) for v in checker.check(0, k) + checker.check(k, steps)] == want
 
 
 @pytest.mark.parametrize("part", ["child", "parent"])
@@ -246,7 +269,7 @@ def test_each_direction_matrix_is_the_one_the_loop_stepped_with(stream, processe
 
 def test_oracle_warnings_are_those_of_one_process(forks, monkeypatch):
     p, trace, stream = _online()
-    split = int((len(trace.records) - 1) * ONLINE_SHARE)
+    split = (len(trace.records) - 1) // 2
     # a certified record in each part, known to the oracle by its snapshot's r
     warned = {rec.n: stream().instance(rec.n).quad.r.tobytes() for rec in (trace.records[2], trace.records[-3])}
     assert 3 < split < len(trace.records) - 3
@@ -296,6 +319,41 @@ def test_warnings_are_those_of_one_process(forks, monkeypatch):
     got, got_warnings = run()
     assert forks == [1]
     assert got_warnings == want_warnings == [f"at seed {n}" for n in sorted(warned)]
+    _assert_same_report(got, want)
+    _assert_no_child_left()
+
+
+def test_an_oracle_warning_and_a_check_warning_keep_the_one_process_order(forks, monkeypatch):
+    """The oracle at record 3 warns in the child's half, a majorization check at record N - 2 in the parent's."""
+    p, trace, stream = _online()
+    late = len(trace.records) - 2
+    assert 3 < (len(trace.records) - 1) // 2 < late - 1
+    third = stream().instance(3).quad.r.tobytes()
+    oracle, check_majorization = verify.reference_minimizer, verify.check_majorization
+
+    def oracle_warning(q, tol=1e-12, h0=None):
+        if q.quad.r.tobytes() == third:
+            warnings.warn("oracle at n=3", RuntimeWarning)
+        return oracle(q, tol, h0=h0)
+
+    def check_warning(p_n, m, samples, seed):
+        if seed == late:
+            warnings.warn(f"majorization at n={late}", RuntimeWarning)
+        return check_majorization(p_n, m, samples=samples, seed=seed)
+
+    monkeypatch.setattr(verify, "reference_minimizer", oracle_warning)
+    monkeypatch.setattr(verify, "check_majorization", check_warning)
+
+    def run():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = verify_trace(p, trace, stream=stream())
+        return report, [str(w.message) for w in caught]
+
+    want, want_warnings = _one_process(run)
+    got, got_warnings = run()
+    assert forks == [1]
+    assert got_warnings == want_warnings == ["oracle at n=3", f"majorization at n={late}"]
     _assert_same_report(got, want)
     _assert_no_child_left()
 
@@ -362,12 +420,12 @@ def test_a_running_average_stream_is_checked_in_two_processes(forks):
     _assert_no_child_left()
 
 
-@pytest.mark.parametrize("make, records", [(_batch, 2), (_online, 3)], ids=["batch", "online"])
-def test_a_split_that_leaves_the_child_no_step_keeps_one_process(make, records, forks, monkeypatch):
-    """One batch step or two online steps split at 0; each oracle still runs once."""
+@pytest.mark.parametrize("make", [_batch, _online], ids=["batch", "online"])
+def test_a_split_that_leaves_the_child_no_step_keeps_one_process(make, forks, monkeypatch):
+    """One step splits at 0; each oracle still runs once."""
     p, trace, stream = make()
     # the cut trace stops short of grad_tol, so it no longer converged
-    trace.records, trace.converged = trace.records[:records], False
+    trace.records, trace.converged = trace.records[:2], False
     calls = []
     oracle = verify.reference_minimizer
 
