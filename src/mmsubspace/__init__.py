@@ -26,7 +26,6 @@ from .rates import (
     certify_iteration,
     check_decay_inequality,
     check_linear_iterate_convergence,
-    check_subspace_ordering,
     compute_sigma_bounds,
     gradient_reference,
 )

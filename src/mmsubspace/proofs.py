@@ -1,19 +1,21 @@
-"""Proofs of a recorded rate certificate, with kernels that ``rates`` does not run.
+"""Proofs of a rate certificate, with kernels that ``rates`` does not run.
 
-``verify`` reads a recorded certificate as a witness and proves it here, so
-a fault in the certificate code is not repeated by the check.  By
-Sylvester's law of inertia, ``A - s H`` with ``H`` positive definite is
+``verify`` proves here every certificate it checks, recorded or replayed by
+certify's own code, so a fault in that code is not repeated by the check.
+By Sylvester's law of inertia, ``A - s H`` with ``H`` positive definite is
 positive definite exactly when ``s`` lies below the spectrum of
 ``H^{-1} A``, so one shifted Cholesky factorization, made rigorous by Rump's
 slack (``linalg.proven_pd``), proves a bound on it without an eigensolver.
 Each of kappa_lo, kappa_hi (the pencil ``(A, H)``), sigma_lo and sigma_hi
 (the spectrum of ``H``) is proven sharp: moved by the proofs' resolution
-toward safety it is proven, moved against it it is not.
-``hessian_floor_ok`` is proven the same way, and ``kappa_lo_ge_1`` is
-``A - (1 - eta) H`` proven positive definite.  ``g' H^{-1} g`` comes from one
-LU solve, which verify's subspace ordering check (eq65, eq68) shares, and
-theta_tilde's numerator from an SVD of ``D'AD``; theta, theta_lo, theta_hi
-and lemma_bound are recomputed by their formulas from the proven values.
+toward safety it is proven, moved against it it is not.  A bound whose
+shifted matrix leaves the float range is not proven: a sharp bound lies
+within the matrix's own range.  ``hessian_floor_ok`` is proven the same
+way, and ``kappa_lo_ge_1`` is ``A - (1 - eta) H`` proven positive definite.
+``g' H^{-1} g`` comes from one LU solve, which verify's subspace ordering
+check (eq65, eq68) shares, and theta_tilde's numerator from an SVD of
+``D'AD``; theta, theta_lo, theta_hi and lemma_bound are recomputed by their
+formulas from the proven values.
 """
 
 from __future__ import annotations
@@ -31,14 +33,13 @@ from .subspace import DirectionMatrix, column_scaled
 
 def prove_certificate(cert: RateCertificate, g: np.ndarray, A: np.ndarray, H: np.ndarray, D: DirectionMatrix,
                       epsilon: float, R_limit: np.ndarray) -> tuple:
-    """Prove ``cert``, recorded for the step with gradient ``g``, majorant
-    curvature ``A``, Hessian ``H`` and direction matrix ``D``.
+    """Prove ``cert``, the certificate of the step with gradient ``g``,
+    majorant curvature ``A``, Hessian ``H`` and direction matrix ``D``.
 
     Returns ``g' H^{-1} g``, the first field of the certificate that fails,
     or "" when every field holds, and whether ``A - (1 - eta) H`` is proven
     positive definite, or None where a field before ``kappa_lo`` failed.  A
-    singular Hessian or a shifted matrix beyond the float range raises
-    NumericError.
+    singular Hessian raises NumericError.
     """
     # bitwise A and H where they are symmetric; a quadratic form sees only the symmetric part
     A, H = 0.5 * (A + A.T), 0.5 * (H + H.T)
@@ -118,7 +119,10 @@ class _Pencil(NamedTuple):
         if not math.isfinite(b):
             return None
         t = self.resolution(b)
-        return b - t if self.proven(b - t) and not self.proven(b + t) else None
+        try:
+            return b - t if self.proven(b - t) and not self.proven(b + t) else None
+        except NumericError:  # P - s Q is beyond the float range of a proof
+            return None
 
     def upper_bound_holds(self, b: float) -> bool:
         """Whether ``b`` is proven a sharp upper bound on the spectrum: ``-b``

@@ -25,15 +25,14 @@ is two Cholesky factorizations and two ``linalg.extreme_eigs``, each a
 tridiagonal reduction followed by a bisection for each extreme eigenvalue,
 or by the tridiagonal spectrum for small n; no dense eigensolve.  There is
 one path to a certificate: the caller factors the Hessian once with
-``factor_hessian`` and passes the pair ``(H, L)`` to ``certify_iteration``, and to
-``check_subspace_ordering`` when it also runs that check on the iterate, as
-verification does for a record that holds no certificate.  A recorded
-certificate is not recomputed here: ``verify`` proves it with shifted
-Cholesky factorizations and its own LU solve and SVD, so a fault in this
-module is not repeated by the check, and runs the ordering check as
-``subspace_ordering`` on its own ``g' H^{-1} g``.  The ordering check
-brackets the certified theta_tilde between that of the gradient reference
-and that of the full space; a strategy's own theta_tilde comes from
+``factor_hessian`` and passes the pair ``(H, L)`` to ``certify_iteration``.
+``verify`` proves every certificate it checks, the recorded one or the one
+certify's replay computes here, with shifted Cholesky factorizations and
+its own LU solve and SVD, so a fault in this module fails the proof
+instead of being repeated by the check.  Its ordering check,
+``subspace_ordering`` on the LU solve's ``g' H^{-1} g``, brackets the
+certified theta_tilde between that of the gradient reference and that of
+the full space; a strategy's own theta_tilde comes from
 ``compute_theta_tilde``.
 
 The batch summaries are stated against ``F* = inf F``; the caller solves
@@ -227,23 +226,15 @@ class OrderingReport:
     theta_full: float
 
 
-def check_subspace_ordering(grad, A, hessian: tuple[np.ndarray, np.ndarray]) -> OrderingReport:
-    """theta_tilde of the gradient reference and of the full space at an iterate.
+def subspace_ordering(grad, A, g_form: float) -> OrderingReport:
+    """theta_tilde of the gradient reference and of the full space at an
+    iterate, given ``g_form = g' H^{-1} g`` there.
 
     The gradient-only direction is the slowest and the full space the
     fastest, so every strategy's theta_tilde lies between the two.  The full
     space gives ``g' A^{-1} g / g' H^{-1} g``; ``A`` dominates ``H``, so its
-    Cholesky factor exists whenever the Hessian's does.  ``hessian`` must be
-    ``factor_hessian(p_n, h)`` at the iterate, the pair its certificate
-    takes: the solves with its factor check only their right-hand sides.  A
-    zero gradient raises NumericError.
+    Cholesky factor exists whenever the Hessian is positive definite.
     """
-    _, L = hessian
-    return subspace_ordering(grad, A, _gradient_form(L, grad))
-
-
-def subspace_ordering(grad, A, g_form: float) -> OrderingReport:
-    """``check_subspace_ordering`` given ``g_form = g' H^{-1} g``, however it was solved for."""
     t_ref = _subspace_form(grad, A, gradient_reference(grad)) / g_form
     return OrderingReport(t_ref, _gradient_form(cholesky_lower(A), grad) / g_form)
 

@@ -210,15 +210,15 @@ def _history(recs: list, k: int, window: int) -> list:
 
 def _replay_step(m: MajorantAtPoint, recs: list, k: int, strategy: SubspaceStrategy, epsilon: float,
             R_limit: np.ndarray) -> tuple:
-    """The factored Hessian and the certificate of the step out of ``recs[k]``,
-    whose majorant ``m`` holds the step's snapshot and gradient; the direction
-    matrix is rebuilt by ``_history`` from the recorded iterates.  Raises
-    NumericError where the Hessian is not positive definite or the
-    certificate breaks down."""
+    """The Hessian, the direction matrix and the certificate of the step out
+    of ``recs[k]``, whose majorant ``m`` holds the step's snapshot and
+    gradient; the direction matrix is rebuilt by ``_history`` from the
+    recorded iterates.  Raises NumericError where the Hessian is not positive
+    definite or the certificate breaks down."""
     rec = recs[k]
     D = _replay_subspace(m, recs, k, strategy)
     hessian = factor_hessian(m.problem, rec.h)
-    return hessian, certify_iteration(rec.n, m.gradient_at_anchor, D, m.curvature, epsilon, R_limit, hessian)
+    return hessian[0], D, certify_iteration(rec.n, m.gradient_at_anchor, D, m.curvature, epsilon, R_limit, hessian)
 
 
 def _replay_subspace(m: MajorantAtPoint, recs: list, k: int, strategy: SubspaceStrategy) -> DirectionMatrix:
@@ -311,7 +311,7 @@ def _certify(recs: list, pending: list, stream: EstimateStream, strategy: Subspa
             rec = recs[k]
             p_n = stream.instance(rec.n)
             try:
-                out.append(_replay_step(build_majorant(p_n, rec.h, rec.obj, g), recs, k, strategy, epsilon, R_limit)[1])
+                out.append(_replay_step(build_majorant(p_n, rec.h, rec.obj, g), recs, k, strategy, epsilon, R_limit)[2])
             except NumericError as exc:
                 out.append(type(exc).__name__)
         return out

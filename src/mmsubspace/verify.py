@@ -7,17 +7,17 @@ file is caught there.  A batch trace reads both sides of the decrease from
 the column; an online trace reads the current one, since the next record's
 value belongs to the next snapshot.
 
-A recorded certificate is a witness that verify proves with
+Every certificate is a witness that verify proves with
 ``proofs.prove_certificate``, by kernels that certify does not run: shifted
 Cholesky factorizations for its spectral bounds and Hessian floor, an LU
 solve for ``g' H^{-1} g``, which the subspace ordering (eq65, eq68) shares,
-and an SVD for theta_tilde's numerator.  The ``certificate_proofs`` row
-counts the proven records and names the first failing field and its
-record; every later check reads the proven certificate.  A record without
-a certificate is certified by ``solver._replay_step``, the one replay that
-certify runs (the direction matrix rebuilt by ``solver._history``, the
-Hessian factored once for the ordering and the certificate), and counted
-as recomputed.
+and an SVD for theta_tilde's numerator.  The witness is the recorded
+certificate or, for a record without one (counted as recomputed), that of
+``solver._replay_step``, the one replay that certify runs, with the Hessian
+and the direction matrix it built, so a fault in the certificate code fails
+the proof on either path.  The ``certificate_proofs`` row counts the proven
+records and names the first failing field and its record; every later
+check reads the proven certificate.
 
 The Newton oracle for ``F* = inf F`` gates only the gap bound and decay
 (eq6/eq7) and the batch summary.  It runs once on the problem, before any
@@ -63,7 +63,6 @@ from .rates import (
     certified_regime_start,
     check_decay_inequality,
     check_linear_iterate_convergence,
-    check_subspace_ordering,
     sigma_spread,
     subspace_ordering,
 )
@@ -157,8 +156,8 @@ def verify_trace(
     in order, when the trace does not match the problem, when a record's
     iterate, objective or gradient is not finite, when the records break the
     trace's own ``max_iters`` or ``grad_tol``, or when a batch trace gets a
-    drifting stream or an online trace a constant one.  A recorded
-    certificate is proven, not recomputed (see above).
+    drifting stream or an online trace a constant one.  Every certificate
+    it checks is proven (see above).
     The certificates use the margin ε stored in ``trace.meta``, or the
     solver's default rule when none is stored.
 
@@ -234,7 +233,7 @@ def verify_trace(
                 results[name].record(v.n, ok)
     rows = [(v.n, v.row) for v in verdicts]
     first = next((v for v in verdicts if v.proof), None)
-    recomputed = sum(v.cert is not None and v.proof is None for v in verdicts)
+    recomputed = sum(v.proof is not None and rec.cert is None for rec, v in zip(recs, verdicts))
     results["certificate_proofs"].note = "; ".join(
         ([f"first failing field: {first.proof} at n = {first.n}"] if first else [])
         + ([f"{recomputed} recomputed"] if recomputed else []))
@@ -270,7 +269,7 @@ class _Verdict:
     cert: RateCertificate | None = None
     skipped: str | None = None  # class name of the error that skipped the certificate or oracle
     inf_F: float | None = None  # the oracle's F*, once it ran for a certificate
-    proof: str | None = None  # a recorded certificate's first failing field, "" once proven, None if not recorded
+    proof: str | None = None  # the certificate's first failing field, "" once proven, None if not proven
 
 
 class _RecordChecker:
@@ -331,18 +330,14 @@ class _RecordChecker:
             if np.any(g):
                 row["eq41_gradient_step_domination"] = optimal_gradient_step(m) * float(g @ g) <= dAd + tol
                 try:
-                    if rec.cert is None:
-                        hessian, cert = _replay_step(m, recs, k, self.strategy, self.epsilon, self.p.quad.R)
-                        order = check_subspace_ordering(g, A, hessian)
-                        kappa_lo_ge_1 = cert.kappa_lo >= 1.0 - 1e-10
-                    else:
-                        cert = rec.cert
-                        g_form, v.proof, kappa_lo_ge_1 = prove_certificate(
-                            cert, g, A, eval_hessian(p_n, h), _replay_subspace(m, recs, k, self.strategy),
-                            self.epsilon, self.p.quad.R)
-                        order = subspace_ordering(g, A, g_form)
-                except NumericError as exc:  # the snapshot's Hessian is not positive definite, or a proof's
-                    v.skipped = type(exc).__name__  # shifted matrix is beyond the float range
+                    # the witness is the recorded certificate or, for a record without one, certify's replay
+                    H, D, cert = (_replay_step(m, recs, k, self.strategy, self.epsilon, self.p.quad.R)
+                                  if rec.cert is None else
+                                  (eval_hessian(p_n, h), _replay_subspace(m, recs, k, self.strategy), rec.cert))
+                    g_form, v.proof, kappa_lo_ge_1 = prove_certificate(cert, g, A, H, D, self.epsilon, self.p.quad.R)
+                    order = subspace_ordering(g, A, g_form)
+                except NumericError as exc:  # the snapshot's Hessian is singular, or a replay finds it
+                    v.skipped = type(exc).__name__  # not positive definite
                 else:
                     v.cert = cert
                     try:

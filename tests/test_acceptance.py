@@ -19,13 +19,14 @@ from mmsubspace.model import (
 )
 from mmsubspace.problems import random_instance
 from mmsubspace.rates import (
+    _gradient_form,
     batch_rate_summary,
     certified_regime_start,
     check_decay_inequality,
-    check_subspace_ordering,
     compute_theta_tilde,
     factor_hessian,
     gradient_reference,
+    subspace_ordering,
 )
 from mmsubspace.solver import (
     SolveOptions,
@@ -171,7 +172,7 @@ def test_criterion_06_subspace_ordering():
             if not np.any(g):
                 continue
             A = build_majorant(p, rec.h).curvature
-            rep = check_subspace_ordering(g, A, factor_hessian(p, rec.h))
+            rep = subspace_ordering(g, A, _gradient_form(factor_hessian(p, rec.h)[1], g))
             D = build_subspace(strategy, g, rec.h, history)
             t = compute_theta_tilde(g, A, eval_hessian(p, rec.h), D)
             tol = 1e-10 * max(1.0, abs(t))

@@ -1,9 +1,10 @@
-"""Verify proves each recorded certificate with shifted Cholesky factorizations.
+"""Verify proves each certificate it checks with shifted Cholesky factorizations.
 
 ``linalg.proven_pd`` is checked against ``np.linalg.eigvalsh``; ``verify``
 must refuse a recorded certificate with any field moved, and a fault in the
 certificate code that certify runs, whatever it does to verify's own
-kernels, naming the field and the record.
+kernels, naming the field and the record, on a certified trace and on a
+plain one, whose certificates verify replays with that code.
 """
 
 import contextlib
@@ -146,11 +147,12 @@ def test_a_trace_without_certificates_counts_them_recomputed(tmp_path):
     code, out = _run("verify", "--problem", PROBLEM, "--trace", tmp_path / "plain.json")
     assert code == 0
     row = next(line for line in out.splitlines() if line.startswith("certificate_proofs"))
-    assert row.split()[1:4] == ["0", "0", "skip"]
+    # each recomputed certificate is proven too
+    assert row.split()[1:4] == [str(trace.n_steps), "0", "pass"]
     assert f"({trace.n_steps} recomputed)" in row
 
 
-def test_a_singular_hessian_or_an_overflowing_shift_is_a_named_skip(monkeypatch, tmp_path):
+def test_a_singular_hessian_is_a_named_skip(monkeypatch):
     p = load_problem(PROBLEM)
     trace = Trace.from_json(GOLDEN)
     hessian = verify.eval_hessian
@@ -159,12 +161,19 @@ def test_a_singular_hessian_or_an_overflowing_shift_is_a_named_skip(monkeypatch,
     certified = sum(rec.cert is not None for rec in trace.records)
     assert report.certificates_skipped == {"NumericError": certified}
     assert report.results["certificate_proofs"].checked == 0
-    monkeypatch.undo()
 
+
+@pytest.mark.parametrize("name, value", [("sigma_hi", 1e308), ("kappa_hi", 1e308), ("sigma_lo", -1e308),
+                                         ("kappa_lo", -1e308)])
+def test_a_bound_whose_shifted_matrix_overflows_fails_by_name(name, value, tmp_path):
     d = _golden()
-    d["records"][2]["sigma_hi"] = 1e308
-    _, out = _verify(d, tmp_path)
-    assert "certificates skipped: 1 (NumericError 1)" in out
+    rd = d["records"][2]
+    rd[name] = value
+    code, out = _verify(d, tmp_path)
+    assert code == 1
+    assert f"first failing field: {name} at n = {rd['n']}" in out
+    assert "certificates skipped" not in out
+    assert out.splitlines()[-1].startswith("overall: FAIL")
 
 
 # --- faults in the certificate code that certify runs -------------------------
@@ -210,16 +219,20 @@ def spd40(tmp_path_factory):
     return path
 
 
+@pytest.mark.parametrize("certify", [["--certify"], []], ids=["certified", "plain"])
 @pytest.mark.parametrize("stream", [[], ["--stream", "geometric:0.9", "--seed", "1"]], ids=["batch", "online"])
 @pytest.mark.parametrize("fault", FAULTS)
-def test_a_fault_in_the_certificate_code_fails_verify_by_name(fault, stream, spd40, tmp_path, monkeypatch):
+def test_a_fault_in_the_certificate_code_fails_verify_by_name(fault, stream, certify, spd40, tmp_path,
+                                                              monkeypatch):
     module, attr, make, name = FAULTS[fault]
     # the fault stays in place for verify too, as a fault of shared code would
     monkeypatch.setattr(module, attr, make(getattr(module, attr)))
-    code, out = _run("solve", "--problem", spd40, "--certify", "--max-iters", "60", "--trace-out",
+    code, out = _run("solve", "--problem", spd40, *certify, "--max-iters", "60", "--trace-out",
                      tmp_path / "t", *stream)
     assert code in (0, 2), out
-    first = next(rec.n for rec in Trace.from_json(tmp_path / "t.json").records if rec.cert is not None)
+    records = Trace.from_json(tmp_path / "t.json").records
+    # verify replays every certificate of a plain trace, the first at n = 1
+    first = next(rec.n for rec in records if rec.cert is not None) if certify else 1
     code, out = _run("verify", "--problem", spd40, "--trace", tmp_path / "t.json", *stream)
     assert code == 1, out
     assert f"first failing field: {name} at n = {first}" in out

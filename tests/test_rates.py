@@ -10,11 +10,11 @@ from mmsubspace.model import (
 )
 from mmsubspace.problems import demo_instances
 from mmsubspace.rates import (
+    _gradient_form,
     batch_rate_summary,
     certify_iteration,
     check_decay_inequality,
     check_linear_iterate_convergence,
-    check_subspace_ordering,
     compute_kappa_bounds,
     compute_sigma_bounds,
     certified_regime_start,
@@ -22,6 +22,7 @@ from mmsubspace.rates import (
     factor_hessian,
     gradient_reference,
     sigma_spread,
+    subspace_ordering,
 )
 from mmsubspace.solver import SolveOptions, Trace, reference_minimizer, run_batch
 from mmsubspace.subspace import DirectionMatrix, build_subspace, history_window, parse_strategy
@@ -169,7 +170,7 @@ def test_subspace_ordering_and_memory_monotonicity():
     hess = eval_hessian(p, h)
     t = {s: compute_theta_tilde(g, A, hess, build_subspace(parse_strategy(s), g, h, hist))
          for s in ["gradient", "3mg", "memory:4", "memory:5", "full"]}
-    rep = check_subspace_ordering(g, A, factor_hessian(p, h))
+    rep = subspace_ordering(g, A, _gradient_form(factor_hessian(p, h)[1], g))
     for theta in t.values():
         tol = 1e-10 * max(1.0, abs(theta))
         assert rep.theta_gradient_ref <= theta + tol and theta <= rep.theta_full + tol
@@ -220,7 +221,7 @@ def test_certificate_at_zero_gradient_raises(diag14):
     with pytest.raises(NumericError):
         certify_iteration(1, g, DirectionMatrix(np.eye(2)), m.curvature, 0.05, diag14.quad.R, factor_hessian(diag14, h))
     with pytest.raises(NumericError):
-        check_subspace_ordering(g, m.curvature, factor_hessian(diag14, h))
+        subspace_ordering(g, m.curvature, _gradient_form(factor_hessian(diag14, h)[1], g))
 
 
 @pytest.mark.parametrize("stream", [[], ["--stream", "geometric:0.9", "--seed", "1"]],

@@ -28,6 +28,13 @@ def _certified_run():
     return p, trace
 
 
+def _plain_run():
+    p = _instance()
+    trace = run_batch(p, h1=np.ones(p.dim), strategy="3mg", opts=dataclasses.replace(CERTIFIED, certify=False))
+    assert trace.converged and all(rec.cert is None for rec in trace.records)
+    return p, trace
+
+
 def test_shortened_step_fails_gradient_step_domination():
     p, trace = _certified_run()
     assert verify_trace(p, trace).passed
@@ -120,8 +127,9 @@ def test_online_oracle_warm_start_keeps_the_verdicts(monkeypatch):
     assert sum(w.iterations for _, w in warm_calls) < sum(c.iterations for _, c in cold_calls)
 
 
-def test_verify_builds_each_hessian_once(monkeypatch):
-    p, trace = _certified_run()
+@pytest.mark.parametrize("certified", [True, False], ids=["certified", "plain"])
+def test_verify_builds_each_hessian_once(certified, monkeypatch):
+    p, trace = _certified_run() if certified else _plain_run()
     calls = []
     eval_hessian = rates.eval_hessian
 
@@ -129,17 +137,18 @@ def test_verify_builds_each_hessian_once(monkeypatch):
         calls.append(h)
         return eval_hessian(q, h)
 
-    # a recorded certificate is proven with verify's own Hessian, a missing one recomputed with the replay's
+    # a recorded certificate is proven with verify's own Hessian, a missing one with the replay's
     monkeypatch.setattr(rates, "eval_hessian", counting)
     monkeypatch.setattr(verify, "eval_hessian", counting)
     report = verify_trace(p, trace)
     assert report.passed
-    # the ordering check and the certificate share one Hessian per iterate with a nonzero gradient
+    # the ordering check, the certificate and its proof share one Hessian per iterate with a nonzero gradient
     assert len(calls) == sum("eq41_gradient_step_domination" in row for _, row in report.rows) > 0
 
 
-def test_verify_builds_each_direction_matrix_once(monkeypatch):
-    p, trace = _certified_run()
+@pytest.mark.parametrize("certified", [True, False], ids=["certified", "plain"])
+def test_verify_builds_each_direction_matrix_once(certified, monkeypatch):
+    p, trace = _certified_run() if certified else _plain_run()
     calls = []
     build_subspace = solver.build_subspace
 
@@ -150,7 +159,7 @@ def test_verify_builds_each_direction_matrix_once(monkeypatch):
     monkeypatch.setattr(solver, "build_subspace", counting)
     report = verify_trace(p, trace)
     assert report.passed
-    # the ordering check and the certificate share one direction matrix per iterate
+    # the certificate and its proof share one direction matrix per iterate
     assert len(calls) == sum("eq41_gradient_step_domination" in row for _, row in report.rows) > 0
 
 

@@ -2,13 +2,14 @@
 
 The references below keep the helpers of a verified iteration as they were
 before their re-checks, temporaries and dispatch were removed: ``psd_pinv``
-through ``eigh`` at every size, ``certify_iteration`` and
-``check_subspace_ordering`` solving through the checked ``solve_lower`` with
-the floor matrix built from ``np.eye``, and ``check_majorization`` scaling
-each sample in its row, with ``np.linalg.norm`` for the radius and the
-curvature scale.  The package's versions must give the same bits: every
-certificate field, the floor verdict, every report field and every
-pseudo-inverse entry, signed zeros included.
+through ``eigh`` at every size, ``certify_iteration`` and the subspace
+ordering on the factor's ``g' H^{-1} g`` solving through the checked
+``solve_lower``, with the floor matrix built from ``np.eye``, and
+``check_majorization`` scaling each sample in its row, with
+``np.linalg.norm`` for the radius and the curvature scale.  The package's
+versions must give the same bits: every certificate field, the floor
+verdict, every report field and every pseudo-inverse entry, signed zeros
+included.
 """
 
 import math
@@ -33,8 +34,8 @@ from mmsubspace.model import (
 )
 from mmsubspace.problems import random_spd
 from mmsubspace.rates import (
-    OrderingReport, RateCertificate, certify_iteration, check_subspace_ordering, compute_sigma_bounds,
-    factor_hessian, gradient_reference, sigma_spread,
+    OrderingReport, RateCertificate, certify_iteration, compute_sigma_bounds, factor_hessian, gradient_reference,
+    sigma_spread, subspace_ordering,
 )
 from mmsubspace.subspace import DirectionMatrix, build_subspace, column_scaled
 from test_block_majorization import checks
@@ -106,7 +107,7 @@ def reference_certify_iteration(n, grad, D, A, epsilon, R_limit, hessian):
     )
 
 
-def reference_check_subspace_ordering(grad, A, hessian):
+def reference_subspace_ordering(grad, A, hessian):
     _, L = hessian
     g_form = _gradient_form(L, grad)
     t_ref = _subspace_form(grad, A, gradient_reference(grad)) / g_form
@@ -253,8 +254,8 @@ def test_certificate_and_ordering_are_the_previous_ones(case):
         assert cert == ref
     else:
         assert same_fields(cert, ref), (cert, ref)
-    order = outcome(check_subspace_ordering, g, A, hessian)
-    ref_order = outcome(reference_check_subspace_ordering, g, A, hessian)
+    order = outcome(lambda: subspace_ordering(g, A, rates._gradient_form(hessian[1], g)))
+    ref_order = outcome(reference_subspace_ordering, g, A, hessian)
     assert type(order) is type(ref_order)
     if isinstance(ref_order, tuple):
         assert order == ref_order
