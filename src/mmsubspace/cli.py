@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -52,12 +53,37 @@ def build_stream(spec: str, p: ProblemInstance, seed: int):
     raise InputError(f"unknown stream spec {spec!r}")
 
 
-def _write_trace(trace: Trace, path: str) -> None:
+def _trace_paths(path: str) -> tuple[str, str]:
+    """The CSV and the JSON file that a trace written to ``path`` goes to."""
     stem = Path(path)
     if stem.suffix in (".csv", ".json"):
         stem = stem.with_suffix("")
-    trace.to_csv(str(stem) + ".csv")
-    trace.to_json(str(stem) + ".json")
+    return str(stem) + ".csv", str(stem) + ".json"
+
+
+def _write_trace(trace: Trace, path: str) -> None:
+    csv_path, json_path = _trace_paths(path)
+    trace.to_csv(csv_path)
+    trace.to_json(json_path)
+
+
+def _same_file(a: str, b: str) -> bool:
+    """Whether ``a`` and ``b`` resolve to one path or, where both exist, name one file."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist
+        return False
+
+
+def _refuse_overwrite(args) -> None:
+    """Refuse a ``--trace-out`` whose CSV or JSON file is the ``--problem`` or
+    ``--summary-out`` file, before anything is written."""
+    for path in _trace_paths(args.trace_out):
+        for flag, other in (("--problem", args.problem), ("--summary-out", args.summary_out)):
+            if other is not None and _same_file(path, other):
+                raise InputError(f"--trace-out {args.trace_out} would overwrite the {flag} file {other}")
 
 
 def _summary_dict(p: ProblemInstance, trace: Trace, stream, seed: int) -> dict:
@@ -84,6 +110,8 @@ def _summary_dict(p: ProblemInstance, trace: Trace, stream, seed: int) -> dict:
 
 
 def cmd_solve(args) -> int:
+    if args.trace_out:
+        _refuse_overwrite(args)
     p = load_problem(args.problem)
     opts = SolveOptions(
         max_iters=args.max_iters,

@@ -145,17 +145,23 @@ def psd_pinv(M: np.ndarray) -> np.ndarray:
     The pseudo-inverse is that of the symmetric part ``(M + M')/2``.  A
     non-finite entry raises ``NumericError``, and so does a finite ``M``
     whose ``M + M'`` overflows the float range, with a message that names
-    the overflow.
+    the overflow.  Both are tested on one sum of squares, which vdot lets
+    overflow to inf without a RuntimeWarning: a finite sum keeps every entry
+    below about 1.3e154, so ``M + M'`` is finite, and only an infinite or
+    NaN sum scans the entries.
     """
-    # bitwise 0.5 * (M + M.T), in one temporary; a non-finite S also covers a
-    # non-finite M
-    with np.errstate(over="ignore", invalid="ignore"):
+    # S is bitwise 0.5 * (M + M.T), in one temporary
+    if math.isfinite(np.vdot(M, M)):
         S = M + M.T
-        S *= 0.5
-    if not np.isfinite(S).all():
-        if not np.isfinite(M).all():
-            raise NumericError("non-finite entries in matrix passed to psd_pinv")
-        raise NumericError("the symmetric part M + M' of the matrix passed to psd_pinv overflows the float range")
+    else:
+        # a non-finite S also covers a non-finite M
+        with np.errstate(over="ignore", invalid="ignore"):
+            S = M + M.T
+        if not np.isfinite(S).all():
+            if not np.isfinite(M).all():
+                raise NumericError("non-finite entries in matrix passed to psd_pinv")
+            raise NumericError("the symmetric part M + M' of the matrix passed to psd_pinv overflows the float range")
+    S *= 0.5
     if S.shape[0] == 1:
         # eigh's result in closed form; a numpy scalar divide warns on overflow as np.divide does
         w = S[0, 0]

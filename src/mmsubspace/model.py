@@ -179,7 +179,8 @@ class Penalty:
         return self.lam * (self.L.T * w) @ self.L
 
     def value(self, h):
-        return self.lam * float(np.sum(self._phi(self._L_times(h))))
+        # np.add.reduce is np.sum on a float vector, bit for bit, without its dispatch
+        return self.lam * float(np.add.reduce(self._phi(self._L_times(h))))
 
     def column_values(self, X):
         # a sum along contiguous rows is the pairwise sum of ``value``, bit for bit
@@ -187,7 +188,7 @@ class Penalty:
 
     def value_and_gradient(self, h):
         Lh = self._L_times(h)
-        return self.lam * float(np.sum(self._phi(Lh))), self.lam * self._Lt_times(self._dphi(Lh))
+        return self.lam * float(np.add.reduce(self._phi(Lh))), self.lam * self._Lt_times(self._dphi(Lh))
 
     def hessian(self, h):
         return self._weighted_gram(self._ddphi(self._L_times(h)))
@@ -341,8 +342,14 @@ class QuadraticData:
         """``QuadraticData(R, r)`` for a float ``R`` that the caller knows passes
         ``check_symmetric`` and a float vector ``r`` of its length: only the
         subnormal flush runs."""
+        return cls._of_flushed(flush_subnormals(R), r)
+
+    @classmethod
+    def _of_flushed(cls, R: np.ndarray, r: np.ndarray) -> "QuadraticData":
+        """``_of_symmetric(R, r)`` for an ``R`` that the caller knows holds no
+        subnormal entry: nothing runs."""
         quad = object.__new__(cls)
-        object.__setattr__(quad, "R", flush_subnormals(R))
+        object.__setattr__(quad, "R", R)
         object.__setattr__(quad, "r", r)
         object.__setattr__(quad, "dim", R.shape[0])
         return quad

@@ -61,11 +61,16 @@ def subspace_step(m: MajorantAtPoint, D: DirectionMatrix) -> tuple[np.ndarray, n
 
     Returns the minimum-norm coefficient vector, the next iterate and
     ``A @ anchor``: the one product of the curvature with the columns also
-    covers the anchor.
+    covers the anchor.  A non-finite gradient or column raises
+    ``NumericError``.  It is tested on one sum of squares, which vdot lets
+    overflow to inf without a RuntimeWarning: a finite sum proves every
+    entry finite, and only an infinite or NaN one, which entries above about
+    1.3e154 also give, scans the entries.
     """
     g = m.gradient_at_anchor
-    if not (np.isfinite(g).all() and np.isfinite(D.cols).all()):
-        raise NumericError("non-finite inputs to subspace_step")
+    if not math.isfinite(np.vdot(g, g) + np.vdot(D.cols, D.cols)):
+        if not (np.isfinite(g).all() and np.isfinite(D.cols).all()):
+            raise NumericError("non-finite inputs to subspace_step")
     cols, scales = column_scaled(D.cols)
     # [cols, anchor] in one C-ordered block, as np.column_stack builds it
     k = cols.shape[1]
@@ -170,7 +175,8 @@ def _run(stream: EstimateStream, h1, strategy, opts: SolveOptions, mode: str) ->
     limit = stream.limit
     epsilon = _resolve_epsilon(opts.epsilon, limit.R) if opts.certify else opts.epsilon
 
-    h = np.zeros(limit.dim) if h1 is None else as_vector(h1, limit.dim)
+    # a copy of the caller's h1, so that no record shares its iterate with the caller
+    h = np.zeros(limit.dim) if h1 is None else as_vector(h1, limit.dim).copy()
     trace = Trace(meta={
         "mode": mode,
         "strategy": strategy.label(),
@@ -229,7 +235,13 @@ def _replay_subspace(m: MajorantAtPoint, recs: list, k: int, strategy: SubspaceS
 
 def _iterate(stream: EstimateStream, h, strategy, opts: SolveOptions, trace: Trace, pending) -> None:
     """The MM loop: appends a record per iteration to ``trace`` and, when
-    ``pending`` is a list, the iteration's gradient, which its certificate takes."""
+    ``pending`` is a list, the iteration's gradient, which its certificate takes.
+
+    ``h`` and every later iterate are arrays that no one else holds or
+    writes, so each record keeps its iterate without a copy.  A record's
+    ``c_norm`` is ``|A_n h_n - grad F_n(h_n)|``, which the exactness identity
+    ``B(h) h = grad Psi(h)`` makes ``|r_n|``, to rounding: the step's product
+    with ``A_n`` takes ``h_n`` as one more column for it alone."""
     window = history_window(strategy)
     p_n = stream.instance(1)
     n = 1
@@ -245,7 +257,7 @@ def _iterate(stream: EstimateStream, h, strategy, opts: SolveOptions, trace: Tra
             raise NumericError(f"non-finite objective or gradient at iteration {n}")
         gn = math.sqrt(gg)
         if gn <= opts.grad_tol or n > opts.max_iters:
-            trace.records.append(TraceRecord(n, h.copy(), f, gn, None, None, None, None))
+            trace.records.append(TraceRecord(n, h, f, gn, None, None, None, None))
             trace.converged = gn <= opts.grad_tol
             break
 
@@ -281,7 +293,7 @@ def _iterate(stream: EstimateStream, h, strategy, opts: SolveOptions, trace: Tra
         c = Ah - g
         c_norm = math.sqrt(c @ c)
         trace.records.append(TraceRecord(
-            n, h.copy(), f, gn, step_norm, chi, c_norm, None,
+            n, h, f, gn, step_norm, chi, c_norm, None,
         ))
         if pending is not None:
             pending.append(g)

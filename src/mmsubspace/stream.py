@@ -5,6 +5,11 @@ snapshots ``(R_n, r_n)`` whose successive differences are summable, so an
 online run converges to the minimizer of the limit instance.  Every stream
 draws any snapshot n >= 1 again, bitwise, so certify and verify hold none;
 a running average keeps its samples for that.
+
+A geometric snapshot costs little beyond its arithmetic, one scaled sum per
+draw.  A bitwise symmetric R is checked once per stream, not per draw, and
+the scan for subnormal entries runs only where a rule taken once per stream
+cannot prove it idle.
 """
 
 from __future__ import annotations
@@ -26,6 +31,9 @@ _TRUSTED_NORM = 1e150
 # above, a negative one is taken for the rounding of eigvalsh, a small
 # multiple of n * 2.2e-16 * |R|_2.
 _PSD_RTOL = 1e-12
+# A snapshot R + w E whose R and fl(w E) have no nonzero entry below this holds
+# no subnormal entry (GeometricPerturbationStream proves it).
+_NO_SUBNORMAL_SUM = 2.0**-968
 
 
 class EstimateStream:
@@ -74,8 +82,18 @@ class GeometricPerturbationStream(EstimateStream):
     symmetrization, so when R is too, E is finite and ``|R|_F + |E|_F`` is
     at most ``_TRUSTED_NORM``, every ``R + w E`` is bitwise symmetric with a
     finite sum of squares and passes ``check_symmetric`` by construction;
-    ``instance`` then skips that check and only flushes the subnormals.  Any
-    other stream validates each snapshot.
+    ``instance`` then skips that check.  Any other stream validates each
+    snapshot.
+
+    The subnormal flush is skipped where it is proven to find nothing, for
+    any finite E.  The smallest nonzero magnitudes of R and of E are taken
+    once, here.  Every float of magnitude at least ``2^-968`` is a multiple
+    of ``2^-1020``.  When R's smallest is at least ``2^-968`` and so is
+    ``fl(w e_min)``, so is every nonzero entry of ``fl(w E)``, since rounding
+    is monotone.  Each entry of ``R + w E`` is then 0, one of those entries,
+    or the rounded sum of two multiples of ``2^-1020``, which is 0 or at
+    least ``2^-1020``: never subnormal.  A draw the rule cannot clear is
+    flushed.
     """
 
     def __init__(self, quad: QuadraticData, rho: float, E_R, e_r, penalty: Penalty | None = None):
@@ -98,8 +116,13 @@ class GeometricPerturbationStream(EstimateStream):
             E = scale * E
         self.E_R = E
         self.e_r = as_vector(e_r, quad.dim)
-        self._trusted = (np.array_equal(R, R.T) and bool(np.isfinite(E).all())
+        finite = bool(np.isfinite(E).all())
+        self._trusted = (np.array_equal(R, R.T) and finite
                          and math.sqrt(np.vdot(R, R)) + math.sqrt(np.vdot(E, E)) <= _TRUSTED_NORM)
+        # the smallest nonzero magnitude of E when R's reaches _NO_SUBNORMAL_SUM, else
+        # 0.0, which no w clears; inf for an E without a nonzero entry, which every
+        # w > 0 clears (a w that underflowed to 0 gives NaN, which does not)
+        self._E_floor = _nonzero_floor(E) if finite and _nonzero_floor(R) >= _NO_SUBNORMAL_SUM else 0.0
 
     def next_estimate(self, n):
         if n < 1:
@@ -108,9 +131,18 @@ class GeometricPerturbationStream(EstimateStream):
         return self.limit.R + w * self.E_R, self.limit.r + w * self.e_r
 
     def instance(self, n):
-        if not self._trusted:
-            return super().instance(n)
-        return ProblemInstance(QuadraticData._of_symmetric(*self.next_estimate(n)), self.penalty)
+        R, r = self.next_estimate(n)
+        if self.rho**n * self._E_floor >= _NO_SUBNORMAL_SUM:
+            # QuadraticData(R, r) without the flush, which finds nothing
+            quad = QuadraticData._of_flushed(R if self._trusted else check_symmetric(R, rtol=1e-12, name="R"), r)
+        else:
+            quad = QuadraticData._of_symmetric(R, r) if self._trusted else QuadraticData(R, r)
+        return ProblemInstance(quad, self.penalty)
+
+
+def _nonzero_floor(M: np.ndarray) -> float:
+    """The smallest nonzero magnitude in ``M``, inf when it has none."""
+    return float(np.min(np.abs(M), initial=math.inf, where=M != 0.0))
 
 
 class RunningAverageStream(EstimateStream):

@@ -117,5 +117,7 @@ def column_scaled(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     # the expression np.linalg.norm(cols, axis=0) evaluates, without its dispatch
     s = np.sqrt(np.add.reduce(cols * cols, axis=0))
-    s[~(s > 0.0)] = 1.0
+    positive = s > 0.0
+    if not positive.all():  # a zero column, or a NaN one
+        s[~positive] = 1.0
     return cols / s, s

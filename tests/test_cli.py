@@ -302,3 +302,38 @@ def test_a_majorant_beyond_the_float_range_is_a_numeric_error(tmp_path, capsys):
         assert main(["solve", "--problem", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("numeric error:") and "overflow" in err
+
+
+@pytest.mark.parametrize("case", ["problem-stem", "problem-json", "problem-dotted", "problem-hard-link",
+                                  "summary-csv", "summary-json"])
+def test_a_trace_out_that_would_overwrite_an_input_or_the_summary_is_refused(problem_file, tmp_path,
+                                                                            monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    args = ["solve", "--problem", "p.json", "--certify"]
+    other = "--problem"
+    if case == "problem-stem":
+        args += ["--trace-out", "p"]
+    elif case == "problem-json":
+        args += ["--trace-out", "p.json"]
+    elif case == "problem-dotted":
+        (tmp_path / "sub").mkdir()
+        args += ["--trace-out", "sub/../p.csv"]
+    elif case == "problem-hard-link":
+        (tmp_path / "link.json").hardlink_to(problem_file)
+        args += ["--trace-out", "link"]
+    else:
+        other = "--summary-out"
+        args += ["--trace-out", "s", "--summary-out", "s." + case.split("-")[1]]
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --trace-out ") and f"would overwrite the {other} file" in err
+    # nothing was written: every file is as it was and no new one appeared
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == before
+
+
+def test_a_trace_out_beside_its_inputs_is_written(problem_file, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--problem", "p.json", "--certify", "--trace-out", "p-trace",
+                 "--summary-out", "p-summary.json"]) == 0
+    assert {"p-trace.csv", "p-trace.json", "p-summary.json"} <= {path.name for path in tmp_path.iterdir()}

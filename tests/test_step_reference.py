@@ -148,3 +148,63 @@ def test_psd_pinv_names_an_overflowing_symmetric_part():
             psd_pinv(np.array([[np.inf, 0.0], [0.0, 1.0]]))
         with pytest.raises(NumericError, match="non-finite"):
             psd_pinv(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+def outcome(f, *args):
+    """``f(*args)`` under ``warnings.simplefilter("error")``: the bytes of each
+    result, or the class and message of the NumericError or RuntimeWarning raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = f(*args)
+        except (NumericError, RuntimeWarning) as exc:
+            return type(exc).__name__, str(exc)
+    return tuple(np.asarray(o).tobytes() for o in (out if isinstance(out, tuple) else (out,)))
+
+
+# the reference's overflow in M + M', which psd_pinv names
+OVERFLOWS = {("RuntimeWarning", "overflow encountered in add"):
+             ("NumericError", "the symmetric part M + M' of the matrix passed to psd_pinv overflows the float range")}
+
+
+def same_outcome(got, want) -> bool:
+    return got == OVERFLOWS.get(want, want)
+
+
+def spoil(data, rng, a):
+    """``a`` with a few entries set to inf, -inf, NaN or a finite value above
+    1e154, whose square overflows."""
+    a = np.array(a, dtype=float)
+    for _ in range(data.draw(st.integers(0, 3))):
+        value = data.draw(st.sampled_from([np.inf, -np.inf, np.nan, 2e154, -1e200, 1.7e308]))
+        a.flat[rng.integers(a.size)] = value
+    return a
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_the_step_raises_as_its_plain_numpy_form_on_entries_beyond_the_float_range(data, n, k, seed):
+    """A gradient or column entry that is not finite, or whose square overflows:
+    the step ends as the reference does, with the same named NumericError,
+    the same warning, or the same bits."""
+    rng = np.random.default_rng(seed)
+    m = draw_majorant(data, rng, n)
+    m = MajorantAtPoint(m.anchor, 0.0, spoil(data, rng, m.gradient_at_anchor), m.problem)
+    D = DirectionMatrix(spoil(data, rng, draw_columns(data, rng, n, k)))
+    want = outcome(reference_subspace_step, m, D)
+    assert same_outcome(outcome(subspace_step, m, D), want), want
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_psd_pinv_raises_as_its_plain_numpy_form_on_entries_beyond_the_float_range(data, n, seed):
+    """A matrix with non-finite entries, or finite ones above 1e154, or a whole
+    matrix at that scale: the same named NumericError, or the same bits."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    if data.draw(st.booleans()):
+        M = M + M.T
+    M *= 10.0 ** data.draw(st.sampled_from([0.0, 150.0, 154.5, 200.0, 307.0]))
+    M = spoil(data, rng, M)
+    want = outcome(reference_psd_pinv, M)
+    assert same_outcome(outcome(psd_pinv, M), want), want
