@@ -17,8 +17,7 @@ gradient reference of the ordering check makes this call once per verified
 iteration.  ``_solve_factor`` solves with a factor that ``cholesky_lower``
 made, so it checks only the right-hand side: the factor was built from a
 matrix already checked finite, and potrf leaves it Fortran-ordered with a
-positive diagonal.  ``solve_lower`` stays the checked helper for any other
-triangular matrix.
+positive diagonal.
 
 ``extreme_eigs`` needs two eigenvalues, not the spectrum.  It reduces the
 matrix to tridiagonal form once with ``sytrd`` and finds the smallest and
@@ -205,26 +204,12 @@ def cholesky_lower(M: np.ndarray) -> np.ndarray:
     return c
 
 
-def solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``L x = b`` for lower triangular ``L``; ``b`` is a vector or a block of columns."""
-    _bind_kernels()
-    L = _finite_square(L)
-    b = _finite_rhs(b, L.shape[0])
-    if L.flags.f_contiguous:
-        x, info = _trtrs(L, b, lower=True)
-    else:  # trtrs reads Fortran order, so a C-ordered L is solved as the upper factor L'
-        x, info = _trtrs(L.T, b, lower=False, trans=1)
-    if info != 0:
-        raise NumericError("triangular matrix is singular")
-    return x
-
-
 def _solve_factor(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``L x = b`` for a factor ``L`` that ``cholesky_lower`` returned.
 
-    Only ``b`` is checked, as ``solve_lower`` checks it: the factor is finite,
-    Fortran-ordered and has a positive diagonal, and the call that made it
-    bound the kernels.
+    Only ``b`` is checked, finite and of the factor's length: the factor is
+    finite, Fortran-ordered and has a positive diagonal, and the call that
+    made it bound the kernels.
     """
     x, info = _trtrs(L, _finite_rhs(b, L.shape[0]), lower=True)
     if info != 0:

@@ -4,9 +4,10 @@ Each step minimizes the quadratic tangent majorant over the span of the
 direction matrix, in closed form via a pseudo-inverse, so the surrogate
 value never increases.  A step needs ``D'AD`` only, which one product of the
 majorant curvature with the columns of ``D`` gives; the dense curvature is
-built only for the certificates.  Batch runs are online runs on a constant
-stream.  An independent damped-Newton oracle provides the reference minimizer
-against which the rate certificates are checked.
+built only for the certificates.  A run on a constant stream is a batch
+run, whichever function starts it.  An independent damped-Newton oracle
+provides the reference minimizer against which the rate certificates are
+checked.
 
 A certified run certifies its iterations after the loop.  No certificate
 reads another's, so each iteration waits with only its gradient: every
@@ -156,7 +157,7 @@ def run_batch(
     opts: SolveOptions = SolveOptions(),
 ) -> Trace:
     """Iterate on a fixed instance until the gradient tolerance or max_iters."""
-    return _run(ConstantStream(p.quad, p.penalty), h1, strategy, opts, mode="batch")
+    return _run(ConstantStream(p.quad, p.penalty), h1, strategy, opts)
 
 
 def run_online(
@@ -165,11 +166,15 @@ def run_online(
     strategy: SubspaceStrategy | str = "3mg",
     opts: SolveOptions = SolveOptions(),
 ) -> Trace:
-    """Iterate against drifting snapshots drawn from an estimate stream."""
-    return _run(stream, h1, strategy, opts, mode="online")
+    """Iterate against drifting snapshots drawn from an estimate stream; the
+    run on a ``ConstantStream`` is a batch run, bitwise what ``run_batch`` records."""
+    return _run(stream, h1, strategy, opts)
 
 
-def _run(stream: EstimateStream, h1, strategy, opts: SolveOptions, mode: str) -> Trace:
+def _run(stream: EstimateStream, h1, strategy, opts: SolveOptions) -> Trace:
+    """The one driver of batch and online runs.  The stream is the run's one
+    source of snapshots and of its mode: ``meta.mode`` is ``"batch"`` exactly
+    when it is a ``ConstantStream``."""
     if isinstance(strategy, str):
         strategy = parse_strategy(strategy)
     limit = stream.limit
@@ -178,7 +183,7 @@ def _run(stream: EstimateStream, h1, strategy, opts: SolveOptions, mode: str) ->
     # a copy of the caller's h1, so that no record shares its iterate with the caller
     h = np.zeros(limit.dim) if h1 is None else as_vector(h1, limit.dim).copy()
     trace = Trace(meta={
-        "mode": mode,
+        "mode": "batch" if isinstance(stream, ConstantStream) else "online",
         "strategy": strategy.label(),
         "dim": limit.dim,
         "max_iters": opts.max_iters,

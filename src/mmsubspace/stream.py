@@ -2,9 +2,13 @@
 
 Every stream exposes the limiting instance data and produces per-iteration
 snapshots ``(R_n, r_n)`` whose successive differences are summable, so an
-online run converges to the minimizer of the limit instance.  Every stream
-draws any snapshot n >= 1 again, bitwise, so certify and verify hold none;
-a running average keeps its samples for that.
+online run converges to the minimizer of the limit instance.  ``instance(n)``
+is the one way a run, certify, verify and ``summability_report`` read a
+snapshot: it validates the snapshot as ``QuadraticData`` does.  Every stream
+draws any snapshot n >= 1 again, bitwise, in any order and any state, so
+certify and verify hold none; a running average keeps its samples for that.
+The stream also says what a run is: a run on a ``ConstantStream`` is a batch
+run, any other an online one.
 
 A geometric snapshot costs little beyond its arithmetic, one scaled sum per
 draw.  A bitwise symmetric R is checked once per stream, not per draw, and
@@ -31,16 +35,20 @@ _TRUSTED_NORM = 1e150
 # above, a negative one is taken for the rounding of eigvalsh, a small
 # multiple of n * 2.2e-16 * |R|_2.
 _PSD_RTOL = 1e-12
-# A snapshot R + w E whose R and fl(w E) have no nonzero entry below this holds
-# no subnormal entry (GeometricPerturbationStream proves it).
+# A snapshot R + w E whose fl(w E) has no nonzero entry below this holds no
+# subnormal entry, R being stored flushed (GeometricPerturbationStream proves it).
 _NO_SUBNORMAL_SUM = 2.0**-968
 
 
 class EstimateStream:
-    """Single-consumer source of snapshots; ``limit`` is the target data."""
+    """Single-consumer source of snapshots; ``limit`` is the target data.
 
-    limit: QuadraticData
-    penalty: Penalty
+    ``instance(n)`` validates the raw pair ``next_estimate(n)``; outside the
+    stream classes it is the one way to read a snapshot."""
+
+    def __init__(self, quad: QuadraticData, penalty: Penalty | None = None):
+        self.limit = quad
+        self.penalty = penalty if penalty is not None else ZeroPenalty()
 
     def next_estimate(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -51,11 +59,10 @@ class EstimateStream:
 
 
 class ConstantStream(EstimateStream):
-    """R_n = R and r_n = r for every n: the batch case in online clothing."""
+    """R_n = R and r_n = r for every n: a run on it is a batch run."""
 
     def __init__(self, quad: QuadraticData, penalty: Penalty | None = None):
-        self.limit = quad
-        self.penalty = penalty if penalty is not None else ZeroPenalty()
+        super().__init__(quad, penalty)
         self._instance = ProblemInstance(quad, self.penalty)
 
     def next_estimate(self, n):
@@ -75,54 +82,57 @@ class GeometricPerturbationStream(EstimateStream):
 
     E is symmetrized and, if necessary, scaled down so every snapshot stays
     nonnegative definite (the worst case is n = 1), never flipped or
-    enlarged.  A limit R with a negative eigenvalue beyond rounding is
-    refused as input.
+    enlarged.  A limit R with a negative eigenvalue beyond rounding, relative
+    to ``|R|_F`` at any scale of R, is refused as input.
 
-    The snapshots are validated once, here.  E is bitwise symmetric by its
-    symmetrization, so when R is too, E is finite and ``|R|_F + |E|_F`` is
-    at most ``_TRUSTED_NORM``, every ``R + w E`` is bitwise symmetric with a
-    finite sum of squares and passes ``check_symmetric`` by construction;
-    ``instance`` then skips that check.  Any other stream validates each
-    snapshot.
+    ``instance`` validates each draw as ``QuadraticData`` does, with two
+    guards taken once, here.  E is bitwise symmetric by its symmetrization,
+    so when R is too, E is finite and ``|R|_F + |E|_F`` is at most
+    ``_TRUSTED_NORM``, every ``R + w E`` is bitwise symmetric with a finite
+    sum of squares and passes ``check_symmetric`` by construction; only a
+    stream without that proof checks each draw.
 
-    The subnormal flush is skipped where it is proven to find nothing, for
-    any finite E.  The smallest nonzero magnitudes of R and of E are taken
-    once, here.  Every float of magnitude at least ``2^-968`` is a multiple
-    of ``2^-1020``.  When R's smallest is at least ``2^-968`` and so is
-    ``fl(w e_min)``, so is every nonzero entry of ``fl(w E)``, since rounding
-    is monotone.  Each entry of ``R + w E`` is then 0, one of those entries,
-    or the rounded sum of two multiples of ``2^-1020``, which is 0 or at
-    least ``2^-1020``: never subnormal.  A draw the rule cannot clear is
-    flushed.
+    The subnormal flush runs only where the rule cannot prove it finds
+    nothing, for any finite E.  The smallest nonzero magnitude of E is taken
+    once, here.  R is stored flushed, so every nonzero entry ``a`` of R has
+    ``|a| >= 2^-1022``.  When ``fl(w e_min)`` reaches ``2^-968``, so does
+    every nonzero entry ``b`` of ``fl(w E)``, since rounding is monotone.
+    An entry of ``R + w E`` is then ``a``, ``b`` or the rounded ``a + b``.
+    If ``|a| < |b|/2``, then ``|a + b| > 2^-969``.  Otherwise
+    ``|a| >= 2^-969``, so ``a`` is a multiple of ``2^-1021`` and ``b`` one of
+    ``2^-1020``, and ``a + b`` is 0 or at least ``2^-1021`` in magnitude.
+    Rounding keeps either bound, so no entry is subnormal.
     """
 
     def __init__(self, quad: QuadraticData, rho: float, E_R, e_r, penalty: Penalty | None = None):
         if not 0.0 < rho < 1.0:
             raise InputError("rho must lie in (0, 1)")
-        self.limit = quad
-        self.penalty = penalty if penalty is not None else ZeroPenalty()
+        super().__init__(quad, penalty)
         self.rho = float(rho)
         R = quad.R
         base = min_eig(R)
-        if base < -_PSD_RTOL * math.sqrt(np.vdot(R, R)):
+        # |R|_F as m |R/m|_F with m the largest magnitude, so that no square underflows
+        m = float(np.max(np.abs(R), initial=0.0))
+        S = R / m if m > 0.0 else R
+        if base < -_PSD_RTOL * m * math.sqrt(np.vdot(S, S)):
             raise InputError(f"the limit R of a geometric stream has the negative eigenvalue {base:.6g}")
         E = np.asarray(E_R, dtype=float)
         E = 0.5 * (E + E.T)
-        lo = min_eig(R + rho * E)
-        if lo < 0.0:
-            # shrink until R + rho*E is PSD; preserves the perturbation direction
+        if min_eig(R + rho * E) < 0.0:
+            # shrink until R + rho*E is PSD; preserves the perturbation direction.
+            # An E without a negative eigenvalue cannot lower R's, and is kept.
             denom = min_eig(rho * E)
-            scale = min(0.999 * max(base, 0.0) / max(-denom, 1e-300), 1.0)
-            E = scale * E
+            if denom < 0.0:
+                E = min(0.999 * max(base, 0.0) / -denom, 1.0) * E
         self.E_R = E
         self.e_r = as_vector(e_r, quad.dim)
         finite = bool(np.isfinite(E).all())
         self._trusted = (np.array_equal(R, R.T) and finite
                          and math.sqrt(np.vdot(R, R)) + math.sqrt(np.vdot(E, E)) <= _TRUSTED_NORM)
-        # the smallest nonzero magnitude of E when R's reaches _NO_SUBNORMAL_SUM, else
-        # 0.0, which no w clears; inf for an E without a nonzero entry, which every
-        # w > 0 clears (a w that underflowed to 0 gives NaN, which does not)
-        self._E_floor = _nonzero_floor(E) if finite and _nonzero_floor(R) >= _NO_SUBNORMAL_SUM else 0.0
+        # the smallest nonzero magnitude of a finite E, else 0.0, which no w clears;
+        # inf for an E without a nonzero entry, which every w > 0 clears (a w that
+        # underflowed to 0 gives NaN, which does not)
+        self._E_floor = _nonzero_floor(E) if finite else 0.0
 
     def next_estimate(self, n):
         if n < 1:
@@ -132,11 +142,12 @@ class GeometricPerturbationStream(EstimateStream):
 
     def instance(self, n):
         R, r = self.next_estimate(n)
+        if not self._trusted:
+            R = check_symmetric(R, rtol=1e-12, name="R")
         if self.rho**n * self._E_floor >= _NO_SUBNORMAL_SUM:
-            # QuadraticData(R, r) without the flush, which finds nothing
-            quad = QuadraticData._of_flushed(R if self._trusted else check_symmetric(R, rtol=1e-12, name="R"), r)
+            quad = QuadraticData._of_flushed(R, r)  # the flush would find nothing
         else:
-            quad = QuadraticData._of_symmetric(R, r) if self._trusted else QuadraticData(R, r)
+            quad = QuadraticData._of_symmetric(R, r)
         return ProblemInstance(quad, self.penalty)
 
 
@@ -157,8 +168,7 @@ class RunningAverageStream(EstimateStream):
     """
 
     def __init__(self, quad: QuadraticData, sample_fn, penalty: Penalty | None = None):
-        self.limit = quad
-        self.penalty = penalty if penalty is not None else ZeroPenalty()
+        super().__init__(quad, penalty)
         self.sample_fn = sample_fn  # k -> (x_k, y_k)
         self._samples = []  # (x_k, y_k) for k = 1, 2, ...
         self._sum_R = np.zeros((quad.dim, quad.dim))
@@ -206,10 +216,7 @@ class FileReplayStream(EstimateStream):
             self.snapshots.append((R, r))
         if not self.snapshots:
             raise InputError(f"no snapshots in {path}")
-        if quad is None:
-            quad = QuadraticData(*self.snapshots[-1])
-        self.limit = quad
-        self.penalty = penalty if penalty is not None else ZeroPenalty()
+        super().__init__(QuadraticData(*self.snapshots[-1]) if quad is None else quad, penalty)
 
     def next_estimate(self, n):
         if n < 1:
@@ -235,19 +242,21 @@ class SummabilityReport:
 def summability_report(s: EstimateStream, horizon: int) -> SummabilityReport:
     """Partial sums of successive snapshot differences plus tail diagnostics.
 
-    The tail ratio is the share contributed by the last tenth of the horizon;
-    geometric streams also get the closed-form series limit for comparison.
-    The final-gap diagnostics report how far the last snapshot is from the
-    limit data, covering the convergence half of the assumption separately.
+    The snapshots are drawn through ``instance``, so any stream in any state
+    gives the same report.  The tail ratio is the share contributed by the
+    last tenth of the horizon; geometric streams also get the closed-form
+    series limit for comparison.  The final-gap diagnostics report how far
+    the last snapshot is from the limit data, covering the convergence half
+    of the assumption separately.
     """
     if horizon < 2:
         raise InputError("horizon must be >= 2")
     d_R, d_r = [], []
-    prev = s.next_estimate(1)
+    prev = s.instance(1).quad
     for n in range(2, horizon + 1):
-        cur = s.next_estimate(n)
-        d_R.append(float(np.linalg.norm(cur[0] - prev[0])))
-        d_r.append(float(np.linalg.norm(cur[1] - prev[1])))
+        cur = s.instance(n).quad
+        d_R.append(float(np.linalg.norm(cur.R - prev.R)))
+        d_r.append(float(np.linalg.norm(cur.r - prev.r)))
         prev = cur
     sum_dR, sum_dr = float(np.sum(d_R)), float(np.sum(d_r))
     tail = max(1, len(d_R) // 10)
@@ -268,6 +277,6 @@ def summability_report(s: EstimateStream, horizon: int) -> SummabilityReport:
         tail_ratio_dr=tail_ratio(d_r, sum_dr),
         closed_form_dR=cf_R,
         closed_form_dr=cf_r,
-        converged_dR=float(np.linalg.norm(prev[0] - s.limit.R)),
-        converged_dr=float(np.linalg.norm(prev[1] - s.limit.r)),
+        converged_dR=float(np.linalg.norm(prev.R - s.limit.R)),
+        converged_dr=float(np.linalg.norm(prev.r - s.limit.r)),
     )

@@ -60,10 +60,6 @@ class DirectionMatrix:
     cols: np.ndarray
     fallback: bool = False  # set when a memory m > 2 lacked history and degraded
 
-    @property
-    def n_cols(self) -> int:
-        return self.cols.shape[1]
-
 
 def history_window(strategy: SubspaceStrategy) -> int:
     """Past iterates a step's direction matrix reads from the records before

@@ -180,6 +180,16 @@ def test_verify_refuses_a_stream_for_a_batch_trace(problem_file, tmp_path, capsy
     assert "--stream" in capsys.readouterr().err
 
 
+def test_a_constant_stream_in_any_case_solves_and_verifies_as_batch(problem_file, tmp_path, capsys):
+    assert main(["solve", "--problem", str(problem_file), "--certify", "--stream", "CONSTANT",
+                 "--trace-out", str(tmp_path / "t")]) == 0
+    assert Trace.from_json(tmp_path / "t.json").meta["mode"] == "batch"
+    capsys.readouterr()
+    for stream in ([], ["--stream", " Constant"]):
+        assert main(["verify", "--problem", str(problem_file), "--trace", str(tmp_path / "t.json"), *stream]) == 0
+        assert "overall: PASS" in capsys.readouterr().out
+
+
 def test_solve_reports_an_L_of_the_wrong_width(tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"dim": 3, "R": {"diag": [1.0, 2.0, 3.0]}, "r": [1.0, 0.0, -1.0],

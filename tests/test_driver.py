@@ -1,9 +1,10 @@
-"""Batch runs are online runs on a constant stream, and traces reload whole."""
+"""Batch runs are runs on a constant stream, whichever function starts them, and traces reload whole."""
 
 import pytest
 
 from mmsubspace.solver import SolveOptions, Trace, run_batch, run_online
 from mmsubspace.stream import ConstantStream
+from mmsubspace.verify import verify_trace
 from conftest import instance_grid
 
 
@@ -14,7 +15,7 @@ def test_batch_equals_online_on_constant_stream(strategy):
     batch = run_batch(p, strategy=strategy, opts=opts)
     online = run_online(ConstantStream(p.quad, p.penalty), strategy=strategy, opts=opts)
 
-    assert (batch.meta["mode"], online.meta["mode"]) == ("batch", "online")
+    assert (batch.meta["mode"], online.meta["mode"]) == ("batch", "batch")
     assert len(batch.records) == len(online.records) > 2
     assert (batch.converged, batch.fallback_used) == (online.converged, online.fallback_used)
     assert sum(rec.cert is not None for rec in batch.records) == len(batch.records) - 1
@@ -24,6 +25,16 @@ def test_batch_equals_online_on_constant_stream(strategy):
         assert a.cert == b.cert
         assert a.chi == b.chi
     assert all(rec.chi == 0.0 for rec in batch.records[:-1])
+
+
+def test_a_certified_run_online_on_a_constant_stream_is_a_batch_run_that_verifies(tmp_path):
+    p = instance_grid(seed=31, dims=(6,), kinds=["hyperbolic"])[0]
+    trace = run_online(ConstantStream(p.quad, p.penalty), opts=SolveOptions(max_iters=60, grad_tol=1e-9, certify=True))
+    assert trace.meta["mode"] == "batch"
+    trace.to_json(tmp_path / "t.json")
+    back = Trace.from_json(tmp_path / "t.json")
+    for stream in (None, ConstantStream(p.quad, p.penalty)):
+        assert verify_trace(p, back, stream=stream).passed
 
 
 @pytest.mark.parametrize("strategy", ["3mg", "memory:4"])

@@ -3,7 +3,7 @@
 ``GeometricPerturbationStream.instance`` builds ``R + w E`` with
 ``w = rho^n`` and flushes its subnormal entries, unless the rule of the
 ``stream`` module proves there are none: the smallest nonzero magnitude of
-R, and that of ``fl(w E)``, reach ``2^-968``.  Each snapshot must be
+``fl(w E)`` reaches ``2^-968``, R being stored flushed.  Each snapshot must be
 bitwise the flushed one, ``QuadraticData._of_symmetric(R + w E, r + w e)``,
 and must hold no subnormal entry, whichever way the rule decides.  The
 draws reach every exponent down to -1074, signed zeros and both sides of
@@ -134,13 +134,37 @@ def _stream(R, rho=0.9):
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
-def test_a_clean_stream_never_flushes_and_a_tiny_entry_always_does(monkeypatch, symmetric):
+def test_a_clean_stream_and_a_tiny_entry_of_r_never_flush(monkeypatch, symmetric):
     R = _spd(12, 50.0, 4) if symmetric else random_spd(12, 50.0, np.random.default_rng(4))
     assert np.array_equal(R, R.T) == symmetric
     assert _flushes_per_draw(monkeypatch, _stream(R), range(1, 201)) == [0] * 200
-    # 1e-300 is a normal float below 2^-968, so the rule clears no draw
+    # 1e-300 is a normal float below 2^-968; the rule reads E's floor only, so it clears every draw
     R[0, 1] = R[1, 0] = 1e-300
-    assert _flushes_per_draw(monkeypatch, _stream(R), range(1, 201)) == [1] * 200
+    s = _stream(R)
+    assert _flushes_per_draw(monkeypatch, s, range(1, 201)) == [0] * 200
+    for n in (1, 100, 200):
+        w = s.rho**n
+        want = QuadraticData(s.limit.R + w * s.E_R, s.limit.r + w * s.e_r)
+        got = s.instance(n).quad
+        assert same_bits(got.R, want.R) and same_bits(got.r, want.r)
+        assert subnormal_count(got.R) == 0
+
+
+@pytest.mark.parametrize("a", [2.0**-1022, np.nextafter(2.0**-969, 0.0), 2.0**-969, np.nextafter(2.0**-969, 1.0)])
+@pytest.mark.parametrize("signs", [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0)])
+def test_an_entry_of_r_at_the_boundary_of_the_rule_needs_no_flush(monkeypatch, a, signs):
+    """R's entry ``a`` against an entry of ``fl(w E)`` exactly at ``2^-968``: the
+    two cases of the rule's proof at their edges, in sums and in cancellations."""
+    n0 = 3
+    R = np.array([[1.0, signs[0] * a], [signs[0] * a, 1.0]])
+    b = signs[1] * 2.0**(-968 + n0)  # w b = 2^-968 exactly at rho = 1/2, n = n0
+    s = GeometricPerturbationStream(QuadraticData(R, np.ones(2)), 0.5, np.array([[0.0, b], [b, 0.0]]), np.ones(2))
+    assert s.rho**n0 * s.E_R[0, 1] == signs[1] * RULE_FLOOR
+    assert _flushes_per_draw(monkeypatch, s, [n0]) == [0]
+    want = QuadraticData(s.limit.R + s.rho**n0 * s.E_R, s.limit.r + s.rho**n0 * s.e_r)
+    got = s.instance(n0).quad
+    assert same_bits(got.R, want.R) and same_bits(got.r, want.r)
+    assert subnormal_count(got.R) == 0
 
 
 @pytest.mark.parametrize("rho", [0.5, 1e-3])

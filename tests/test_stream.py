@@ -59,6 +59,25 @@ def test_geometric_stream_refuses_an_indefinite_limit_and_never_flips_or_enlarge
         assert (s.E_R * E >= 0.0).all() and (np.abs(s.E_R) <= scale * np.abs(E)).all()
 
 
+# diagonally dominant with zero row sums: positive semidefinite and singular
+SINGULAR_PSD = np.array([[2.75, -1.5, 1.25], [-1.5, 2.5, 1.0], [1.25, 1.0, 2.25]])
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**-540, 2.0**-960])
+def test_geometric_stream_accepts_a_singular_psd_limit_at_any_scale(scale):
+    """Where every square of R underflows, the rounding of a zero eigenvalue is still rounding."""
+    E = np.array([[0.5, 0.1, 0.0], [0.1, -0.2, 0.3], [0.0, 0.3, 0.4]])
+    s = GeometricPerturbationStream(QuadraticData(scale * SINGULAR_PSD, np.ones(3)), 0.9, scale * E, np.ones(3))
+    assert (s.E_R * E >= 0.0).all() and (np.abs(s.E_R) <= scale * np.abs(E)).all()
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**-960])
+def test_geometric_stream_refuses_an_indefinite_limit_at_any_scale(scale):
+    with pytest.raises(InputError, match="limit R of a geometric stream has the negative eigenvalue"):
+        GeometricPerturbationStream(QuadraticData(scale * np.diag([1.0, -1e-3, 2.0]), np.ones(3)), 0.9,
+                                    np.eye(3), np.ones(3))
+
+
 def test_running_average_stream():
     q = QuadraticData(np.eye(1), np.zeros(1))
     samples = {1: ([1.0], 1.0), 2: ([0.0], 0.0)}
@@ -104,6 +123,18 @@ def test_summability_closed_form():
     assert rep.tail_ratio_dR < 1e-10
     assert rep.converged_dR <= 1e-10
     assert rep.converged_dr <= 1e-10
+
+
+def test_summability_report_of_a_running_average_stream_in_any_state_is_that_of_a_fresh_one():
+    rng = np.random.default_rng(8)
+    xs, ys = rng.standard_normal((60, 3)), rng.standard_normal(60)
+
+    def stream():
+        return RunningAverageStream(QuadraticData(np.eye(3), np.zeros(3)), lambda k: (xs[k - 1], ys[k - 1]))
+
+    drawn = stream()
+    drawn.instance(5)
+    assert summability_report(drawn, horizon=40) == summability_report(stream(), horizon=40)
 
 
 def test_online_run_reaches_limit_minimizer():

@@ -41,13 +41,13 @@ def test_3mg_columns():
 def test_3mg_first_iteration_falls_back():
     D = build_subspace(parse_strategy("3mg"), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     assert D.fallback
-    assert D.n_cols == 2
+    assert D.cols.shape[1] == 2
 
 
 def test_memory_strategy_collects_diffs():
     hs = [np.array([3.0, 0.0]), np.array([2.0, 0.0]), np.array([1.0, 0.0])]
     D = build_subspace(parse_strategy("memory:4"), np.array([0.0, 1.0]), np.array([4.0, 0.0]), hs)
-    assert D.n_cols == 4  # -g, h, and two difference vectors
+    assert D.cols.shape[1] == 4  # -g, h, and two difference vectors
     np.testing.assert_array_equal(D.cols[:, 2], [1.0, 0.0])
 
 
@@ -80,7 +80,7 @@ def test_span_always_contains_gradient_and_iterate(g, h, hp, kind):
 
 def test_zero_iterate_does_not_crash():
     D = build_subspace(parse_strategy("3mg"), np.array([1.0, 1.0]), np.zeros(2), [np.zeros(2)])
-    assert D.n_cols == 3
+    assert D.cols.shape[1] == 3
     assert verify_span(D, np.array([1.0, 1.0]))
 
 

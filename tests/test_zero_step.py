@@ -39,7 +39,7 @@ def test_cli_exits_one_on_indefinite_R(tmp_path, capsys):
 def test_step_lost_to_rounding_is_named(monkeypatch):
     def rounded_away(m, D):
         # a nonzero step too small to change the iterate
-        return np.full(D.n_cols, 1e-300), m.anchor.copy(), m.apply(m.anchor)
+        return np.full(D.cols.shape[1], 1e-300), m.anchor.copy(), m.apply(m.anchor)
 
     monkeypatch.setattr(mmsubspace.solver, "subspace_step", rounded_away)
     p = ProblemInstance(QuadraticData(np.diag([1.0, 4.0]), np.ones(2)), ZeroPenalty())
