@@ -34,16 +34,26 @@ def require_fields(d, fields, where: str) -> dict:
 
 
 def read_text(path, what: str) -> str:
-    """The UTF-8 text of the file at ``path``.
+    """The UTF-8 text of the file at ``path``, as ``decode_text`` decodes it."""
+    with open(path, "rb") as f:
+        return decode_text(f.read(), path, what)
+
+
+def decode_text(data: bytes, path, what: str) -> str:
+    """``data``, the bytes of the file at ``path``, as ``open(path, encoding="utf-8").read()``
+    decodes them: UTF-8 with universal newlines, so that CRLF and a lone CR
+    read as LF, and a byte order mark kept as a character.
 
     Bytes that are not UTF-8 are an ``InputError`` naming ``what`` and the
     path, since a command may read several files.
     """
-    with open(path, encoding="utf-8") as f:
-        try:
-            return f.read()
-        except UnicodeDecodeError as exc:
-            raise InputError(f"{what} {path} is not UTF-8 text: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{what} {path} is not UTF-8 text: {exc}") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def parse_json(text: str, where: str):

@@ -62,6 +62,11 @@ UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
 MAX_FLOAT = float(np.finfo(float).max)
 SUBNORMAL_MIN = 5e-324
 
+# check_symmetric trusts a sum of squares from here up.  Underflow in the
+# squares of an n x n matrix loses at most n^2 * SUBNORMAL_MIN of each sum, far
+# below rtol^2 times this for any rtol above 2^-53 and n below 2^40.
+_TRUSTED_SUM_SQUARES = 2.0 ** -800
+
 # The order from which two bisections for the extreme eigenvalues beat the whole
 # spectrum of the tridiagonal matrix: bisection costs O(n) per eigenvalue and
 # sterf O(n^2), and on one BLAS thread they cross between n = 32 and 36.
@@ -101,6 +106,12 @@ def as_vector(v, dim: int | None = None) -> np.ndarray:
 
 
 def check_symmetric(M: np.ndarray, rtol: float = 1e-12, name: str = "matrix") -> np.ndarray:
+    """``M`` as a float array, if it is square and ``||M - M'||_F <= rtol * ||M||_F``.
+
+    The test is scale-free down to the smallest floats: where squares of
+    ``M``'s entries may have underflowed, it runs on ``M`` scaled exactly by
+    a power of two to a largest magnitude in [1/2, 1).
+    """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InputError(f"{name} must be square, got shape {M.shape}")
@@ -108,11 +119,18 @@ def check_symmetric(M: np.ndarray, rtol: float = 1e-12, name: str = "matrix") ->
     # squares overflow to inf without a RuntimeWarning; a finite sum also keeps
     # M - M.T from overflowing.  The scalar roots and test go through math,
     # which skips numpy's dispatch and rounds the same.
-    scale = math.sqrt(np.vdot(M, M))
-    if not math.isfinite(scale):
+    ss = float(np.vdot(M, M))
+    if not math.isfinite(ss):
         raise InputError(f"{name} has a non-finite entry or a sum of squares beyond the float range")
-    D = M - M.T
-    if math.sqrt(np.vdot(D, D)) > rtol * max(scale, 1e-300):
+    S = M
+    if ss < _TRUSTED_SUM_SQUARES:
+        m = float(np.max(np.abs(M), initial=0.0))
+        if m == 0.0:
+            return M
+        S = np.ldexp(M, -math.frexp(m)[1])
+        ss = float(np.vdot(S, S))
+    D = S - S.T
+    if math.sqrt(np.vdot(D, D)) > rtol * math.sqrt(ss):
         raise InputError(f"{name} not symmetric")
     return M
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, parse_json, read_text
+from .errors import InputError, decode_text, parse_json
 from .linalg import as_vector, check_symmetric, flush_subnormals
 
 
@@ -424,16 +424,23 @@ def _array(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+def _number(value) -> float:
+    """``float(value)``, refusing the JSON literals true and false, which Python reads as 1 and 0."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {json.dumps(value)}")
+    return float(value)
+
+
 def penalty_from_dict(spec: dict, dim: int) -> Penalty:
     if not isinstance(spec, dict):
         raise InputError(f"'penalty' must be an object, got {type(spec).__name__}")
     kind = str(spec.get("kind", "zero")).lower()
     if kind == "zero":
         return ZeroPenalty()
-    lam = _field("penalty.lambda", float, spec.get("lambda", 1.0))
+    lam = _field("penalty.lambda", _number, spec.get("lambda", 1.0))
     if kind == "tikhonov":
         return TikhonovPenalty(lam)
-    delta = _field("penalty.delta", float, spec.get("delta", 1.0))
+    delta = _field("penalty.delta", _number, spec.get("delta", 1.0))
     L = spec.get("L", "identity")
     if isinstance(L, str) and L == "identity":
         L = None
@@ -457,9 +464,14 @@ def penalty_from_dict(spec: dict, dim: int) -> Penalty:
 
 def problem_from_dict(d: dict) -> ProblemInstance:
     try:
-        dim = operator.index(d["dim"])
+        dim = d["dim"]
+        if isinstance(dim, bool):  # JSON's true and false, which Python takes for 1 and 0
+            raise TypeError
+        dim = operator.index(dim)
     except (KeyError, TypeError) as exc:
         raise InputError("problem file needs an integer 'dim'") from exc
+    if dim < 1:
+        raise InputError(f"problem file needs a 'dim' of at least 1, got {dim}")
     R = d.get("R")
     if isinstance(R, dict) and "diag" in R:
         R = np.diag(as_vector(_field("R.diag", _array, R["diag"]), dim))
@@ -481,8 +493,62 @@ def problem_to_dict(p: ProblemInstance) -> dict:
     }
 
 
+# A problem file of this size or more is decoded once and read back from the
+# cache after that.  Its first load pays about 7 ms more than a parse (the
+# imports of hashlib and the cache module, and the entry's write), about a
+# tenth of the parse at this size and less above it; a later load costs about
+# a tenth of the parse (2-core x86_64 host, 1 BLAS thread).
+CACHE_MIN_BYTES = 4 * 2**20
+
+
 def load_problem(path) -> ProblemInstance:
-    return problem_from_dict(parse_json(read_text(path, "problem file"), f"problem file {path}"))
+    """The problem in the JSON file at ``path``.
+
+    A file of ``CACHE_MIN_BYTES`` or more is decoded once.  Its decoded
+    arrays are kept in the ``cache`` module's directory under the SHA-256 of
+    its bytes, and a later load of the same bytes rebuilds the instance from
+    them through every check of ``problem_from_dict``.  A file that is
+    refused is never cached, and a fault of the cache falls back to the parse.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    where = f"problem file {path}"
+    if len(data) < CACHE_MIN_BYTES:
+        return problem_from_dict(parse_json(decode_text(data, path, "problem file"), where))
+    import hashlib  # with the cache module below, never imported by a load of a small file
+    import threading
+
+    # The digest that names the entry is taken on a second thread, which
+    # OpenSSL runs without the GIL, while this one imports the cache module and
+    # decodes the text.  A hit does not need the text, but decoding it takes
+    # no longer than the hash.
+    sha = hashlib.sha256()
+    hasher = threading.Thread(target=sha.update, args=(data,))
+    hasher.start()
+    try:
+        from . import cache
+
+        directory = cache.directory()
+        text = decode_text(data, path, "problem file")
+    finally:
+        hasher.join()
+    del data  # the bytes go before the parse, and the text after it
+    digest = sha.hexdigest()
+    d = None if directory is None else cache.load(directory, digest)
+    if d is not None:
+        try:
+            return problem_from_dict(d)
+        except InputError:
+            pass  # a bad entry: the file decides, and its entry is written again
+    d = parse_json(text, where)
+    del text
+    # problem_from_dict converts these values with _array too, which returns a
+    # float array as it is, so d builds what the parsed lists build
+    cache.decode_arrays(d, _array)
+    p = problem_from_dict(d)
+    if directory is not None:
+        cache.store(directory, digest, d)
+    return p
 
 
 def save_problem(p: ProblemInstance, path) -> None:

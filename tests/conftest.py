@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -9,6 +10,19 @@ from mmsubspace.problems import random_instance
 
 
 PENALTY_KINDS = ["zero", "tikhonov", "hyperbolic", "fair"]
+
+
+@pytest.fixture(autouse=True, scope="session")
+def private_problem_cache(tmp_path_factory):
+    """Point the problem-file cache at a temporary directory for the whole session,
+    so that no test reads or writes the user's cache; subprocesses inherit it."""
+    old = os.environ.get("XDG_CACHE_HOME")
+    os.environ["XDG_CACHE_HOME"] = str(tmp_path_factory.mktemp("xdg-cache"))
+    yield
+    if old is None:
+        del os.environ["XDG_CACHE_HOME"]
+    else:
+        os.environ["XDG_CACHE_HOME"] = old
 
 
 @pytest.fixture
