@@ -44,7 +44,7 @@ def main():
                 trace = run_batch(p, h1=h1, strategy=parse_strategy(name), opts=opts)
                 s = batch_rate_summary(p, trace, trace.setting("epsilon"), ref)
                 vt = f"{s.vartheta:.6f}"
-                ne = str(s.n_eps) if s.certified else "-"
+                ne = "-" if s.n_eps is None else str(s.n_eps)
                 print(f"{dim:5d} {kind:10s} {name:10s} {trace.n_steps:6d} "
                       f"{str(trace.converged):>5s} {vt:>10s} {ne:>6s}")
 

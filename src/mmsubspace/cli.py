@@ -99,17 +99,15 @@ def _summary_dict(p: ProblemInstance, trace: Trace, stream, seed: int) -> dict:
     elif s is None:
         out["message"] = "no certified iterations"
     else:
-        out.update(
-            vartheta=s.vartheta, mu=None if not s.certified else s.mu,
-            eta_lo=s.eta_lo, eta_hi=s.eta_hi, kappa_max=s.kappa_max,
-            n_eps=s.n_eps if s.certified else None,
-        )
-        if not s.certified:
-            out["message"] = s.message
+        out.update(vartheta=s.vartheta, mu=s.mu, eta_lo=s.eta_lo, eta_hi=s.eta_hi, kappa_max=s.kappa_max)
+        if report.n_eps is None:
+            out["message"] = "not certified within horizon"
     return out
 
 
 def cmd_solve(args) -> int:
+    if args.summary_out and not args.certify:
+        raise InputError("--summary-out requires --certify")
     if args.trace_out:
         _refuse_overwrite(args)
     p = load_problem(args.problem)
@@ -120,16 +118,14 @@ def cmd_solve(args) -> int:
         certify=args.certify,
     )
     strategy = _flag_value("--subspace", args.subspace, parse_strategy)
-    if args.stream == "constant":
-        trace = run_batch(p, None, strategy, opts)
-    else:
-        trace = run_online(build_stream(args.stream, p, args.seed), None, strategy, opts)
+    # None is the batch case, for run_batch and verify_trace alike
+    stream = None if args.stream == "constant" else build_stream(args.stream, p, args.seed)
+    trace = run_batch(p, None, strategy, opts) if stream is None else run_online(stream, None, strategy, opts)
     if args.trace_out:
         _write_trace(trace, args.trace_out)
     if args.summary_out:
-        if not args.certify:
-            raise InputError("--summary-out requires --certify")
-        summary = _summary_dict(p, trace, build_stream(args.stream, p, args.seed), args.seed)
+        # every stream draws any snapshot again, bitwise, so verify reuses the solve's
+        summary = _summary_dict(p, trace, stream, args.seed)
         with open(args.summary_out, "w") as f:
             json.dump(summary, f, indent=1)
             f.write("\n")
@@ -173,7 +169,7 @@ def cmd_demo(args) -> int:
             _write_trace(trace, str(out / f"{name}-{sname}"))
             try:
                 s = batch_rate_summary(p, trace, trace.setting("epsilon"), ref)
-                vt, ne = f"{s.vartheta:.6f}", (str(s.n_eps) if s.certified else "-")
+                vt, ne = f"{s.vartheta:.6f}", ("-" if s.n_eps is None else str(s.n_eps))
             except InputError:
                 vt, ne = "-", "-"
             lines.append(f"{name:16s} {sname:10s} {trace.n_steps:6d} "

@@ -131,7 +131,10 @@ class Penalty:
         self.L = L
         if L is not None:
             # ||L||_F^2 of the gap bound; a difference operator's 2(n-1) ones sum to it exactly
-            self._L_fro2 = 2.0 * L.shape[0] if self._first_diff else float(np.sum(L * L))
+            with np.errstate(over="ignore"):
+                self._L_fro2 = 2.0 * L.shape[0] if self._first_diff else float(np.sum(L * L))
+            if self._L_fro2 == np.inf:
+                raise InputError("penalty.L has a sum of squares beyond the float range")
 
     # scalar potential, defined by subclasses
     def _phi(self, t):
@@ -421,12 +424,16 @@ def _field(name: str, convert, value):
 
 
 def _array(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+    """``value`` as a float array; a string, which NumPy would parse as a number, is refused."""
+    a = np.asarray(value)  # an integer beyond int64 makes an object array
+    if a.dtype.kind == "U" or (a.dtype.kind == "O" and any(isinstance(x, str) for x in a.flat)):
+        raise TypeError("expected numbers, got a string")
+    return a.astype(float, copy=False)
 
 
 def _number(value) -> float:
-    """``float(value)``, refusing the JSON literals true and false, which Python reads as 1 and 0."""
-    if isinstance(value, bool):
+    """``float(value)``, refusing a string and JSON's true and false, which Python reads as numbers."""
+    if isinstance(value, (bool, str)):
         raise TypeError(f"expected a number, got {json.dumps(value)}")
     return float(value)
 

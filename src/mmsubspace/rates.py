@@ -32,8 +32,8 @@ its own LU solve and SVD, so a fault in this module fails the proof
 instead of being repeated by the check.  Its ordering check,
 ``subspace_ordering`` on the LU solve's ``g' H^{-1} g``, brackets the
 certified theta_tilde between that of the gradient reference and that of
-the full space; a strategy's own theta_tilde comes from
-``compute_theta_tilde``.
+the full space; certify takes a strategy's own from ``_subspace_form``, and
+``compute_theta_tilde`` is kept for ``perfbench`` and the tests.
 
 The batch summaries are stated against ``F* = inf F``; the caller solves
 for the reference solution once and passes it in.
@@ -73,15 +73,18 @@ class RateCertificate:
 
 @dataclass(frozen=True)
 class BatchRateSummary:
+    """The whole-run rate; ``n_eps`` and ``mu`` are None when the certified regime is never entered."""
     vartheta: float
-    mu: float
+    mu: float | None
     eta_lo: float
     eta_hi: float
     kappa_max: float
-    n_eps: int
+    n_eps: int | None
     spread_cap: float  # (eta_hi - eta_lo + 2 eps) / (eta_hi + eta_lo), the eq11 bound
-    certified: bool
-    message: str = ""
+
+    @property
+    def certified(self) -> bool:
+        return self.n_eps is not None
 
 
 def gradient_reference(grad) -> DirectionMatrix:
@@ -271,15 +274,10 @@ def batch_rate_summary(p: ProblemInstance, trace, epsilon: float, ref) -> BatchR
     spread_cap = (eta_hi - eta_lo + 2.0 * epsilon) / (eta_hi + eta_lo)
     vartheta = 1.0 - (1.0 - spread_cap**2) / ((1.0 + epsilon) * kappa_max)
 
-    if n_eps is None:
-        mu, message = float("nan"), "not certified within horizon"
-    else:
-        F_at = {rec.n: rec.obj for rec in trace.records}
-        mu, message = (F_at[n_eps] - inf_F) / vartheta**n_eps, ""
+    mu = None if n_eps is None else (next(rec.obj for rec in recs if rec.n == n_eps) - inf_F) / vartheta**n_eps
     return BatchRateSummary(
         vartheta=vartheta, mu=mu, eta_lo=eta_lo, eta_hi=eta_hi, kappa_max=kappa_max,
-        n_eps=-1 if n_eps is None else n_eps, spread_cap=spread_cap,
-        certified=n_eps is not None, message=message,
+        n_eps=n_eps, spread_cap=spread_cap,
     )
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InputError, StreamExhausted, parse_json, read_text, require_fields
 from .linalg import as_vector, check_symmetric, min_eig
-from .model import Penalty, ProblemInstance, QuadraticData, ZeroPenalty
+from .model import Penalty, ProblemInstance, QuadraticData, ZeroPenalty, _array
 
 # A snapshot R + w E with 0 < w < 1 has Frobenius norm at most |R|_F + |E|_F;
 # at most this much keeps its sum of squares, rounding included, far below the
@@ -209,8 +209,8 @@ class FileReplayStream(EstimateStream):
             where = f"line {lineno} of replay file {path}"
             d = require_fields(parse_json(line, where), ["R", "r"], where)
             try:
-                R = check_symmetric(np.asarray(d["R"], dtype=float), rtol=1e-12, name="replayed R")
-                r = as_vector(d["r"], R.shape[0])
+                R = check_symmetric(_array(d["R"]), rtol=1e-12, name="replayed R")
+                r = as_vector(_array(d["r"]), R.shape[0])
             except (TypeError, ValueError, OverflowError) as exc:  # an integer beyond the float range overflows
                 raise InputError(f"{where}: {exc}") from exc
             self.snapshots.append((R, r))

@@ -31,12 +31,15 @@ samples, O(N * d), not its snapshots, O(N * d**2), and calls ``sample_fn``
 once per k.  An iteration whose certificate or oracle raises counts as skipped once,
 by the class of its first error.  F and its gradient are evaluated at every
 record, the last included, so an iterate that overflows them is refused as
-input.  The eq6 gap bound holds by construction at every ``n >= n_eps``:
-``n_eps`` is found by the same predicate over the same rows, so the eq6 row
-counts the certified regime; eq7 is the test made there.  A trace that
-breaks its own stopping rule, with more than ``max_iters + 1`` records, a
-record before the last within ``grad_tol``, or ``converged`` with a last
-gradient norm above it, is refused as input.
+input.  ``n_eps``, the first n of the certified regime, is found once, by
+``rates.certified_regime_start`` on the proven certificates and the F values
+computed here: in batch by ``rates.batch_rate_summary`` on a trace holding
+those values, which eq11/eq12/eq17 read too; online by one scan of the
+verdicts.  The eq6 row is the predicate that found ``n_eps``, checked from
+it on, so it counts the certified regime; eq7 is the test made there.  A
+trace that breaks its own stopping rule, with more than ``max_iters + 1``
+records, a record before the last within ``grad_tol``, or ``converged``
+with a last gradient norm above it, is refused as input.
 
 A large trace is checked in two halves by ``processes.in_parts``, under
 the rule stated there.  Records must be numbered 1, 2, ... in order; any
@@ -115,8 +118,7 @@ EQ_NAMES = [
 @dataclass
 class VerificationReport:
     results: dict
-    n_eps: int | None
-    certified: bool
+    n_eps: int | None  # the first n of the certified regime, None if it is never entered
     rows: list  # (n, {eq: bool or None}) for per-iteration reporting
     summary: BatchRateSummary | None = None  # batch runs with certified iterations
     # certificates not re-checked because the oracle or the certificate raised,
@@ -157,14 +159,9 @@ def verify_trace(
     iterate, objective or gradient is not finite, when the records break the
     trace's own ``max_iters`` or ``grad_tol``, or when a batch trace gets a
     drifting stream or an online trace a constant one.  Every certificate
-    it checks is proven (see above).
+    it checks is proven, and ``n_eps`` found once (see above).
     The certificates use the margin ε stored in ``trace.meta``, or the
     solver's default rule when none is stored.
-
-    The ``eq6_gap_bound`` row is the predicate that defines ``n_eps``
-    (``rates.certified_regime_start``), checked only from ``n_eps`` on, so
-    it cannot fail and its count is the certified regime; ``eq7_decay`` is
-    the inequality tested there.
 
     A large enough trace is checked in two processes, with the report,
     errors and warnings of one (see above).
@@ -196,41 +193,47 @@ def verify_trace(
         if trace.converged and recs[-1].grad_norm > grad_tol:
             raise InputError(f"the trace is converged, but its last gradient norm {recs[-1].grad_norm:.6g} is "
                              f"above its 'grad_tol' of {grad_tol:.6g}")
-    mode = trace.setting("mode")
     if stream is None:
         stream = ConstantStream(p.quad, p.penalty)
-    if isinstance(stream, ConstantStream) != (mode == "batch"):
+    # a run on a constant stream is a batch run, as in solver._run
+    batch = isinstance(stream, ConstantStream)
+    mode = trace.setting("mode")
+    if batch != (mode == "batch"):
         raise InputError(f"a {type(stream).__name__} does not match this {mode} trace: "
                          "pass the --stream and --seed it was solved with")
     strategy = parse_strategy(trace.setting("strategy"))
     epsilon = _resolve_epsilon(trace.setting("epsilon"), p.quad.R)
     # F* of the batch problem; online, its minimizer warm-starts every snapshot's oracle
     ref = reference_minimizer(p, tol=1e-12)
-    checker = _RecordChecker(p, recs, stream, mode, strategy, epsilon, seed, ref)
+    checker = _RecordChecker(p, recs, stream, strategy, epsilon, seed, ref)
     verdicts = [v for part in in_parts(checker.check, len(recs) - 1, p.dim) for v in part]
 
+    # n_eps, found once on the F values computed here: in batch by the summary
+    # of a trace that holds them, online by one scan of the verdicts
+    summary = None
+    if batch:
+        certified = [replace(rec, obj=v.f, cert=v.cert) for rec, v in zip(recs, verdicts) if v.cert is not None]
+        last = replace(recs[-1], obj=eval_objective(stream.instance(recs[-1].n), recs[-1].h), cert=None)
+        vtrace = Trace(records=certified + [last])
+        summary = batch_rate_summary(p, vtrace, epsilon, ref) if certified else None
+        n_eps = None if summary is None else summary.n_eps
+    else:
+        n_eps = certified_regime_start((v.n, v.cert, v.f, v.inf_F) for v in verdicts if v.inf_F is not None)
+    # the gap bound and the decay inequality are asserted only in the certified regime
+    for v in verdicts:
+        if v.inf_F is not None and n_eps is not None and v.n >= n_eps:
+            dec = check_decay_inequality(v.cert, v.f, v.f_next, v.inf_F)
+            v.row["eq6_gap_bound"], v.row["eq7_decay"] = dec.gap_bound_ok, dec.decay_ok
+
     results = {name: EqResult(name) for name in EQ_NAMES}
-    certified_recs = []
     skipped = Counter()
-    for rec, v in zip(recs, verdicts):
+    for v in verdicts:
         for name, ok in v.row.items():
             results[name].record(v.n, ok)
         if v.skipped is not None:
             skipped[v.skipped] += 1
         if v.proof is not None:
             results["certificate_proofs"].record(v.n, not v.proof)
-        if v.cert is not None and mode == "batch":  # only the batch summary reads the certified records
-            certified_recs.append(replace(rec, cert=v.cert))
-
-    # the gap bound and the decay inequality are asserted only from the
-    # first index where the Hessian floor and the gap bound hold for good
-    n_eps_detect = certified_regime_start((v.n, v.cert, v.f, v.inf_F) for v in verdicts if v.inf_F is not None)
-    for v in verdicts:
-        if v.inf_F is not None and n_eps_detect is not None and v.n >= n_eps_detect:
-            dec = check_decay_inequality(v.cert, v.f, v.f_next, v.inf_F)
-            for name, ok in (("eq6_gap_bound", dec.gap_bound_ok), ("eq7_decay", dec.decay_ok)):
-                v.row[name] = ok
-                results[name].record(v.n, ok)
     rows = [(v.n, v.row) for v in verdicts]
     first = next((v for v in verdicts if v.proof), None)
     recomputed = sum(v.proof is not None and rec.cert is None for rec, v in zip(recs, verdicts))
@@ -239,23 +242,16 @@ def verify_trace(
         + ([f"{recomputed} recomputed"] if recomputed else []))
 
     # whole-run rate bounds: batch case only
-    n_eps = n_eps_detect
-    certified = n_eps_detect is not None
-    summary = None
-    if mode == "batch" and certified_recs:
-        vtrace = Trace(records=certified_recs + [recs[-1]])
-        summary = batch_rate_summary(p, vtrace, epsilon, ref)
-        certified = summary.certified
-        n_eps = summary.n_eps if summary.certified else None
-        for rec in certified_recs:
+    if summary is not None:
+        for rec in certified:
             spread = sigma_spread(rec.cert.sigma_lo, rec.cert.sigma_hi)
             results["eq11_spread"].record(rec.n, spread <= summary.spread_cap + 1e-10)
-        if summary.certified:
+        if n_eps is not None:
             lin = check_linear_iterate_convergence(vtrace, summary, ref)
-            results["eq12_geometric_decay"].record(summary.n_eps, lin.geometric_ok)
-            results["eq17_iterate_bound"].record(summary.n_eps, lin.strong_convexity_ok)
-    return VerificationReport(results=results, n_eps=n_eps, certified=certified, rows=rows,
-                              summary=summary, certificates_skipped=skipped)
+            results["eq12_geometric_decay"].record(n_eps, lin.geometric_ok)
+            results["eq17_iterate_bound"].record(n_eps, lin.strong_convexity_ok)
+    return VerificationReport(results=results, n_eps=n_eps, rows=rows, summary=summary,
+                              certificates_skipped=skipped)
 
 
 @dataclass
@@ -280,8 +276,8 @@ class _RecordChecker:
     oracle starts at the minimizer ``ref`` of the problem.
     """
 
-    def __init__(self, p, recs, stream, mode, strategy, epsilon, seed, ref):
-        self.p, self.recs, self.stream, self.mode = p, recs, stream, mode
+    def __init__(self, p, recs, stream, strategy, epsilon, seed, ref):
+        self.p, self.recs, self.stream = p, recs, stream
         self.strategy, self.epsilon, self.seed, self.ref = strategy, epsilon, seed, ref
 
     def snapshot_at(self, rec):
@@ -302,7 +298,7 @@ class _RecordChecker:
         """Verdicts for the steps out of records ``lo`` to ``hi - 1``, in record
         order: F* is ``ref.value`` in batch and, online, the minimizer's value
         of the record's snapshot."""
-        recs, mode = self.recs, self.mode
+        recs, batch = self.recs, isinstance(self.stream, ConstantStream)
         verdicts = []
         snapshot_next = self.snapshot_at(recs[lo])
         for k in range(lo, hi):
@@ -322,7 +318,7 @@ class _RecordChecker:
 
             rep = check_majorization(p_n, m, samples=MAJORIZATION_SAMPLES, seed=self.seed + n)
             row["eq3_majorization"] = rep.margin_ok
-            f_next_same = rec_next.obj if mode == "batch" else eval_objective(p_n, h_next)
+            f_next_same = rec_next.obj if batch else eval_objective(p_n, h_next)
             row["eq30_surrogate_decrease"] = f_next_same + 0.5 * dAd <= rec.obj + tol
             row["eq75_curvature_domination"] = rep.curvature_ok
             v = _Verdict(n, row, f, f_next_same)
@@ -341,7 +337,7 @@ class _RecordChecker:
                 else:
                     v.cert = cert
                     try:
-                        v.inf_F = self.ref.value if mode == "batch" else reference_minimizer(
+                        v.inf_F = self.ref.value if batch else reference_minimizer(
                             p_n, tol=1e-12, h0=self.ref.h).value
                     except OracleError as exc:
                         v.skipped = type(exc).__name__

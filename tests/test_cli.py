@@ -56,6 +56,14 @@ def test_summary_requires_certify(problem_file, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_summary_without_certify_is_refused_before_the_solve(problem_file, tmp_path, capsys):
+    code = main(["solve", "--problem", str(problem_file), "--trace-out", str(tmp_path / "t"),
+                 "--summary-out", str(tmp_path / "s.json")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --summary-out requires --certify\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["p.json"]
+
+
 def test_malformed_problem_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({
@@ -206,11 +214,27 @@ def test_solve_reports_an_L_of_the_wrong_width(tmp_path, capsys):
      "'penalty.lambda'"),
     ({"dim": 2, "R": {"diag": [1.0, 2.0]}, "r": [1.0, "a"]}, "'r'"),
     ({"dim": 2, "R": {"diag": [1.0, 2.0]}, "penalty": "hyperbolic"}, "'penalty'"),
-], ids=["ragged-L", "ragged-R", "string-lambda", "string-in-r", "penalty-not-an-object"])
+    # a number written as a string, which NumPy and float() would parse
+    ({"dim": 1, "R": [["2.0"]], "r": ["1"], "penalty": {"kind": "hyperbolic", "lambda": "0.5", "delta": "1"}},
+     "'R' in the problem file: expected numbers, got a string"),
+    ({"dim": 2, "R": [[10**30, "0"], [0, 1]]}, "'R' in the problem file: expected numbers"),
+    ({"dim": 2, "R": {"diag": ["1", 2]}}, "'R.diag' in the problem file: expected numbers"),
+    ({"dim": 2, "R": {"diag": [1, 2]}, "r": ["1", 0]}, "'r' in the problem file: expected numbers"),
+    ({"dim": 2, "R": {"diag": [1, 2]}, "penalty": {"kind": "fair", "L": [[10**20, -1], [0, "1"]]}},
+     "'penalty.L' in the problem file: expected numbers"),
+    ({"dim": 2, "R": {"diag": [1, 2]}, "penalty": {"kind": "hyperbolic", "lambda": "0.5"}},
+     "'penalty.lambda' in the problem file: expected a number, got \"0.5\""),
+    ({"dim": 2, "R": {"diag": [1, 2]}, "penalty": {"kind": "fair", "delta": "1"}},
+     "'penalty.delta' in the problem file: expected a number"),
+], ids=["ragged-L", "ragged-R", "string-lambda", "string-in-r", "penalty-not-an-object", "strings",
+        "string-beside-a-huge-integer", "string-in-diag", "string-number-in-r", "string-in-L",
+        "string-number-lambda", "string-number-delta"])
 def test_solve_reports_a_malformed_number_in_the_problem_file(tmp_path, capsys, spec, field):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(spec))
-    assert main(["solve", "--problem", str(path)]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--problem", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert field in err.splitlines()[0]
@@ -277,7 +301,9 @@ def test_verify_names_a_malformed_trace_file(problem_file, tmp_path, capsys, con
     ('{"r": [1, 2]}', "lacks 'R'"),
     ("[1]", "is not a JSON object"),
     ('{"R": [[1, 0], [0]], "r": [1, 2]}', "inhomogeneous"),
-], ids=["no-R", "list", "ragged-R"])
+    ('{"R": [["2.0", 0], [0, 1]], "r": ["1", 0]}', "expected numbers, got a string"),
+    ('{"R": [[2, 0], [0, 1]], "r": [1, "0"]}', "expected numbers, got a string"),
+], ids=["no-R", "list", "ragged-R", "string-in-R", "string-in-r"])
 def test_a_malformed_replay_line_is_named(problem_file, tmp_path, capsys, line, message):
     path = tmp_path / "Replay.jsonl"  # the path keeps its case
     path.write_text(line + "\n")

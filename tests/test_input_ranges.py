@@ -43,6 +43,17 @@ def test_a_huge_integer_in_a_problem_file_is_an_input_error(field, text, tmp_pat
     assert err.startswith(f"error: malformed '{field}'")
 
 
+def test_an_integer_beyond_int64_inside_the_float_range_is_read(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"dim": 2, "R": [[10**30, 0], [0, 1]], "r": [2**63, -(2**64)]}))
+    p = load_problem(path)
+    assert p.quad.R[0, 0] == 1e30 and p.quad.r.tolist() == [float(2**63), -float(2**64)]
+    line = tmp_path / "s.jsonl"
+    line.write_text(json.dumps({"R": [[10**30, 0], [0, 1]], "r": [2**63, 0]}) + "\n")
+    R, r = FileReplayStream(line).snapshots[0]
+    assert R[0, 0] == 1e30 and r[0] == float(2**63)
+
+
 @pytest.mark.parametrize("key", ["R", "r"])
 def test_a_huge_integer_in_a_replay_file_is_an_input_error(key, tmp_path, capsys):
     line = {"R": "[[1, 0], [0, 1]]", "r": "[1, 1]"}
@@ -97,6 +108,29 @@ def test_a_delta_at_the_ends_of_the_normal_range_is_accepted(cls):
         with pytest.raises(InputError, match="penalty.delta"):
             cls(1.0, delta)
     assert np.isfinite(cls(1.0, 1.3e154).value(np.ones(3)))
+
+
+@pytest.mark.parametrize("cls, kind", [(HyperbolicPenalty, "hyperbolic"), (FairPenalty, "fair")])
+def test_an_L_whose_sum_of_squares_overflows_is_an_input_error(cls, kind, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="penalty.L has a sum of squares beyond the float range"):
+            cls(1.0, 1.0, L=[[1e200, -1e200]])
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"dim": 2, "R": {"diag": [1, 2]}, "r": [1, 1],
+                                "penalty": {"kind": kind, "L": [[1e200, -1e200]]}}))
+    code, err = _run(["solve", "--problem", str(path)], capsys)
+    assert code == 1
+    assert err.startswith("error: penalty.L has a sum of squares beyond the float range")
+
+
+def test_a_finite_sum_of_squares_of_L_is_kept_bitwise():
+    rng = np.random.default_rng(3)
+    for L in (rng.standard_normal((4, 5)), 1e153 * rng.standard_normal((3, 5)), np.full((1, 2), 9e153)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fro2 = HyperbolicPenalty(1.0, 1.0, L=L)._L_fro2
+        assert fro2 == float(np.sum(L * L)) < np.inf
 
 
 def test_a_geometric_stream_on_an_indefinite_limit_r_is_an_input_error(tmp_path, capsys):

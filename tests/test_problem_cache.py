@@ -197,6 +197,7 @@ REFUSED = {
     "ragged L": padded(json.dumps({"dim": 2, "R": [[2, 0], [0, 2]], "r": [1, 1],
                                    "penalty": dict(PENALTY_L, L=[[1, 0], [1]])})),
     "integer beyond the float range": padded('{"dim": 1, "R": [[1' + "0" * 400 + ']], "r": [1]}'),
+    "a number written as a string": padded('{"dim": 2, "R": [[2, 0], [0, 2]], "r": [1, "1"]}'),
     "byte order mark": b"\xef\xbb\xbf" + padded('{"dim": 1, "R": [[1.0]], "r": [1.0]}'),
     "CRLF and not JSON": padded('{"dim": 1,\n "R": [[1.0]],\n "r": [1.0]', "\r\n"),
 }

@@ -63,7 +63,6 @@ def _assert_same_report(got, want):
     assert got.results == want.results
     assert got.rows == want.rows
     assert got.n_eps == want.n_eps
-    assert got.certified == want.certified
     assert got.summary == want.summary
     assert got.certificates_skipped == want.certificates_skipped
     assert list(got.certificates_skipped.items()) == list(want.certificates_skipped.items())
@@ -180,7 +179,7 @@ def test_every_split_gives_the_verdicts_of_one_part(make, tmp_path):
     recs = trace.records[:31]
     strategy = verify.parse_strategy(trace.setting("strategy"))
     epsilon = solver._resolve_epsilon(trace.setting("epsilon"), p.quad.R)
-    checker = verify._RecordChecker(p, recs, stream(), "online", strategy, epsilon, 0,
+    checker = verify._RecordChecker(p, recs, stream(), strategy, epsilon, 0,
                                     reference_minimizer(p, tol=1e-12))
     steps = len(recs) - 1
     whole = checker.check(0, steps)
