@@ -32,6 +32,9 @@ import time
 
 import numpy as np
 
+from .errors import FLOATS
+from .model import _PENALTIES, _PROBLEM, _R_DIAG
+
 LAYOUT = 2
 MAX_ENTRIES = 16
 MAX_BYTES = 256 * 2**20
@@ -61,28 +64,25 @@ def _entry(directory: str, digest: str) -> str:
 
 
 def _places(d) -> dict:
-    """The object and key of each place in the problem dict ``d`` that may hold a float array, by name."""
+    """The object and key of each place in the problem dict ``d`` that its tables let hold a float array, by name."""
     if not isinstance(d, dict):
         return {}
-    places = {"R": (d, "R"), "r": (d, "r")}
-    if isinstance(d.get("R"), dict):
-        places["R.diag"] = (d["R"], "diag")
-    if isinstance(d.get("penalty"), dict):
-        places["penalty.L"] = (d["penalty"], "L")
-    return places
+    tables = [("", d, _PROBLEM), ("R.", d.get("R"), _R_DIAG),
+              *(("penalty.", d.get("penalty"), table) for table in _PENALTIES.values())]
+    return {prefix + name: (holder, name) for prefix, holder, table in tables if isinstance(holder, dict)
+            for name, key in table.items() if np.ndarray in key.kind.types}
 
 
-def decode_arrays(d, convert) -> None:
-    """Replace in place each list of ``d`` in a place of ``_places`` by ``convert`` of it.
+def decode_arrays(d) -> None:
+    """Replace in place each list of ``d`` in a place of ``_places`` by its float array, as ``FLOATS`` reads it.
 
-    Each parsed list goes as soon as it is converted.  A list that
-    ``convert`` refuses stays, for the caller's checks to refuse in their
-    own order.
+    Each parsed list goes as soon as it is converted.  A list that ``FLOATS``
+    refuses stays, for the caller's checks to refuse in their own order.
     """
     for holder, key in _places(d).values():
         if isinstance(holder.get(key), list):
             try:
-                holder[key] = convert(holder[key])
+                holder[key] = FLOATS.read(holder[key])
             except (TypeError, ValueError, OverflowError):
                 pass
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, decode_text, parse_json
+from .errors import FLOATS, INTEGER, InputError, Key, Kind, _Layout, _read, decode_text, parse_json
 from .linalg import as_vector, check_symmetric, flush_subnormals
 
 
@@ -92,7 +92,7 @@ class Penalty:
     omega is maximal at zero and ``phi'' <= omega`` pointwise, so the
     Loewner sandwich and the exactness identity both hold.  A subclass
     defines only its potential (``_phi``, ``_dphi``, ``_ddphi``, ``_omega``),
-    its constructor and, where its file form differs, ``to_dict``.
+    its constructor and its ``kind``, which names its table in ``_PENALTIES``.
 
     Three block hooks work on a block of columns: ``column_values`` gives
     the value at each column, ``apply_curvature(h, X)`` multiplies a vector
@@ -228,12 +228,7 @@ class Penalty:
         return self.lam * wmax * gram + tau * np.eye(dim)
 
     def to_dict(self):
-        return {
-            "kind": self.kind,
-            "lambda": self.lam,
-            "delta": self.delta,
-            "L": "identity" if self.L is None else {"diff": 1} if self._first_diff else self.L.tolist(),
-        }
+        return _write(self, _PENALTIES[self.kind])
 
 
 class TikhonovPenalty(Penalty):
@@ -261,9 +256,6 @@ class TikhonovPenalty(Penalty):
 
     _omega = _ddphi
 
-    def to_dict(self):
-        return {"kind": "tikhonov", "lambda": self.lam}
-
 
 class ZeroPenalty(TikhonovPenalty):
     """No penalty: the ridge at weight 0."""
@@ -272,9 +264,6 @@ class ZeroPenalty(TikhonovPenalty):
 
     def __init__(self):
         super().__init__(0.0)
-
-    def to_dict(self):
-        return {"kind": "zero"}
 
 
 class HyperbolicPenalty(Penalty):
@@ -412,92 +401,88 @@ def curvature_bound(p: ProblemInstance) -> np.ndarray:
     return p.penalty.curvature_bound(p.dim)
 
 
-def _field(name: str, convert, value):
-    """``convert(value)``, with a malformed value reported as an ``InputError`` naming the field.
-
-    An integer literal beyond the float range is malformed too.
-    """
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"malformed {name!r} in the problem file: {exc}") from exc
+# The problem file, declared once: each table gives a key its JSON values, its default or REQUIRED
+# and, for a float array, its number of axes, each of length dim.  Reading, writing, the cache's
+# array places and every refusal of a key derive from them; undeclared keys are ignored.
+def _where():
+    return "the problem file"
 
 
-def _array(value) -> np.ndarray:
-    """``value`` as a float array; a string, which NumPy would parse as a number, is refused."""
-    a = np.asarray(value)  # an integer beyond int64 makes an object array
-    if a.dtype.kind == "U" or (a.dtype.kind == "O" and any(isinstance(x, str) for x in a.flat)):
-        raise TypeError("expected numbers, got a string")
-    return a.astype(float, copy=False)
+def _penalty_kind(v: str) -> str:
+    if v.lower() not in _PENALTIES:
+        raise ValueError(f"expected one of {', '.join(map(repr, _PENALTIES))}, got {v!r}")
+    return v.lower()
 
 
-def _number(value) -> float:
-    """``float(value)``, refusing a string and JSON's true and false, which Python reads as numbers."""
-    if isinstance(value, (bool, str)):
-        raise TypeError(f"expected a number, got {json.dumps(value)}")
-    return float(value)
+def _write(obj, table: dict) -> dict:
+    return {name: key.kind.write(operator.attrgetter(key.attr or name)(obj)) for name, key in table.items()}
+
+
+_PROBLEM = {
+    "dim": Key(INTEGER),  # read first, by problem_from_dict: every shape depends on it
+    "R": Key(Kind('a matrix or {"diag": [...]}', (list, np.ndarray, dict),  # an object is read by _R_DIAG
+                  lambda v: v if type(v) is dict else FLOATS.read(v), np.ndarray.tolist), attr="quad.R", ndim=2),
+    "r": Key(FLOATS, None, attr="quad.r", ndim=1),  # absent: zeros
+    "penalty": Key(Kind("an object", (dict,), write=Penalty.to_dict), {"kind": "zero"}),
+}
+_R_DIAG = {"diag": Key(FLOATS, ndim=1)}
+_FINITE = Kind("a number", (int, float), lambda v: float(FLOATS.read(v)))  # finite, as every float
+_KIND = Key(Kind("a string", (str,), _penalty_kind), "zero")
+_SMOOTHED = {
+    "kind": _KIND,
+    "lambda": Key(_FINITE, 1.0, attr="lam"),
+    "delta": Key(_FINITE, 1.0),
+    # an object is checked against dim by penalty_from_dict, and so is the width of a matrix
+    "L": Key(Kind('"identity", {"diff": 1} or a matrix', (str, dict, list, np.ndarray),
+                  lambda v: v if type(v) is dict else None if type(v) is str and v == "identity" else FLOATS.read(v),
+                  lambda L: "identity" if L is None else {"diff": 1} if _is_first_difference(L) else L.tolist()),
+             "identity"),
+}
+# each penalty kind's keys, in file order
+_PENALTIES = {
+    "zero": {"kind": _KIND},
+    "tikhonov": {"kind": _KIND, "lambda": _SMOOTHED["lambda"]},
+    "hyperbolic": _SMOOTHED,
+    "fair": _SMOOTHED,
+}
+_CLASSES = {cls.kind: cls for cls in (ZeroPenalty, TikhonovPenalty, HyperbolicPenalty, FairPenalty)}
+_LAYOUT = {name: _Layout.of(table) for name, table in (("problem", _PROBLEM), ("R.diag", _R_DIAG), *_PENALTIES.items())}
 
 
 def penalty_from_dict(spec: dict, dim: int) -> Penalty:
-    if not isinstance(spec, dict):
-        raise InputError(f"'penalty' must be an object, got {type(spec).__name__}")
-    kind = str(spec.get("kind", "zero")).lower()
-    if kind == "zero":
-        return ZeroPenalty()
-    lam = _field("penalty.lambda", _number, spec.get("lambda", 1.0))
-    if kind == "tikhonov":
-        return TikhonovPenalty(lam)
-    delta = _field("penalty.delta", _number, spec.get("delta", 1.0))
-    L = spec.get("L", "identity")
-    if isinstance(L, str) and L == "identity":
-        L = None
-    elif isinstance(L, dict):
+    kind = _read(spec, _LAYOUT["zero"], _where, "penalty.")["kind"]  # the zero table holds the kind alone
+    fields = _read(spec, _LAYOUT[kind], _where, "penalty.")
+    L = fields.get("L")
+    if type(L) is dict:
         if L != {"diff": 1} or dim < 2:
             raise InputError(f"malformed 'penalty.L' in the problem file: only the first difference "
                              f"{{\"diff\": 1}} at dim >= 2 is supported, got {L} at dim {dim}")
-        L = _first_difference(dim)
-    else:
-        L = np.atleast_2d(_field("penalty.L", _array, L))
+        fields["L"] = _first_difference(dim)
+    elif L is not None:
+        L = fields["L"] = np.atleast_2d(L)
         if L.ndim != 2:
             raise InputError(f"L must be a matrix, got an array of shape {L.shape}")
         if L.shape[1] != dim:
             raise InputError(f"L has {L.shape[1]} columns, expected {dim}")
-    if kind == "hyperbolic":
-        return HyperbolicPenalty(lam, delta, L=L)
-    if kind == "fair":
-        return FairPenalty(lam, delta, L=L)
-    raise InputError(f"unknown penalty kind {kind!r}")
+    return _CLASSES[fields.pop("kind")](**fields)
 
 
 def problem_from_dict(d: dict) -> ProblemInstance:
-    try:
-        dim = d["dim"]
-        if isinstance(dim, bool):  # JSON's true and false, which Python takes for 1 and 0
-            raise TypeError
-        dim = operator.index(dim)
-    except (KeyError, TypeError) as exc:
-        raise InputError("problem file needs an integer 'dim'") from exc
+    dim = d.get("dim") if isinstance(d, dict) else None
+    if type(dim) is not int:  # JSON's true and false are bools, which Python takes for 1 and 0
+        raise InputError("problem file needs an integer 'dim'")
     if dim < 1:
         raise InputError(f"problem file needs a 'dim' of at least 1, got {dim}")
-    R = d.get("R")
-    if isinstance(R, dict) and "diag" in R:
-        R = np.diag(as_vector(_field("R.diag", _array, R["diag"]), dim))
-    else:
-        R = _field("R", _array, R)
-        if R.shape != (dim, dim):
-            raise InputError(f"R has shape {R.shape}, expected ({dim}, {dim})")
-    r = as_vector(_field("r", _array, d.get("r", np.zeros(dim))), dim)
-    penalty = penalty_from_dict(d.get("penalty", {"kind": "zero"}), dim)
-    return ProblemInstance(QuadraticData(R, r), penalty)
+    fields = _read(d, _LAYOUT["problem"], _where, "", dim)
+    R, r = fields["quad.R"], fields["quad.r"]
+    if type(R) is dict:
+        R = np.diag(_read(R, _LAYOUT["R.diag"], _where, "R.", dim)["diag"])
+    quad = QuadraticData(R, np.zeros(dim) if r is None else r)
+    return ProblemInstance(quad, penalty_from_dict(fields["penalty"], dim))
 
 
 def problem_to_dict(p: ProblemInstance) -> dict:
-    return {
-        "dim": p.dim,
-        "R": p.quad.R.tolist(),
-        "r": p.quad.r.tolist(),
-        "penalty": p.penalty.to_dict(),
-    }
+    return _write(p, _PROBLEM)
 
 
 # A problem file of this size or more is decoded once and read back from the
@@ -549,9 +534,9 @@ def load_problem(path) -> ProblemInstance:
             pass  # a bad entry: the file decides, and its entry is written again
     d = parse_json(text, where)
     del text
-    # problem_from_dict converts these values with _array too, which returns a
-    # float array as it is, so d builds what the parsed lists build
-    cache.decode_arrays(d, _array)
+    # problem_from_dict reads these values with FLOATS too, which returns a
+    # finite float array as it is, so d builds what the parsed lists build
+    cache.decode_arrays(d)
     p = problem_from_dict(d)
     if directory is not None:
         cache.store(directory, digest, d)

@@ -18,7 +18,7 @@ def random_spd(n: int, cond: float, rng: np.random.Generator) -> np.ndarray:
 
 
 def make_penalty(kind: str, lam: float, delta: float, dim: int):
-    return penalty_from_dict({"kind": kind, "lambda": lam, "delta": delta}, dim)
+    return penalty_from_dict({"kind": kind, "lambda": float(lam), "delta": float(delta)}, dim)  # NumPy floats too
 
 
 def random_instance(

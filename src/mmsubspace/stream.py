@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, StreamExhausted, parse_json, read_text, require_fields
+from .errors import FLOATS, InputError, Key, StreamExhausted, _Layout, _read, parse_json, read_text
 from .linalg import as_vector, check_symmetric, min_eig
-from .model import Penalty, ProblemInstance, QuadraticData, ZeroPenalty, _array
+from .model import Penalty, ProblemInstance, QuadraticData, ZeroPenalty
 
 # A snapshot R + w E with 0 < w < 1 has Frobenius norm at most |R|_F + |E|_F;
 # at most this much keeps its sum of squares, rounding included, far below the
@@ -198,22 +198,23 @@ class RunningAverageStream(EstimateStream):
 
 
 class FileReplayStream(EstimateStream):
-    """Replays stored snapshots from a JSON-lines file, one object per line."""
+    """Replays stored snapshots from a JSON-lines file, one object per line: a
+    symmetric ``R`` and an ``r``, of the problem's dim, else of the first line's."""
+
+    _LINE = _Layout.of({"R": Key(FLOATS._replace(read=lambda v: check_symmetric(FLOATS.read(v), name="replayed R")),
+                                 ndim=2), "r": Key(FLOATS, ndim=1)})
 
     def __init__(self, path, quad: QuadraticData | None = None, penalty: Penalty | None = None):
         self.snapshots = []
+        dim = None if quad is None else quad.dim
         for lineno, line in enumerate(read_text(path, "replay file").split("\n"), 1):
             line = line.strip()
             if not line:
                 continue
             where = f"line {lineno} of replay file {path}"
-            d = require_fields(parse_json(line, where), ["R", "r"], where)
-            try:
-                R = check_symmetric(_array(d["R"]), rtol=1e-12, name="replayed R")
-                r = as_vector(_array(d["r"]), R.shape[0])
-            except (TypeError, ValueError, OverflowError) as exc:  # an integer beyond the float range overflows
-                raise InputError(f"{where}: {exc}") from exc
-            self.snapshots.append((R, r))
+            d = _read(parse_json(line, where), self._LINE, lambda: where, None, dim)  # a refusal names the line
+            dim = len(d["r"])
+            self.snapshots.append((d["R"], d["r"]))
         if not self.snapshots:
             raise InputError(f"no snapshots in {path}")
         super().__init__(QuadraticData(*self.snapshots[-1]) if quad is None else quad, penalty)

@@ -15,28 +15,12 @@ import csv
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, parse_json, read_text, require_fields
+from .errors import BOOL, INTEGER, NUMBER, STRING, Key, Kind, _Layout, _read, parse_json, read_text
 from .rates import RateCertificate
-
-REQUIRED = object()
-
-
-class Kind(NamedTuple):
-    """The JSON values a key accepts, by type; ``read`` converts one, ``write`` stores its Python value."""
-
-    what: str
-    types: tuple
-    read: Callable = lambda v: v  # may raise ValueError or OverflowError
-    write: Callable = lambda v: v
-
-    def check(self, v):
-        if type(v) not in self.types:
-            raise TypeError(f"expected {self.what}, got {json.dumps(v)[:40]}")
-        return self.read(v)
 
 
 def _mode(v):
@@ -57,17 +41,7 @@ def _counts(v):
     return Counter(v)
 
 
-BOOL, INTEGER, STRING = Kind("true or false", (bool,)), Kind("an integer", (int,)), Kind("a string", (str,))
-NUMBER = Kind("a number", (int, float), lambda v: None if v is None else float(v))  # None: not recorded
 OPTIONAL = NUMBER._replace(what="a number or null", types=(int, float, type(None)))
-
-
-class Key(NamedTuple):
-    kind: Kind
-    default: object = REQUIRED  # the value of an absent key, as JSON
-    column: Optional[int] = None  # its CSV column
-    attr: Optional[str] = None  # the attribute that holds it, where not the key
-
 
 # in file order; only a certified run writes "certificates_skipped": the
 # certificates not recorded because computing them raised, by error class name
@@ -113,42 +87,9 @@ CERTIFICATE = {
 # (column, key, attribute, whether the certificate holds it) of each CSV column, in order
 _CSV = sorted((key.column, name, key.attr or name, table is CERTIFICATE)
               for table in (RECORD, CERTIFICATE) for name, key in table.items() if key.column is not None)
-
-
-class _Layout(NamedTuple):
-    """A table as ``_read`` walks it, built once per table."""
-
-    keys: list  # (key, attribute, kind, accepted types, default) in table order
-    required: list  # the required keys, in table order
-    required_set: frozenset
-
-    @classmethod
-    def of(cls, table: dict) -> "_Layout":
-        required = [name for name, key in table.items() if key.default is REQUIRED]
-        return cls([(name, key.attr or name, key.kind, key.kind.types, key.default) for name, key in table.items()],
-                   required, frozenset(required))
-
-
 _LAYOUT = {name: _Layout.of(table) for name, table in
-           (("run", RUN), ("meta", META), ("record", RECORD), ("certificate", CERTIFICATE))}
-
-
-def _read(d, layout: _Layout, where: Callable[[], str], prefix: str = "") -> dict:
-    """The keys of ``layout``'s table in the JSON object ``d``, read by their
-    kinds, by attribute; ``where()`` names ``d`` in a refusal."""
-    if not (isinstance(d, dict) and d.keys() >= layout.required_set):
-        require_fields(d, layout.required, where())
-    out = {}
-    try:
-        for name, attr, kind, types, default in layout.keys:
-            if name in d:
-                v = d[name]
-                out[attr] = kind.read(v) if type(v) in types else kind.check(v)  # check raises the refusal
-            else:
-                out[attr] = kind.read(default)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"malformed {prefix + name!r} in {where()}: {exc}") from exc
-    return out
+           (("file", {"records": Key(Kind("a list", (list,))), "meta": Key(Kind("an object", (dict,), dict), {})}),
+            ("run", RUN), ("meta", META), ("record", RECORD), ("certificate", CERTIFICATE))}
 
 
 @dataclass(frozen=True)
@@ -226,16 +167,12 @@ class Trace:
     @classmethod
     def from_json(cls, path) -> "Trace":
         where = f"trace file {path}"
-        d = require_fields(parse_json(read_text(path, "trace file"), where), ["records"], where)
-        meta = d.get("meta", {})
-        if not isinstance(d["records"], list):
-            raise InputError(f"'records' of {where} is not a list")
-        if not isinstance(meta, dict):
-            raise InputError(f"'meta' of {where} is not an object")
-        trace = cls(meta=meta, **_read(d, _LAYOUT["run"], lambda: where))
-        _read(meta, _LAYOUT["meta"], lambda: where, "meta.")
+        d = parse_json(read_text(path, "trace file"), where)
+        top = _read(d, _LAYOUT["file"], lambda: where)
+        trace = cls(meta=top["meta"], **_read(d, _LAYOUT["run"], lambda: where))
+        _read(top["meta"], _LAYOUT["meta"], lambda: where, "meta.")
         record, certificate = _LAYOUT["record"], _LAYOUT["certificate"]
-        for i, rd in enumerate(d["records"]):
+        for i, rd in enumerate(top["records"]):
             def where_record():
                 return f"record {i} of trace file {path}"
             fields = _read(rd, record, where_record)

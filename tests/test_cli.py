@@ -279,14 +279,14 @@ def test_a_malformed_number_in_a_flag_is_named(problem_file, capsys, flag, value
 @pytest.mark.parametrize("content, message", [
     ("{}", "lacks 'records'"),
     ("[1]", "is not a JSON object"),
-    ('{"records": 5}', "'records' of trace file"),
+    ('{"records": 5}', "malformed 'records' in trace file"),
     ('{"records": [{"n": 0, "obj": 1.0, "grad_norm": 1.0}]}', "lacks 'h'"),
     ('{"records": [{"n": 0, "h": [0, 0, 0], "obj": 1.0, "grad_norm": 1.0, "theta": 0.5}]}',
      "lacks 'theta_tilde'"),
     ('{"records": [{"n": 0, "h": "x", "obj": 1.0, "grad_norm": 1.0}]}', "malformed 'h'"),
     ('{"records": [{"n": 0, "h": [0, 0, 0], "obj": "x", "grad_norm": 1.0}]}', "malformed 'obj'"),
     ('{"records": [{"n": 0.5, "h": [0, 0, 0], "obj": 1.0, "grad_norm": 1.0}]}', "malformed 'n'"),
-    ('{"meta": [], "records": []}', "'meta' of trace file"),
+    ('{"meta": [], "records": []}', "malformed 'meta' in trace file"),
 ], ids=["empty-object", "list", "records-not-a-list", "record-without-h", "partial-certificate",
         "string-h", "string-obj", "fractional-n", "meta-not-an-object"])
 def test_verify_names_a_malformed_trace_file(problem_file, tmp_path, capsys, content, message):
@@ -302,7 +302,8 @@ def test_verify_names_a_malformed_trace_file(problem_file, tmp_path, capsys, con
     ("[1]", "is not a JSON object"),
     ('{"R": [[1, 0], [0]], "r": [1, 2]}', "inhomogeneous"),
     ('{"R": [["2.0", 0], [0, 1]], "r": ["1", 0]}', "expected numbers, got a string"),
-    ('{"R": [[2, 0], [0, 1]], "r": [1, "0"]}', "expected numbers, got a string"),
+    # of the problem's dim 3, so that the string is what is wrong
+    ('{"R": [[2, 0, 0], [0, 1, 0], [0, 0, 1]], "r": [1, "0", 0]}', "expected numbers, got a string"),
 ], ids=["no-R", "list", "ragged-R", "string-in-R", "string-in-r"])
 def test_a_malformed_replay_line_is_named(problem_file, tmp_path, capsys, line, message):
     path = tmp_path / "Replay.jsonl"  # the path keeps its case
